@@ -155,16 +155,10 @@ def recall_at_k(
 
 
 def _plan_for(name: str) -> StrategyPlan:
-    table = {
-        "PreAnns": StrategyPlan(PlanKind.PRE_ANNS),
-        "PreExact": StrategyPlan(PlanKind.PRE_EXACT),
-        "Post": StrategyPlan(PlanKind.POST),
-        "Runtime": StrategyPlan(PlanKind.RUNTIME),
-        "AdaptiveAuto": StrategyPlan(PlanKind.ADAPTIVE_AUTO),
-    }
-    if name not in table:
-        raise ValueError(f"unknown strategy {name!r}")
-    return table[name]
+    try:
+        return StrategyPlan(PlanKind(name))
+    except ValueError:
+        raise ValueError(f"unknown strategy {name!r}") from None
 
 
 def _build_index(corpus: Corpus, config: IndexConfig):

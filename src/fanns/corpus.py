@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,6 +33,49 @@ class Metric(Enum):
     L2 = 0
     INNER_PRODUCT = 1
     COSINE = 2
+
+
+class BinaryReader:
+    """Bounds-checked little-endian cursor over the bytes of one file.
+
+    A wrong magic, a read past the end, an unknown metric byte and bytes left
+    over at :meth:`end` all raise ``error``, the caller's own format error.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes, error: type[ValueError]):
+        self.path = Path(path)
+        self.data = self.path.read_bytes()
+        self.error = error
+        if self.data[: len(magic)] != magic:
+            self.fail(f"bad magic {self.data[:len(magic)]!r}")
+        self.offset = len(magic)
+
+    def fail(self, reason: str) -> NoReturn:
+        raise self.error(f"{self.path}: {reason}")
+
+    def _advance(self, size: int) -> int:
+        start = self.offset
+        if start + size > len(self.data):
+            self.fail(f"truncated: {start + size} bytes needed, {len(self.data)} present")
+        self.offset += size
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        offset = self._advance(dtype.itemsize * count)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=offset)
+
+    def metric(self, kind: int) -> Metric:
+        if kind not in {m.value for m in Metric}:
+            self.fail(f"unknown metric kind {kind}")
+        return Metric(kind)
+
+    def end(self) -> None:
+        if self.offset != len(self.data):
+            self.fail(f"{len(self.data) - self.offset} trailing bytes")
 
 
 @dataclass(frozen=True)
@@ -149,13 +193,6 @@ def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.nda
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def key_to_distance(key: float | np.ndarray, metric: Metric):
-    """Map an ordering key back to the metric's conventional value."""
-    if metric is Metric.L2:
-        return key
-    return -key
-
-
 def build_mask(corpus: Corpus, threshold: float) -> FilterMask:
     """Mask of rows whose attribute is >= threshold."""
     return FilterMask(corpus.attribute >= threshold)
@@ -235,36 +272,17 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 16:
-        raise CorpusFormatError(f"{path}: truncated header")
-    if data[:4] != _CORPUS_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {data[:4]!r}")
-    n, d, metric_kind, normalized = struct.unpack("<IIBBxx", data[4:16])
+    reader = BinaryReader(path, _CORPUS_MAGIC, CorpusFormatError)
+    n, d, metric_kind, normalized = reader.unpack("<IIBBxx")
     if n < 1 or d < 1 or n * d > 2**31:
-        raise CorpusFormatError(f"{path}: implausible dimensions N={n} d={d}")
-    try:
-        metric = Metric(metric_kind)
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: unknown metric kind {metric_kind}") from exc
-    vec_bytes = 4 * n * d
-    attr_bytes = 8 * n
-    if len(data) != 16 + vec_bytes + attr_bytes:
-        raise CorpusFormatError(f"{path}: truncated payload ({len(data)} bytes)")
-    vectors = np.frombuffer(data, dtype="<f4", count=n * d, offset=16).reshape(n, d)
-    attribute = np.frombuffer(data, dtype="<f8", count=n, offset=16 + vec_bytes)
+        reader.fail(f"implausible dimensions N={n} d={d}")
+    metric = reader.metric(metric_kind)
+    vectors = reader.array("<f4", n * d).reshape(n, d)
+    attribute = reader.array("<f8", n)
+    reader.end()
     return Corpus(
         vectors=vectors.copy(),
         attribute=attribute.copy(),
         metric=metric,
         normalized=bool(normalized),
     )
-
-
-def export_attributes_csv(corpus: Corpus, path: str | Path) -> None:
-    """Attribute column as CSV with header ``id,attribute``."""
-    with open(path, "w") as fh:
-        fh.write("id,attribute\n")
-        for i, value in enumerate(corpus.attribute):
-            fh.write(f"{i},{float(value)!r}\n")

@@ -17,6 +17,10 @@ Four layer-0 search modes are exposed:
 * ``raw``          -- unfiltered search returning a ``pool_size``-wide
   candidate list for downstream post-filtering.
 
+The two filtered modes record how many bitset entries they read in
+``predicate_invocations``: the final pool's length for ``prefilter``, every
+visited layer-0 node for ``dualpool``.
+
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
 graphs reproducible. Level assignment uses floor(-ln(U) / ln(M)) with U
@@ -35,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from fanns.corpus import Corpus, FilterMask, Metric, ordering_keys
+from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys
 from fanns.telemetry import SearchResult, SearchTelemetry
 
 _HNSW_MAGIC = b"FHN1"
@@ -63,11 +67,6 @@ class HnswIndex:
     @property
     def n(self) -> int:
         return len(self.levels)
-
-    def neighbors(self, node: int, layer: int) -> list[int]:
-        if layer >= len(self.adjacency):
-            return []
-        return self.adjacency[layer].get(node, [])
 
 
 def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
@@ -100,13 +99,15 @@ def _greedy_descent(
     vectors: np.ndarray,
     query: np.ndarray,
     telemetry: SearchTelemetry,
+    stop_layer: int = 0,
 ) -> tuple[float, int]:
-    """Top-down greedy walk from the entry point to layer 1's best node."""
+    """Top-down greedy walk from the entry point to the best node of layer
+    ``stop_layer + 1``; search and insertion share it."""
     cur = index.entry_point
     cur_key = float(ordering_keys(query, vectors[cur], index.metric)[0])
     telemetry.distance_evaluations += 1
     telemetry.nodes_visited += 1
-    for layer in range(index.max_level, 0, -1):
+    for layer in range(index.max_level, stop_layer, -1):
         adjacency = index.adjacency[layer]
         improved = True
         visited = {cur}
@@ -181,6 +182,7 @@ def _dual_pool_layer(
                 heappush(valid_pool, (-nkey, neigh))
                 if len(valid_pool) > ef:
                     heappop(valid_pool)
+    telemetry.predicate_invocations = len(visited)
     return sorted((-negkey, node) for negkey, node in valid_pool)
 
 
@@ -213,19 +215,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     for node in range(1, corpus.n):
         level = int(levels[node])
         query = vectors[node]
-        cur_key, cur = float(ordering_keys(query, vectors[index.entry_point], metric)[0]), index.entry_point
-        # greedy descent through layers above the new node's level
-        for layer in range(index.max_level, level, -1):
-            adjacency = index.adjacency[layer]
-            improved = True
-            visited = {cur}
-            while improved:
-                improved = False
-                for key, cand in _expand(vectors, metric, query, adjacency, cur, visited, scratch):
-                    if (key, cand) < (cur_key, cur):
-                        cur_key, cur = key, cand
-                        improved = True
-        entry_points = [(cur_key, cur)]
+        entry_points = [_greedy_descent(index, vectors, query, scratch, stop_layer=level)]
         for layer in range(min(level, index.max_level), -1, -1):
             adjacency = index.adjacency[layer]
             pool = _beam_search_layer(
@@ -296,6 +286,7 @@ def hnsw_search(
         if mode == "unfiltered":
             ranked = pool[:k]
         elif mode == "prefilter":
+            telemetry.predicate_invocations = len(pool)
             ranked = [(key, node) for key, node in pool if mask.bits[node]][:k]
         else:  # raw
             ranked = pool[:pool_size]
@@ -347,43 +338,28 @@ def save_hnsw(index: HnswIndex, path: str | Path) -> None:
 
 
 def load_hnsw(path: str | Path) -> HnswIndex:
-    path = Path(path)
-    data = path.read_bytes()
-    header = struct.calcsize("<IIIqiIB")
-    if len(data) < 4 + header or data[:4] != _HNSW_MAGIC:
-        raise HnswFormatError(f"{path}: bad magic or truncated header")
-    n, m, ef_construction, seed, entry_point, max_level, metric_kind = struct.unpack_from(
-        "<IIIqiIB", data, 4
-    )
-    offset = 4 + header
-    levels = np.frombuffer(data, dtype="<i4", count=n, offset=offset).astype(np.int32)
-    offset += 4 * n
+    reader = BinaryReader(path, _HNSW_MAGIC, HnswFormatError)
+    n, m, ef_construction, seed, entry_point, max_level, metric_kind = reader.unpack("<IIIqiIB")
+    metric = reader.metric(metric_kind)
+    levels = reader.array("<i4", n).astype(np.int32)
     adjacency: list[dict[int, list[int]]] = []
     for _ in range(max_level + 1):
-        if offset + 4 > len(data):
-            raise HnswFormatError(f"{path}: truncated layer header")
-        (n_nodes,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        nodes = np.frombuffer(data, dtype="<u4", count=n_nodes, offset=offset)
-        offset += 4 * n_nodes
-        degrees = np.frombuffer(data, dtype="<u4", count=n_nodes, offset=offset)
-        offset += 4 * n_nodes
-        total = int(degrees.sum())
-        flat = np.frombuffer(data, dtype="<u4", count=total, offset=offset)
-        offset += 4 * total
+        (n_nodes,) = reader.unpack("<I")
+        nodes = reader.array("<u4", n_nodes)
+        degrees = reader.array("<u4", n_nodes)
+        flat = reader.array("<u4", int(degrees.sum()))
         layer: dict[int, list[int]] = {}
         pos = 0
         for node, degree in zip(nodes.tolist(), degrees.tolist()):
             layer[node] = flat[pos : pos + degree].astype(int).tolist()
             pos += degree
         adjacency.append(layer)
-    if offset != len(data):
-        raise HnswFormatError(f"{path}: trailing bytes")
+    reader.end()
     return HnswIndex(
         m=m,
         ef_construction=ef_construction,
         seed=seed,
-        metric=Metric(metric_kind),
+        metric=metric,
         levels=levels,
         entry_point=entry_point,
         max_level=max_level,

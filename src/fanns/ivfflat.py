@@ -4,7 +4,8 @@ Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
 iterations, deterministic given the seed). Search ranks all centroids by
 distance and scans the ``n_probe`` nearest inverted lists. The prefilter
 mode tests the bitset before computing any row distance, so invalid rows in
-the probed lists cost no distance evaluations.
+the probed lists cost no distance evaluations; every row of a probed list
+counts as one predicate invocation.
 
 Centroid distances are tracked separately from row distance evaluations in
 the telemetry. Centroid ranking never consults the mask: centroids are
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from fanns.corpus import Corpus, FilterMask, Metric, ordering_keys
+from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys
 from fanns.telemetry import SearchResult, SearchTelemetry
 
 _IVF_MAGIC = b"FIV1"
@@ -156,6 +157,7 @@ def ivf_search(
     for c in probe_order:
         ids = index.lists[c]
         if mode == "prefilter":
+            telemetry.predicate_invocations += len(ids)
             ids = ids[mask.bits[ids]]
         if len(ids) == 0:
             continue
@@ -196,30 +198,17 @@ def save_ivf(index: IvfIndex, path: str | Path) -> None:
 
 
 def load_ivf(path: str | Path) -> IvfIndex:
-    path = Path(path)
-    data = path.read_bytes()
-    header = struct.calcsize("<IIqB")
-    if len(data) < 4 + header or data[:4] != _IVF_MAGIC:
-        raise IvfFormatError(f"{path}: bad magic or truncated header")
-    n_clusters, d, seed, metric_kind = struct.unpack_from("<IIqB", data, 4)
-    offset = 4 + header
-    centroids = np.frombuffer(data, dtype="<f4", count=n_clusters * d, offset=offset)
-    centroids = centroids.reshape(n_clusters, d).copy()
-    offset += 4 * n_clusters * d
-    lengths = np.frombuffer(data, dtype="<u4", count=n_clusters, offset=offset)
-    offset += 4 * n_clusters
-    lists = []
-    for length in lengths.tolist():
-        if offset + 4 * length > len(data):
-            raise IvfFormatError(f"{path}: truncated list payload")
-        lists.append(np.frombuffer(data, dtype="<u4", count=length, offset=offset).astype(np.int64))
-        offset += 4 * length
-    if offset != len(data):
-        raise IvfFormatError(f"{path}: trailing bytes")
+    reader = BinaryReader(path, _IVF_MAGIC, IvfFormatError)
+    n_clusters, d, seed, metric_kind = reader.unpack("<IIqB")
+    metric = reader.metric(metric_kind)
+    centroids = reader.array("<f4", n_clusters * d).reshape(n_clusters, d).copy()
+    lengths = reader.array("<u4", n_clusters)
+    lists = [reader.array("<u4", length).astype(np.int64) for length in lengths.tolist()]
+    reader.end()
     return IvfIndex(
         n_clusters=n_clusters,
         seed=seed,
-        metric=Metric(metric_kind),
+        metric=metric,
         centroids=centroids,
         lists=lists,
     )

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fanns.corpus import Corpus, FilterMask, ordering_keys
+from fanns.corpus import BinaryReader, Corpus, FilterMask, ordering_keys
 
 _GT_MAGIC = b"FGT1"
 
@@ -106,26 +106,13 @@ def save_ground_truth(rows: Sequence[GroundTruthRow], k_max: int, path: str | Pa
 
 
 def load_ground_truth(path: str | Path) -> tuple[list[GroundTruthRow], int]:
-    path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 12 or data[:4] != _GT_MAGIC:
-        raise GroundTruthFormatError(f"{path}: bad magic or truncated header")
-    n_rows, k_max = struct.unpack("<II", data[4:12])
+    reader = BinaryReader(path, _GT_MAGIC, GroundTruthFormatError)
+    n_rows, k_max = reader.unpack("<II")
     rows: list[GroundTruthRow] = []
-    offset = 12
     for _ in range(n_rows):
-        if offset + 4 > len(data):
-            raise GroundTruthFormatError(f"{path}: truncated row header")
-        (m,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        need = 8 * m
-        if offset + need > len(data):
-            raise GroundTruthFormatError(f"{path}: truncated row payload")
-        ids = np.frombuffer(data, dtype="<u4", count=m, offset=offset).astype(np.int64)
-        offset += 4 * m
-        dists = np.frombuffer(data, dtype="<f4", count=m, offset=offset).astype(np.float64)
-        offset += 4 * m
+        (m,) = reader.unpack("<I")
+        ids = reader.array("<u4", m).astype(np.int64)
+        dists = reader.array("<f4", m).astype(np.float64)
         rows.append(GroundTruthRow(ids, dists))
-    if offset != len(data):
-        raise GroundTruthFormatError(f"{path}: trailing bytes")
+    reader.end()
     return rows, k_max

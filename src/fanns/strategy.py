@@ -5,13 +5,19 @@ pre-filter + exact scan, post-filter over a raw candidate pool, runtime
 (lazy predicate) filtering, plus an adaptive policy that falls back to the
 exact scan when the filtered-out ratio exceeds a threshold and reruns
 exactly whenever the approximate pass comes back short (safety net).
+
+Runtime is the single-queue prefilter with its predicate tested lazily: the
+traversal never reads the bitset, only the rows the executor must classify
+are tested, and their count is the index's ``predicate_invocations``. Every
+plan reaches an index through ``_search``, the one place that tells HNSW
+from IVFFlat.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -58,17 +64,6 @@ class SearchParams:
     ef_search: Optional[int] = None
     n_probe: Optional[int] = None
 
-    def value_for(self, index) -> int:
-        if isinstance(index, HnswIndex):
-            if self.ef_search is None:
-                raise ConfigurationError("HNSW execution requires ef_search")
-            return self.ef_search
-        if isinstance(index, IvfIndex):
-            if self.n_probe is None:
-                raise ConfigurationError("IVFFlat execution requires n_probe")
-            return self.n_probe
-        raise ConfigurationError(f"unsupported index type {type(index).__name__}")
-
 
 @dataclass
 class ExecutionRecord:
@@ -91,27 +86,23 @@ def _exact(corpus, query, k, mask) -> SearchResult:
     return SearchResult(ids=row.ids, distances=row.distances, telemetry=telemetry)
 
 
-def _raw_pool(index, corpus, query, pool_size, params) -> SearchResult:
-    if isinstance(index, HnswIndex):
-        return hnsw_search(
-            index, corpus, query, pool_size, pool_size, mode="raw", pool_size=pool_size
-        )
-    return ivf_search(
-        index, corpus, query, pool_size, params.value_for(index), mode="raw", pool_size=pool_size
-    )
+def _search(index, corpus, query, k, params, mode, mask=None, pool_size=None) -> SearchResult:
+    """One index search in an ``hnsw_search`` mode, under the family's budget.
 
-
-def _pre_anns(index, corpus, query, k, mask, params, dual_pool) -> SearchResult:
-    if mask is None:
-        if isinstance(index, HnswIndex):
-            return hnsw_search(index, corpus, query, k, params.value_for(index))
-        return ivf_search(index, corpus, query, k, params.value_for(index))
+    A raw HNSW pool is searched with a beam as wide as the pool; IVFFlat has
+    no dual-pool traversal and runs ``dualpool`` as ``prefilter``.
+    """
     if isinstance(index, HnswIndex):
-        mode = "dualpool" if dual_pool else "prefilter"
-        return hnsw_search(index, corpus, query, k, params.value_for(index), mode=mode, mask=mask)
+        if params.ef_search is None:
+            raise ConfigurationError("HNSW execution requires ef_search")
+        ef = pool_size if mode == "raw" else params.ef_search
+        return hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=pool_size)
     if isinstance(index, IvfIndex):
+        if params.n_probe is None:
+            raise ConfigurationError("IVFFlat execution requires n_probe")
+        mode = "prefilter" if mode == "dualpool" else mode
         return ivf_search(
-            index, corpus, query, k, params.value_for(index), mode="prefilter", mask=mask
+            index, corpus, query, k, params.n_probe, mode=mode, mask=mask, pool_size=pool_size
         )
     raise ConfigurationError(f"unsupported index type {type(index).__name__}")
 
@@ -149,40 +140,36 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
         return kind, _exact(corpus, query, k, mask)
 
     if kind is PlanKind.PRE_ANNS:
-        return kind, _pre_anns(index, corpus, query, k, mask, params, plan.dual_pool)
+        mode = "unfiltered" if mask is None else "dualpool" if plan.dual_pool else "prefilter"
+        return kind, _search(index, corpus, query, k, params, mode, mask)
 
     if kind is PlanKind.POST:
         expansion = plan.expansion
         if expansion is None:
             expansion = default_expansion(mask, k, corpus.n)
         pool_size = min(max(int(math.ceil(expansion * k)), k), corpus.n)
-        result = _raw_pool(index, corpus, query, pool_size, params)
-        if mask is not None:
-            keep = mask.bits[result.ids]
-            result = SearchResult(
-                ids=result.ids[keep][:k],
-                distances=result.distances[keep][:k],
-                telemetry=result.telemetry,
-            )
-        else:
-            result = SearchResult(
-                ids=result.ids[:k], distances=result.distances[:k], telemetry=result.telemetry
-            )
-        return kind, result
+        result = _search(index, corpus, query, pool_size, params, "raw", pool_size=pool_size)
+        keep = slice(None) if mask is None else mask.bits[result.ids]
+        return kind, SearchResult(
+            ids=result.ids[keep][:k],
+            distances=result.distances[keep][:k],
+            telemetry=result.telemetry,
+        )
 
     if kind is PlanKind.RUNTIME:
-        return kind, _runtime(index, corpus, query, k, mask, params)
+        if mask is None:
+            raise ConfigurationError("Runtime plan requires a mask")
+        return kind, _search(index, corpus, query, k, params, "prefilter", mask)
 
     if kind is PlanKind.ADAPTIVE_AUTO:
         if mask is None:
-            return PlanKind.PRE_ANNS, _pre_anns(index, corpus, query, k, None, params, False)
+            return PlanKind.PRE_ANNS, _search(index, corpus, query, k, params, "unfiltered")
         filtered_ratio = 1.0 - mask.global_selectivity
         if filtered_ratio > plan.fallback_ratio_threshold:
             result = _exact(corpus, query, k, mask)
             result.telemetry.fallback_used = True
             return PlanKind.PRE_EXACT, result
-        dual = isinstance(index, HnswIndex)
-        result = _pre_anns(index, corpus, query, k, mask, params, dual)
+        result = _search(index, corpus, query, k, params, "dualpool", mask)
         if plan.safety_net and len(result) < min(k, mask.valid_count):
             result = _exact(corpus, query, k, mask)
             result.telemetry.fallback_used = True
@@ -190,64 +177,6 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
         return PlanKind.PRE_ANNS, result
 
     raise ConfigurationError(f"unknown plan kind {plan.kind!r}")
-
-
-def _runtime(index, corpus, query, k, mask, params) -> SearchResult:
-    """Lazy predicate evaluation: the traversal never reads a bitset.
-
-    The predicate is invoked once per candidate whose validity the executor
-    actually needs, and the invocation count is recorded. Result ids match
-    the prefilter path for the same traversal.
-    """
-    if mask is None:
-        raise ConfigurationError("Runtime plan requires a mask")
-    predicate_calls = 0
-    known: dict[int, bool] = {}
-
-    def predicate(row: int) -> bool:
-        nonlocal predicate_calls
-        if row not in known:
-            predicate_calls += 1
-            known[row] = bool(mask.bits[row])
-        return known[row]
-
-    if isinstance(index, HnswIndex):
-        width = params.value_for(index)
-        raw = hnsw_search(index, corpus, query, width, width, mode="raw", pool_size=width)
-        keep = [i for i, row in enumerate(raw.ids) if predicate(int(row))]
-        ids = raw.ids[keep][:k]
-        distances = raw.distances[keep][:k]
-        telemetry = raw.telemetry
-    elif isinstance(index, IvfIndex):
-        n_probe = params.value_for(index)
-        telemetry = SearchTelemetry(centroid_evaluations=index.n_clusters)
-        from fanns.corpus import ordering_keys  # local import to avoid cycle noise
-
-        centroid_keys = ordering_keys(query, index.centroids, index.metric)
-        probe_order = np.lexsort((np.arange(index.n_clusters), centroid_keys))[:n_probe]
-        cand_ids, cand_keys = [], []
-        for c in probe_order:
-            ids_in_list = [int(r) for r in index.lists[c] if predicate(int(r))]
-            if not ids_in_list:
-                continue
-            keys = ordering_keys(query, corpus.vectors[ids_in_list], corpus.metric)
-            telemetry.distance_evaluations += len(ids_in_list)
-            telemetry.nodes_visited += len(ids_in_list)
-            cand_ids.append(np.array(ids_in_list, dtype=np.int64))
-            cand_keys.append(keys)
-        if cand_ids:
-            ids_all = np.concatenate(cand_ids)
-            keys_all = np.concatenate(cand_keys)
-            order = np.lexsort((ids_all, keys_all))[:k]
-            ids, distances = ids_all[order], keys_all[order]
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            distances = np.empty(0, dtype=np.float64)
-    else:
-        raise ConfigurationError(f"unsupported index type {type(index).__name__}")
-
-    telemetry.predicate_invocations = predicate_calls
-    return SearchResult(ids=ids, distances=distances, telemetry=telemetry)
 
 
 def predicate_invocations(record: ExecutionRecord) -> int:

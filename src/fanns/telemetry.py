@@ -12,7 +12,7 @@ class SearchTelemetry:
     distance_evaluations: int = 0
     nodes_visited: int = 0
     centroid_evaluations: int = 0
-    predicate_invocations: int = 0
+    predicate_invocations: int = 0  # rows whose filter bit was read
     fallback_used: bool = False
 
 

@@ -12,7 +12,6 @@ from fanns.corpus import (
     Metric,
     build_mask,
     distance,
-    export_attributes_csv,
     generate_synthetic,
     load_corpus,
     ordering_keys,
@@ -215,12 +214,3 @@ class TestFileIO:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
-
-    def test_attribute_csv(self, tmp_path):
-        corpus = generate_synthetic(5, 2, seed=1)
-        path = tmp_path / "a.csv"
-        export_attributes_csv(corpus, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,attribute"
-        assert len(lines) == 6
-        assert float(lines[1].split(",")[1]) == corpus.attribute[0]

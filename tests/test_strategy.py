@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fanns.corpus import Corpus, FilterMask, Metric, build_mask, threshold_for_selectivity
+from fanns import corpus, gls, hnsw, ivfflat, oracle, strategy
+from fanns.corpus import (
+    Corpus,
+    FilterMask,
+    Metric,
+    build_mask,
+    ordering_keys,
+    threshold_for_selectivity,
+)
 from fanns.hnsw import hnsw_build, hnsw_search
 from fanns.oracle import exact_knn
 from fanns.strategy import (
@@ -16,6 +24,8 @@ from fanns.strategy import (
 from conftest import sample_queries
 
 PARAMS = SearchParams(ef_search=100, n_probe=10)
+APPROXIMATE = [PlanKind.PRE_ANNS, PlanKind.POST, PlanKind.RUNTIME, PlanKind.ADAPTIVE_AUTO]
+SEARCH_FOR = {"hnsw2k": "hnsw_search", "ivf2k": "ivf_search"}
 
 
 def _recall(record, gt):
@@ -44,10 +54,14 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             StrategyPlan(PlanKind.ADAPTIVE_AUTO, fallback_ratio_threshold=1.0)
 
-    def test_missing_search_param(self, corpus2k, hnsw2k, mask02):
+    @pytest.mark.parametrize("kind", APPROXIMATE, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
+    def test_missing_search_param(self, request, corpus2k, mask02, family, kind):
+        # each family is given only the other family's budget
+        index = request.getfixturevalue(family)
+        params = SearchParams(n_probe=3) if family == "hnsw2k" else SearchParams(ef_search=100)
         with pytest.raises(ConfigurationError):
-            execute(hnsw2k, corpus2k, corpus2k.vectors[0], 5, mask02,
-                    StrategyPlan(PlanKind.PRE_ANNS), SearchParams(n_probe=3))
+            execute(index, corpus2k, corpus2k.vectors[0], 5, mask02, StrategyPlan(kind), params)
 
     def test_unsupported_index_type(self, corpus2k, mask02):
         with pytest.raises(ConfigurationError):
@@ -163,6 +177,8 @@ class TestRuntime:
         assert 1 <= count <= corpus2k.n
         assert count < corpus2k.n
         assert count <= 50  # only pool members are ever tested
+        raw = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[3], 50, 50, mode="raw", pool_size=50)
+        assert count == len(raw)
 
     def test_single_row_corpus(self):
         corpus = Corpus(vectors=np.ones((1, 2), dtype=np.float32),
@@ -186,7 +202,10 @@ class TestRuntime:
         reference = execute(ivf2k, corpus2k, query, 10, mask02,
                             StrategyPlan(PlanKind.PRE_ANNS), PARAMS)
         assert record.results.ids.tolist() == reference.results.ids.tolist()
-        assert predicate_invocations(record) <= corpus2k.n
+        # every row of the n_probe nearest lists is tested, and no other row
+        keys = ordering_keys(query, ivf2k.centroids, ivf2k.metric)
+        probed = np.lexsort((np.arange(ivf2k.n_clusters), keys))[: PARAMS.n_probe]
+        assert predicate_invocations(record) == sum(len(ivf2k.lists[c]) for c in probed)
 
 
 class TestMaskFreeExecution:
@@ -197,3 +216,27 @@ class TestMaskFreeExecution:
         assert len(record.results) == 10
         gt = exact_knn(corpus2k, corpus2k.vectors[77], 10)
         assert _recall(record, gt) > 0.0
+
+
+class TestTraceSites:
+    """Index searches are looked up through the module names that tracing wraps."""
+
+    @pytest.mark.parametrize("kind", APPROXIMATE, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
+    def test_one_wrapped_search_per_plan(self, request, monkeypatch, corpus2k, mask02,
+                                         family, kind):
+        calls = []
+        for name in SEARCH_FOR.values():
+            def counting(*args, _search=getattr(strategy, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _search(*args, **kwargs)
+            monkeypatch.setattr(strategy, name, counting)
+        record = execute(request.getfixturevalue(family), corpus2k, corpus2k.vectors[0], 10,
+                         mask02, StrategyPlan(kind), PARAMS)
+        assert not record.telemetry.fallback_used
+        assert calls == [SEARCH_FOR[family]]
+
+    def test_wrapped_names_exist(self):
+        assert callable(gls.hnsw_search) and callable(gls.ivf_search)
+        for module in (corpus, hnsw, ivfflat, oracle, gls):
+            assert callable(module.ordering_keys)
