@@ -24,8 +24,8 @@ from fanns import oracle, strategy
 from fanns.corpus import Corpus, FilterMask, build_mask, threshold_for_selectivity
 from fanns.hnsw import hnsw_build
 from fanns.ivfflat import ivf_build
-from fanns.oracle import GroundTruthRow
 from fanns.strategy import PlanKind, SearchParams, StrategyPlan
+from fanns.telemetry import SearchResult
 
 logger = logging.getLogger(__name__)
 
@@ -128,7 +128,7 @@ def make_workload(
 def recall_at_k(
     ids: np.ndarray,
     distances: np.ndarray,
-    ground_truth: GroundTruthRow,
+    ground_truth: SearchResult,
     k: int,
 ) -> tuple[float, float]:
     """(recall, raw-fixed-denominator recall) of one result against exact GT.
@@ -192,7 +192,7 @@ def run_experiment(
     plans = {name: _plan_for(name) for name in strategy_list}
     k_max = max(workload.ks)
 
-    gt_cache: dict[int, list[GroundTruthRow]] = {}
+    gt_cache: dict[int, list[SearchResult]] = {}
     for fi, spec in enumerate(workload.filters):
         gt_cache[fi] = [
             oracle.exact_knn(corpus, q, k_max, spec.mask) for q in workload.queries

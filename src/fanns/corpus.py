@@ -169,8 +169,11 @@ def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.nda
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
     For L2 the key is the Euclidean distance; for inner product and cosine it
-    is the negated similarity. Computed in float64 so that identical
-    (query, row) pairs yield identical keys regardless of batching.
+    is the negated similarity, computed in float64. An L2 key depends only on
+    its (query, row) pair, so it is identical whatever other rows share the
+    call. Inner-product and cosine keys go through a BLAS matrix-vector
+    product, whose rounding can move a key by an ulp when the rows around it
+    change; compare them across calls with a tolerance.
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
@@ -191,6 +194,16 @@ def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.nda
             raise ValueError("cosine similarity undefined for zero vectors")
         return -(rows @ query) / denom
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def require_built_from(index, corpus: Corpus) -> None:
+    """Raise ValueError unless ``index`` (an HNSW or IVFFlat index) was built
+    over a corpus with this corpus's row count and metric."""
+    if index.n != corpus.n or index.metric is not corpus.metric:
+        raise ValueError(
+            f"index was built over {index.n} {index.metric.name} rows; "
+            f"the corpus has {corpus.n} {corpus.metric.name} rows"
+        )
 
 
 def build_mask(corpus: Corpus, threshold: float) -> FilterMask:

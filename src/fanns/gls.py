@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class GlsEntry:
     ratio: float
     rho: float
     bin: str  # "low" | "medium" | "high"
-
-
-@dataclass(frozen=True)
-class GlsReport:
-    entries: list[GlsEntry]
-    rho_bar: float
-    skipped_empty_masks: int = 0
 
 
 def gls_rho(ratio: float) -> float:
@@ -110,28 +103,25 @@ def gls_approx(
     k_neighborhood: int = DEFAULT_K_NEIGHBORHOOD,
     sample_size: int = 1000,
     seed: int = 0,
-    ef_search: Optional[int] = None,
-    n_probe: Optional[int] = None,
     query_id: int = 0,
 ) -> GlsEntry:
     """Cheap estimate: ANN neighborhood for sigma_l, uniform sample for sigma_g.
 
-    The sample is drawn without replacement, so sample_size = N recovers the
-    exact global selectivity.
+    The neighborhood is an HNSW beam of width ``k_neighborhood``, or an
+    IVFFlat scan of every list. The sample is drawn without replacement, so
+    sample_size = N recovers the exact global selectivity.
     """
     if mask.is_empty:
         raise ValueError("mask must be non-empty")
     if not 1 <= sample_size <= corpus.n:
         raise ValueError("sample_size must be in [1, N]")
     if isinstance(index, HnswIndex):
-        ef = ef_search if ef_search is not None else k_neighborhood
-        pool = min(k_neighborhood, ef)
-        result = hnsw_search(index, corpus, query, pool, ef, mode="raw", pool_size=pool)
-    elif isinstance(index, IvfIndex):
-        probes = n_probe if n_probe is not None else index.n_clusters
-        result = ivf_search(
-            index, corpus, query, k_neighborhood, probes, mode="raw", pool_size=k_neighborhood
+        result = hnsw_search(
+            index, corpus, query, k_neighborhood, k_neighborhood,
+            mode="raw", pool_size=k_neighborhood,
         )
+    elif isinstance(index, IvfIndex):
+        result = ivf_search(index, corpus, query, k_neighborhood, index.n_clusters)
     else:
         raise TypeError(f"unsupported index type {type(index).__name__}")
     neighborhood = result.ids
@@ -151,29 +141,6 @@ def gls_mean(entries: Sequence[GlsEntry]) -> float:
     if len(entries) == 0:
         raise ValueError("need at least one entry")
     return float(np.mean([e.rho for e in entries]))
-
-
-def gls_report(
-    corpus: Corpus,
-    queries: np.ndarray,
-    masks: Sequence[FilterMask],
-    k_neighborhood: int = DEFAULT_K_NEIGHBORHOOD,
-) -> GlsReport:
-    """Exact entries for every (query, mask) pair; empty masks are skipped
-    (and counted) rather than silently dropped."""
-    queries = np.atleast_2d(np.asarray(queries))
-    entries: list[GlsEntry] = []
-    skipped = 0
-    qid = 0
-    for mask in masks:
-        for query in queries:
-            if mask.is_empty:
-                skipped += 1
-            else:
-                entries.append(gls_exact(corpus, query, mask, k_neighborhood, query_id=qid))
-            qid += 1
-    rho_bar = gls_mean(entries) if entries else float("nan")
-    return GlsReport(entries=entries, rho_bar=rho_bar, skipped_empty_masks=skipped)
 
 
 def distance_correlation(

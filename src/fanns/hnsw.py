@@ -39,7 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys
+from fanns.corpus import (
+    BinaryReader,
+    Corpus,
+    FilterMask,
+    Metric,
+    ordering_keys,
+    require_built_from,
+)
 from fanns.telemetry import SearchResult, SearchTelemetry
 
 _HNSW_MAGIC = b"FHN1"
@@ -267,6 +274,7 @@ def hnsw_search(
     if mode == "raw":
         if pool_size is None or pool_size < 1:
             raise ValueError("raw mode requires pool_size >= 1")
+    require_built_from(index, corpus)
 
     telemetry = SearchTelemetry()
     vectors = corpus.vectors
@@ -341,13 +349,17 @@ def load_hnsw(path: str | Path) -> HnswIndex:
     reader = BinaryReader(path, _HNSW_MAGIC, HnswFormatError)
     n, m, ef_construction, seed, entry_point, max_level, metric_kind = reader.unpack("<IIIqiIB")
     metric = reader.metric(metric_kind)
+    if not 0 <= entry_point < n:
+        reader.fail(f"entry point {entry_point} outside 0..{n - 1}")
     levels = reader.array("<i4", n).astype(np.int32)
     adjacency: list[dict[int, list[int]]] = []
-    for _ in range(max_level + 1):
+    for level in range(max_level + 1):
         (n_nodes,) = reader.unpack("<I")
         nodes = reader.array("<u4", n_nodes)
         degrees = reader.array("<u4", n_nodes)
         flat = reader.array("<u4", int(degrees.sum()))
+        if np.any(nodes >= n) or np.any(flat >= n):
+            reader.fail(f"layer {level} holds a node id outside 0..{n - 1}")
         layer: dict[int, list[int]] = {}
         pos = 0
         for node, degree in zip(nodes.tolist(), degrees.tolist()):

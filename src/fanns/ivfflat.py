@@ -2,10 +2,10 @@
 
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
 iterations, deterministic given the seed). Search ranks all centroids by
-distance and scans the ``n_probe`` nearest inverted lists. The prefilter
-mode tests the bitset before computing any row distance, so invalid rows in
-the probed lists cost no distance evaluations; every row of a probed list
-counts as one predicate invocation.
+distance and runs the oracle's exact scan over the rows of the ``n_probe``
+nearest inverted lists. Given a mask, the bitset is tested before any row
+distance, so invalid rows in the probed lists cost no distance evaluations;
+every row of a probed list counts as one predicate invocation.
 
 Centroid distances are tracked separately from row distance evaluations in
 the telemetry. Centroid ranking never consults the mask: centroids are
@@ -16,17 +16,24 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys
-from fanns.telemetry import SearchResult, SearchTelemetry
+from fanns.corpus import (
+    BinaryReader,
+    Corpus,
+    FilterMask,
+    Metric,
+    ordering_keys,
+    require_built_from,
+)
+from fanns.oracle import exact_scan
+from fanns.telemetry import SearchResult
 
 _IVF_MAGIC = b"FIV1"
-
-SEARCH_MODES = ("unfiltered", "prefilter", "raw")
 
 
 class IvfFormatError(ValueError):
@@ -41,7 +48,7 @@ class IvfIndex:
     centroids: np.ndarray  # (C, d) float32
     lists: list[np.ndarray]  # per-centroid sorted row-id arrays
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(lst) for lst in self.lists)
 
@@ -133,56 +140,23 @@ def ivf_search(
     query: np.ndarray,
     k: int,
     n_probe: int,
-    mode: str = "unfiltered",
     mask: Optional[FilterMask] = None,
-    pool_size: Optional[int] = None,
 ) -> SearchResult:
-    """Scan the n_probe nearest inverted lists; see the module docstring."""
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown search mode {mode!r}")
+    """Exact top k of the (mask-valid) rows of the n_probe nearest lists."""
     if not 1 <= n_probe <= index.n_clusters:
         raise ValueError("n_probe must be in [1, C]")
-    if mode == "prefilter" and mask is None:
-        raise ValueError("prefilter mode requires a mask")
-    if mode == "raw" and (pool_size is None or pool_size < 1):
-        raise ValueError("raw mode requires pool_size >= 1")
-
-    telemetry = SearchTelemetry()
+    require_built_from(index, corpus)
     centroid_keys = ordering_keys(query, index.centroids, index.metric)
-    telemetry.centroid_evaluations = index.n_clusters
     probe_order = np.lexsort((np.arange(index.n_clusters), centroid_keys))[:n_probe]
-
-    candidate_ids: list[np.ndarray] = []
-    candidate_keys: list[np.ndarray] = []
-    for c in probe_order:
-        ids = index.lists[c]
-        if mode == "prefilter":
-            telemetry.predicate_invocations += len(ids)
-            ids = ids[mask.bits[ids]]
-        if len(ids) == 0:
-            continue
-        keys = ordering_keys(query, corpus.vectors[ids], corpus.metric)
-        telemetry.distance_evaluations += len(ids)
-        telemetry.nodes_visited += len(ids)
-        candidate_ids.append(ids)
-        candidate_keys.append(keys)
-
-    if candidate_ids:
-        ids = np.concatenate(candidate_ids)
-        keys = np.concatenate(candidate_keys)
-        want = pool_size if mode == "raw" else k
-        take = min(want, len(ids))
-        if take < len(ids):
-            part = np.argpartition(keys, take - 1)[:take]
-            order = part[np.lexsort((ids[part], keys[part]))]
-        else:
-            order = np.lexsort((ids, keys))
-        ids = ids[order]
-        keys = keys[order]
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        keys = np.empty(0, dtype=np.float64)
-    return SearchResult(ids=ids.astype(np.int64), distances=keys, telemetry=telemetry)
+    ids = np.concatenate([index.lists[c] for c in probe_order])
+    probed = len(ids)
+    if mask is not None:
+        ids = ids[mask.bits[ids]]
+    result = exact_scan(corpus, query, k, ids)
+    result.telemetry.centroid_evaluations = index.n_clusters
+    if mask is not None:
+        result.telemetry.predicate_invocations = probed
+    return result
 
 
 def save_ivf(index: IvfIndex, path: str | Path) -> None:
@@ -201,10 +175,15 @@ def load_ivf(path: str | Path) -> IvfIndex:
     reader = BinaryReader(path, _IVF_MAGIC, IvfFormatError)
     n_clusters, d, seed, metric_kind = reader.unpack("<IIqB")
     metric = reader.metric(metric_kind)
+    if n_clusters < 1:
+        reader.fail("no inverted lists")
     centroids = reader.array("<f4", n_clusters * d).reshape(n_clusters, d).copy()
-    lengths = reader.array("<u4", n_clusters)
-    lists = [reader.array("<u4", length).astype(np.int64) for length in lengths.tolist()]
+    lengths = reader.array("<u4", n_clusters).astype(np.int64)
+    flat = reader.array("<u4", int(lengths.sum())).astype(np.int64)
     reader.end()
+    if not np.array_equal(np.sort(flat), np.arange(len(flat))):
+        reader.fail("inverted lists do not partition the row ids 0..n-1")
+    lists = np.split(flat, np.cumsum(lengths)[:-1])
     return IvfIndex(
         n_clusters=n_clusters,
         seed=seed,

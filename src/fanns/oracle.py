@@ -1,21 +1,23 @@
 """Exact (brute-force) k-NN over optionally masked rows.
 
 This is the ground-truth generator and correctness reference for every
-approximate search path. Distances reported here are the smaller-is-closer
-ordering keys of :mod:`fanns.corpus`, so approximate results can be compared
-value-for-value. Ties are broken by ascending row id everywhere.
+approximate search path, and :func:`exact_scan` is the package's only exact
+top-k kernel: the PreExact plan and each IVFFlat probe run it too. Distances
+reported here are the smaller-is-closer ordering keys of :mod:`fanns.corpus`,
+so approximate results can be compared value-for-value. Ties are broken by
+ascending row id everywhere.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from fanns.corpus import BinaryReader, Corpus, FilterMask, ordering_keys
+from fanns.telemetry import SearchResult, SearchTelemetry
 
 _GT_MAGIC = b"FGT1"
 
@@ -24,18 +26,32 @@ class GroundTruthFormatError(ValueError):
     """Raised when a ground-truth file is malformed."""
 
 
-@dataclass(frozen=True)
-class GroundTruthRow:
-    """Ranked exact neighbors of one query: ids plus ordering keys."""
+def exact_scan(
+    corpus: Corpus,
+    query: np.ndarray,
+    k: int,
+    ids: Optional[np.ndarray] = None,
+) -> SearchResult:
+    """The (key, id)-ordered top k of the rows ``ids`` (every row when None).
 
-    ids: np.ndarray
-    distances: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def top(self, k: int) -> "GroundTruthRow":
-        return GroundTruthRow(self.ids[:k], self.distances[:k])
+    All rows are scored in one ``ordering_keys`` call and counted as distance
+    evaluations. Every row whose key ties the k-th key is ranked before the
+    cut, so ties go to the smaller id whatever order ``ids`` is in.
+    """
+    if ids is None:
+        ids, rows = np.arange(corpus.n), corpus.vectors
+    else:
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = corpus.vectors[ids]
+    m = min(k, len(ids))
+    if m < 1:
+        return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    keys = ordering_keys(query, rows, corpus.metric)
+    kth = keys[np.argpartition(keys, m - 1)[m - 1]]
+    pick = np.flatnonzero(keys <= kth)
+    order = pick[np.lexsort((ids[pick], keys[pick]))][:m]
+    telemetry = SearchTelemetry(distance_evaluations=len(ids), nodes_visited=len(ids))
+    return SearchResult(ids[order], keys[order], telemetry)
 
 
 def exact_knn(
@@ -43,31 +59,15 @@ def exact_knn(
     query: np.ndarray,
     k: int,
     mask: Optional[FilterMask] = None,
-) -> GroundTruthRow:
+) -> SearchResult:
     """Exhaustive top-k scan over the mask-valid rows.
 
     Returns fewer than k entries iff fewer than k rows pass the mask; an
-    empty mask yields an empty row.
+    empty mask yields an empty result.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mask is None:
-        candidate_ids = np.arange(corpus.n)
-        rows = corpus.vectors
-    else:
-        candidate_ids = mask.valid_ids()
-        rows = corpus.vectors[candidate_ids]
-    if len(candidate_ids) == 0:
-        empty = np.empty(0)
-        return GroundTruthRow(empty.astype(np.int64), empty.astype(np.float64))
-    keys = ordering_keys(query, rows, corpus.metric)
-    m = min(k, len(candidate_ids))
-    if m < len(candidate_ids):
-        part = np.argpartition(keys, m - 1)[:m]
-        order = part[np.lexsort((candidate_ids[part], keys[part]))]
-    else:
-        order = np.lexsort((candidate_ids, keys))
-    return GroundTruthRow(candidate_ids[order].astype(np.int64), keys[order])
+    return exact_scan(corpus, query, k, None if mask is None else mask.valid_ids())
 
 
 def batch_ground_truth(
@@ -76,7 +76,7 @@ def batch_ground_truth(
     k: int,
     masks: Sequence[Optional[FilterMask]],
     out_path: str | Path | None = None,
-) -> list[GroundTruthRow]:
+) -> list[SearchResult]:
     """One ground-truth row per (mask, query) pair, optionally persisted.
 
     Rows are ordered mask-major: all queries under the first mask, then all
@@ -95,7 +95,7 @@ def batch_ground_truth(
     return rows
 
 
-def save_ground_truth(rows: Sequence[GroundTruthRow], k_max: int, path: str | Path) -> None:
+def save_ground_truth(rows: Sequence[SearchResult], k_max: int, path: str | Path) -> None:
     """Binary GT format: magic FGT1, row count, k_max, then ragged rows."""
     with open(path, "wb") as fh:
         fh.write(_GT_MAGIC + struct.pack("<II", len(rows), k_max))
@@ -105,14 +105,14 @@ def save_ground_truth(rows: Sequence[GroundTruthRow], k_max: int, path: str | Pa
             fh.write(np.ascontiguousarray(row.distances, dtype="<f4").tobytes())
 
 
-def load_ground_truth(path: str | Path) -> tuple[list[GroundTruthRow], int]:
+def load_ground_truth(path: str | Path) -> tuple[list[SearchResult], int]:
     reader = BinaryReader(path, _GT_MAGIC, GroundTruthFormatError)
     n_rows, k_max = reader.unpack("<II")
-    rows: list[GroundTruthRow] = []
+    rows: list[SearchResult] = []
     for _ in range(n_rows):
         (m,) = reader.unpack("<I")
         ids = reader.array("<u4", m).astype(np.int64)
         dists = reader.array("<f4", m).astype(np.float64)
-        rows.append(GroundTruthRow(ids, dists))
+        rows.append(SearchResult(ids, dists))
     reader.end()
     return rows, k_max

@@ -3,8 +3,9 @@
 Implements the strategy taxonomy: pre-filter + approximate search,
 pre-filter + exact scan, post-filter over a raw candidate pool, runtime
 (lazy predicate) filtering, plus an adaptive policy that falls back to the
-exact scan when the filtered-out ratio exceeds a threshold and reruns
-exactly whenever the approximate pass comes back short (safety net).
+exact scan when the filtered-out ratio exceeds ``FALLBACK_RATIO_THRESHOLD``
+and reruns exactly whenever the approximate pass comes back short (safety
+net). Exact answers are the oracle's ``exact_knn`` results, returned as is.
 
 Runtime is the single-queue prefilter with its predicate tested lazily: the
 traversal never reads the bitset, only the rows the executor must classify
@@ -48,15 +49,10 @@ class PlanKind(Enum):
 class StrategyPlan:
     kind: PlanKind
     expansion: Optional[float] = None  # Post: candidate pool multiplier (>= 1)
-    fallback_ratio_threshold: float = FALLBACK_RATIO_THRESHOLD
-    safety_net: bool = True
-    dual_pool: bool = False  # PreAnns on HNSW: use the dual-pool traversal
 
     def __post_init__(self):
         if self.expansion is not None and self.expansion < 1:
             raise ConfigurationError("expansion multiplier must be >= 1")
-        if not 0.0 < self.fallback_ratio_threshold < 1.0:
-            raise ConfigurationError("fallback_ratio_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -77,33 +73,21 @@ class ExecutionRecord:
         return 1.0 / self.latency
 
 
-def _exact(corpus, query, k, mask) -> SearchResult:
-    row = oracle.exact_knn(corpus, query, k, mask)
-    telemetry = SearchTelemetry(
-        distance_evaluations=mask.valid_count if mask is not None else corpus.n,
-        nodes_visited=mask.valid_count if mask is not None else corpus.n,
-    )
-    return SearchResult(ids=row.ids, distances=row.distances, telemetry=telemetry)
-
-
-def _search(index, corpus, query, k, params, mode, mask=None, pool_size=None) -> SearchResult:
+def _search(index, corpus, query, k, params, mode, mask=None) -> SearchResult:
     """One index search in an ``hnsw_search`` mode, under the family's budget.
 
-    A raw HNSW pool is searched with a beam as wide as the pool; IVFFlat has
-    no dual-pool traversal and runs ``dualpool`` as ``prefilter``.
+    A raw HNSW pool is k wide and searched with a beam as wide; IVFFlat needs
+    no mode, because its mask (or none) says everything the mode does.
     """
     if isinstance(index, HnswIndex):
         if params.ef_search is None:
             raise ConfigurationError("HNSW execution requires ef_search")
-        ef = pool_size if mode == "raw" else params.ef_search
-        return hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=pool_size)
+        ef = k if mode == "raw" else params.ef_search
+        return hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=k)
     if isinstance(index, IvfIndex):
         if params.n_probe is None:
             raise ConfigurationError("IVFFlat execution requires n_probe")
-        mode = "prefilter" if mode == "dualpool" else mode
-        return ivf_search(
-            index, corpus, query, k, params.n_probe, mode=mode, mask=mask, pool_size=pool_size
-        )
+        return ivf_search(index, corpus, query, k, params.n_probe, mask=mask)
     raise ConfigurationError(f"unsupported index type {type(index).__name__}")
 
 
@@ -137,10 +121,10 @@ def execute(
 def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, SearchResult]:
     kind = plan.kind
     if kind is PlanKind.PRE_EXACT:
-        return kind, _exact(corpus, query, k, mask)
+        return kind, oracle.exact_knn(corpus, query, k, mask)
 
     if kind is PlanKind.PRE_ANNS:
-        mode = "unfiltered" if mask is None else "dualpool" if plan.dual_pool else "prefilter"
+        mode = "unfiltered" if mask is None else "prefilter"
         return kind, _search(index, corpus, query, k, params, mode, mask)
 
     if kind is PlanKind.POST:
@@ -148,7 +132,7 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
         if expansion is None:
             expansion = default_expansion(mask, k, corpus.n)
         pool_size = min(max(int(math.ceil(expansion * k)), k), corpus.n)
-        result = _search(index, corpus, query, pool_size, params, "raw", pool_size=pool_size)
+        result = _search(index, corpus, query, pool_size, params, "raw")
         keep = slice(None) if mask is None else mask.bits[result.ids]
         return kind, SearchResult(
             ids=result.ids[keep][:k],
@@ -164,23 +148,13 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
     if kind is PlanKind.ADAPTIVE_AUTO:
         if mask is None:
             return PlanKind.PRE_ANNS, _search(index, corpus, query, k, params, "unfiltered")
-        filtered_ratio = 1.0 - mask.global_selectivity
-        if filtered_ratio > plan.fallback_ratio_threshold:
-            result = _exact(corpus, query, k, mask)
-            result.telemetry.fallback_used = True
-            return PlanKind.PRE_EXACT, result
-        result = _search(index, corpus, query, k, params, "dualpool", mask)
-        if plan.safety_net and len(result) < min(k, mask.valid_count):
-            result = _exact(corpus, query, k, mask)
-            result.telemetry.fallback_used = True
-            return PlanKind.PRE_EXACT, result
-        return PlanKind.PRE_ANNS, result
+        if 1.0 - mask.global_selectivity <= FALLBACK_RATIO_THRESHOLD:
+            result = _search(index, corpus, query, k, params, "dualpool", mask)
+            if len(result) >= min(k, mask.valid_count):
+                return PlanKind.PRE_ANNS, result
+        result = oracle.exact_knn(corpus, query, k, mask)
+        result.telemetry.fallback_used = True
+        return PlanKind.PRE_EXACT, result
 
     raise ConfigurationError(f"unknown plan kind {plan.kind!r}")
 
-
-def predicate_invocations(record: ExecutionRecord) -> int:
-    """Lazy-evaluation count of a Runtime execution."""
-    if record.plan_chosen is not PlanKind.RUNTIME:
-        raise ConfigurationError("predicate_invocations requires a Runtime record")
-    return record.telemetry.predicate_invocations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,18 @@ class SearchTelemetry:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Ranked ids with their smaller-is-closer ordering keys."""
+    """Ranked ids with their smaller-is-closer ordering keys.
+
+    Every search path and the exact oracle return one; ground-truth rows
+    read from a file carry zero telemetry.
+    """
 
     ids: np.ndarray
     distances: np.ndarray
-    telemetry: SearchTelemetry
+    telemetry: SearchTelemetry = field(default_factory=SearchTelemetry)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def top(self, k: int) -> "SearchResult":
+        return SearchResult(self.ids[:k], self.distances[:k], self.telemetry)

@@ -51,9 +51,7 @@ def test_01_oracle_equivalence(corpus2k, hnsw2k, ivf2k):
         target = float(rng.uniform(0.02, 0.9))
         mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, target))
         gt = exact_knn(corpus2k, query, 10, mask)
-        got_ivf = ivf_search(
-            ivf2k, corpus2k, query, 10, ivf2k.n_clusters, mode="prefilter", mask=mask
-        )
+        got_ivf = ivf_search(ivf2k, corpus2k, query, 10, ivf2k.n_clusters, mask=mask)
         got_dp = hnsw_search(
             hnsw2k, corpus2k, query, 10, corpus2k.n, mode="dualpool", mask=mask
         )
@@ -132,7 +130,7 @@ def test_07_pruning_efficiency(corpus20k, ivf20k):
     bound_ok = True
     total_filtered = total_unfiltered = 0
     for query in queries:
-        filtered = ivf_search(ivf20k, corpus20k, query, 10, 50, mode="prefilter", mask=mask)
+        filtered = ivf_search(ivf20k, corpus20k, query, 10, 50, mask=mask)
         unfiltered = ivf_search(ivf20k, corpus20k, query, 10, 50)
         valid_in_probed = sum(int(mask.bits[lst].sum()) for lst in ivf20k.lists)
         evals = filtered.telemetry.distance_evaluations + filtered.telemetry.centroid_evaluations

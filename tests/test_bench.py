@@ -15,7 +15,8 @@ from fanns.bench import (
     write_results_csv,
 )
 from fanns.corpus import Corpus, Metric
-from fanns.oracle import GroundTruthRow, exact_knn
+from fanns.oracle import exact_knn
+from fanns.telemetry import SearchResult
 
 
 class TestMakeWorkload:
@@ -52,12 +53,12 @@ class TestMakeWorkload:
 
 class TestRecallAtK:
     def test_exact_match(self):
-        gt = GroundTruthRow(np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3]))
+        gt = SearchResult(np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3]))
         recall, eq1 = recall_at_k(np.array([1, 2, 3]), np.array([0.1, 0.2, 0.3]), gt, 3)
         assert recall == 1.0 and eq1 == 1.0
 
     def test_partial_overlap(self):
-        gt = GroundTruthRow(np.arange(10), np.linspace(0.1, 1.0, 10))
+        gt = SearchResult(np.arange(10), np.linspace(0.1, 1.0, 10))
         ids = np.array([0, 1, 2, 3, 4, 5, 6, 90, 91, 92])
         dists = np.concatenate([np.linspace(0.1, 0.7, 7), [2.0, 2.1, 2.2]])
         recall, eq1 = recall_at_k(ids, dists, gt, 10)
@@ -65,20 +66,20 @@ class TestRecallAtK:
         assert eq1 == pytest.approx(0.7)
 
     def test_distance_tie_counts_as_hit(self):
-        gt = GroundTruthRow(np.array([5, 6]), np.array([0.1, 0.2]))
+        gt = SearchResult(np.array([5, 6]), np.array([0.1, 0.2]))
         # id 99 is not in GT but ties the k-th ground-truth distance
         recall, eq1 = recall_at_k(np.array([5, 99]), np.array([0.1, 0.2]), gt, 2)
         assert recall == 1.0
         assert eq1 == 0.5
 
     def test_short_ground_truth_denominator(self):
-        gt = GroundTruthRow(np.array([4]), np.array([0.3]))
+        gt = SearchResult(np.array([4]), np.array([0.3]))
         recall, eq1 = recall_at_k(np.array([4]), np.array([0.3]), gt, 10)
         assert recall == 1.0
         assert eq1 == pytest.approx(0.1)
 
     def test_empty_ground_truth(self):
-        gt = GroundTruthRow(np.empty(0, dtype=np.int64), np.empty(0))
+        gt = SearchResult(np.empty(0, dtype=np.int64), np.empty(0))
         assert recall_at_k(np.empty(0, dtype=np.int64), np.empty(0), gt, 5)[0] == 1.0
 
 

@@ -68,6 +68,16 @@ class TestOrderingKeys:
                 expected = d if metric is Metric.L2 else -d
                 assert keys[i] == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [3, 16, 32])
+    def test_l2_keys_do_not_depend_on_the_batch(self, d):
+        rng = np.random.default_rng(d)
+        rows = rng.standard_normal((400, d)).astype(np.float32)
+        query = rng.standard_normal(d)
+        full = ordering_keys(query, rows, Metric.L2)
+        for _ in range(50):
+            subset = rng.choice(400, size=int(rng.integers(1, 400)), replace=False)
+            assert np.array_equal(ordering_keys(query, rows[subset], Metric.L2), full[subset])
+
     def test_cosine_inner_product_same_ordering_on_unit_norm(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((50, 6))

@@ -1,10 +1,18 @@
-"""Every binary format fails closed with its own error on a truncated file."""
+"""Every binary format fails closed with its own error on a bad file, and an
+index refuses a corpus it was not built from."""
 
 import pytest
 
-from fanns.corpus import CorpusFormatError, generate_synthetic, load_corpus, save_corpus
-from fanns.hnsw import HnswFormatError, hnsw_build, load_hnsw, save_hnsw
-from fanns.ivfflat import IvfFormatError, ivf_build, load_ivf, save_ivf
+from fanns.corpus import (
+    Corpus,
+    CorpusFormatError,
+    Metric,
+    generate_synthetic,
+    load_corpus,
+    save_corpus,
+)
+from fanns.hnsw import HnswFormatError, hnsw_build, hnsw_search, load_hnsw, save_hnsw
+from fanns.ivfflat import IvfFormatError, ivf_build, ivf_search, load_ivf, save_ivf
 from fanns.oracle import GroundTruthFormatError, batch_ground_truth, load_ground_truth
 
 
@@ -33,3 +41,57 @@ def test_every_truncation_raises_format_error(tmp_path, name):
         cut.write_bytes(data[:size])
         with pytest.raises(error):
             load(cut)
+
+
+HNSW_ID_FAULTS = {
+    "neighbor": lambda index: index.adjacency[0][0].__setitem__(0, 1_000_000),
+    "node": lambda index: index.adjacency[0].__setitem__(index.n, []),
+    "entry point": lambda index: setattr(index, "entry_point", index.n),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HNSW_ID_FAULTS))
+def test_hnsw_ids_outside_the_graph_are_refused(tmp_path, fault):
+    index = hnsw_build(generate_synthetic(24, 3, seed=5), 4, 8, seed=1)
+    HNSW_ID_FAULTS[fault](index)
+    path = tmp_path / "bad.idx"
+    save_hnsw(index, path)
+    with pytest.raises(HnswFormatError):
+        load_hnsw(path)
+
+
+IVF_LIST_FAULTS = {
+    "duplicate": lambda lists: lists[0].__setitem__(0, lists[1][0]),
+    "out of range": lambda lists: lists[0].__setitem__(0, 1_000_000),
+    "missing": lambda lists: lists.__setitem__(0, lists[0][1:]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(IVF_LIST_FAULTS))
+def test_ivf_lists_must_partition_the_rows(tmp_path, fault):
+    index = ivf_build(generate_synthetic(24, 3, seed=5), 3, seed=1)
+    IVF_LIST_FAULTS[fault](index.lists)
+    path = tmp_path / "bad.idx"
+    save_ivf(index, path)
+    with pytest.raises(IvfFormatError):
+        load_ivf(path)
+
+
+SEARCHES = {
+    "hnsw": (lambda c: hnsw_build(c, 4, 8, seed=1), lambda i, c, q: hnsw_search(i, c, q, 5, 10)),
+    "ivfflat": (lambda c: ivf_build(c, 6, seed=1), lambda i, c, q: ivf_search(i, c, q, 5, 6)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEARCHES))
+def test_search_refuses_a_foreign_corpus(family):
+    build, search = SEARCHES[family]
+    corpus = generate_synthetic(300, 3, seed=5)
+    index = build(corpus)
+    bigger = generate_synthetic(600, 3, seed=6)
+    as_l2 = Corpus(corpus.vectors, corpus.attribute, Metric.L2)
+    query = corpus.vectors[0]
+    assert len(search(index, corpus, query)) == 5
+    for foreign in (bigger, as_l2):
+        with pytest.raises(ValueError):
+            search(index, foreign, query)

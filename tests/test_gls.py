@@ -18,7 +18,6 @@ from fanns.gls import (
     gls_exact,
     gls_inverse,
     gls_mean,
-    gls_report,
     gls_rho,
     write_gls_csv,
 )
@@ -141,7 +140,7 @@ class TestGlsApprox:
             exact = gls_exact(corpus, corpus.vectors[qid], mask, k_neighborhood=64)
             approx = gls_approx(
                 corpus, index, corpus.vectors[qid], mask, k_neighborhood=64,
-                sample_size=corpus.n, seed=0, ef_search=corpus.n,
+                sample_size=corpus.n, seed=0,
             )
             assert approx.sigma_g == exact.sigma_g
             assert approx.sigma_l == pytest.approx(exact.sigma_l)
@@ -162,20 +161,12 @@ class TestGlsApprox:
         for query in queries:
             exact = gls_exact(corpus2k, query, mask, k_neighborhood=200)
             approx = gls_approx(corpus2k, hnsw2k, query, mask, k_neighborhood=200,
-                                sample_size=1000, seed=3, ef_search=200)
+                                sample_size=1000, seed=3)
             gap += abs(approx.rho - exact.rho)
         assert gap / len(queries) < 0.1
 
 
 class TestReportAndCsv:
-    def test_report_counts_skipped_masks(self):
-        corpus = _line_corpus()
-        masks = [build_mask(corpus, 0.5), FilterMask(np.zeros(10, bool))]
-        report = gls_report(corpus, corpus.vectors[:3], masks, k_neighborhood=4)
-        assert len(report.entries) == 3
-        assert report.skipped_empty_masks == 3
-        assert report.rho_bar == gls_mean(report.entries)
-
     def test_csv_header_and_rows(self, tmp_path):
         entries = [GlsEntry(0, 0.2, 0.33, 1.65, gls_rho(1.65), "medium")]
         path = tmp_path / "g.csv"

@@ -70,9 +70,7 @@ class TestSearch:
         mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.2))
         _, queries = sample_queries(corpus2k, 20, seed=70)
         for query in queries:
-            result = ivf_search(
-                ivf2k, corpus2k, query, 10, ivf2k.n_clusters, mode="prefilter", mask=mask
-            )
+            result = ivf_search(ivf2k, corpus2k, query, 10, ivf2k.n_clusters, mask=mask)
             gt = exact_knn(corpus2k, query, 10, mask)
             assert result.ids.tolist() == gt.ids.tolist()
             assert np.allclose(result.distances, gt.distances)
@@ -88,7 +86,7 @@ class TestSearch:
         mask = build_mask(corpus, 0.6)
         for qid in (1, 400, 799):
             query = corpus.vectors[qid]
-            result = ivf_search(index, corpus, query, 8, 25, mode="prefilter", mask=mask)
+            result = ivf_search(index, corpus, query, 8, 25, mask=mask)
             gt = exact_knn(corpus, query, 8, mask)
             assert result.ids.tolist() == gt.ids.tolist()
 
@@ -96,20 +94,20 @@ class TestSearch:
         full = build_mask(corpus2k, -np.inf)
         query = corpus2k.vectors[250]
         a = ivf_search(ivf2k, corpus2k, query, 10, 5)
-        b = ivf_search(ivf2k, corpus2k, query, 10, 5, mode="prefilter", mask=full)
+        b = ivf_search(ivf2k, corpus2k, query, 10, 5, mask=full)
         assert a.ids.tolist() == b.ids.tolist()
 
     def test_prefilter_returns_only_valid(self, corpus2k, ivf2k):
         mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
         _, queries = sample_queries(corpus2k, 20, seed=71)
         for query in queries:
-            result = ivf_search(ivf2k, corpus2k, query, 10, 10, mode="prefilter", mask=mask)
+            result = ivf_search(ivf2k, corpus2k, query, 10, 10, mask=mask)
             assert mask.bits[result.ids].all()
 
     def test_prefilter_skips_invalid_distance_computations(self, corpus2k, ivf2k):
         mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.05))
         query = corpus2k.vectors[99]
-        filtered = ivf_search(ivf2k, corpus2k, query, 10, 10, mode="prefilter", mask=mask)
+        filtered = ivf_search(ivf2k, corpus2k, query, 10, 10, mask=mask)
         unfiltered = ivf_search(ivf2k, corpus2k, query, 10, 10)
         assert filtered.telemetry.distance_evaluations <= unfiltered.telemetry.distance_evaluations
         assert filtered.telemetry.centroid_evaluations == ivf2k.n_clusters
@@ -117,10 +115,11 @@ class TestSearch:
         valid_in_probed = sum(int(mask.bits[lst].sum()) for lst in ivf2k.lists)
         assert filtered.telemetry.distance_evaluations <= valid_in_probed
 
-    def test_raw_mode_pool(self, corpus2k, ivf2k):
-        result = ivf_search(ivf2k, corpus2k, corpus2k.vectors[0], 5, 10,
-                            mode="raw", pool_size=50)
-        assert len(result) == 50
+    def test_k_wider_than_one_list(self, corpus2k, ivf2k):
+        # a Post pool: k exceeds every list, so the top k spans several lists
+        result = ivf_search(ivf2k, corpus2k, corpus2k.vectors[0], 200, 10)
+        assert len(result) == 200 > max(len(lst) for lst in ivf2k.lists)
+        assert np.all(np.diff(result.distances) >= 0)
 
     def test_parameter_validation(self, corpus2k, ivf2k):
         query = corpus2k.vectors[0]
@@ -128,10 +127,6 @@ class TestSearch:
             ivf_search(ivf2k, corpus2k, query, 5, 0)
         with pytest.raises(ValueError):
             ivf_search(ivf2k, corpus2k, query, 5, ivf2k.n_clusters + 1)
-        with pytest.raises(ValueError):
-            ivf_search(ivf2k, corpus2k, query, 5, 3, mode="prefilter")
-        with pytest.raises(ValueError):
-            ivf_search(ivf2k, corpus2k, query, 5, 3, mode="raw")
 
 
 class TestPersistence:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fanns.corpus import Corpus, FilterMask, Metric, build_mask, generate_synthetic, ordering_keys
+from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import (
     GroundTruthFormatError,
     batch_ground_truth,
@@ -66,6 +67,31 @@ def test_matches_selection_sort_reference(l2_corpus, masked):
         ref_ids, ref_dists = _selection_sort_knn(l2_corpus, query, 10, mask)
         assert row.ids.tolist() == ref_ids
         assert np.allclose(row.distances, ref_dists)
+
+
+def test_ties_at_the_kth_key_go_to_the_smaller_id():
+    # Corpora of a few distinct rows, each repeated: many rows tie with the
+    # k-th key. The reference is a full (key, id) sort; the IVF scan of every
+    # list sees the same rows in probe order and must agree.
+    rng = np.random.default_rng(44)
+    for trial in range(30):
+        n = int(rng.integers(20, 80))
+        distinct = rng.standard_normal((6, 4))
+        corpus = Corpus(
+            vectors=distinct[rng.integers(0, 6, size=n)].astype(np.float32),
+            attribute=rng.uniform(0, 1, size=n),
+            metric=Metric.L2,
+        )
+        mask = None if trial % 2 else build_mask(corpus, rng.uniform(0.0, 0.6))
+        query = rng.standard_normal(4)
+        k = int(rng.integers(1, n))
+        ids = np.arange(n) if mask is None else mask.valid_ids()
+        keys = ordering_keys(query, corpus.vectors, corpus.metric)[ids]
+        reference = ids[np.lexsort((ids, keys))[:k]].tolist()
+        assert exact_knn(corpus, query, k, mask).ids.tolist() == reference
+        index = ivf_build(corpus, 3, seed=trial)
+        got = ivf_search(index, corpus, query, k, index.n_clusters, mask=mask)
+        assert got.ids.tolist() == reference
 
 
 def test_distances_nondecreasing_and_ids_unique(corpus2k):

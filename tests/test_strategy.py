@@ -18,7 +18,6 @@ from fanns.strategy import (
     SearchParams,
     StrategyPlan,
     execute,
-    predicate_invocations,
 )
 
 from conftest import sample_queries
@@ -49,10 +48,6 @@ class TestPlanValidation:
     def test_expansion_below_one(self):
         with pytest.raises(ConfigurationError):
             StrategyPlan(PlanKind.POST, expansion=0.5)
-
-    def test_threshold_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            StrategyPlan(PlanKind.ADAPTIVE_AUTO, fallback_ratio_threshold=1.0)
 
     @pytest.mark.parametrize("kind", APPROXIMATE, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
@@ -173,7 +168,7 @@ class TestRuntime:
     def test_invocation_counts(self, corpus2k, hnsw2k, mask02):
         record = execute(hnsw2k, corpus2k, corpus2k.vectors[3], 10, mask02,
                          StrategyPlan(PlanKind.RUNTIME), SearchParams(ef_search=50))
-        count = predicate_invocations(record)
+        count = record.telemetry.predicate_invocations
         assert 1 <= count <= corpus2k.n
         assert count < corpus2k.n
         assert count <= 50  # only pool members are ever tested
@@ -187,13 +182,7 @@ class TestRuntime:
         mask = FilterMask(np.ones(1, dtype=bool))
         record = execute(index, corpus, corpus.vectors[0], 1, mask,
                          StrategyPlan(PlanKind.RUNTIME), SearchParams(ef_search=4))
-        assert predicate_invocations(record) == 1
-
-    def test_invocations_requires_runtime_record(self, corpus2k, hnsw2k, mask02):
-        record = execute(hnsw2k, corpus2k, corpus2k.vectors[0], 5, mask02,
-                         StrategyPlan(PlanKind.PRE_ANNS), PARAMS)
-        with pytest.raises(ConfigurationError):
-            predicate_invocations(record)
+        assert record.telemetry.predicate_invocations == 1
 
     def test_runtime_on_ivf(self, corpus2k, ivf2k, mask02):
         query = corpus2k.vectors[15]
@@ -205,7 +194,7 @@ class TestRuntime:
         # every row of the n_probe nearest lists is tested, and no other row
         keys = ordering_keys(query, ivf2k.centroids, ivf2k.metric)
         probed = np.lexsort((np.arange(ivf2k.n_clusters), keys))[: PARAMS.n_probe]
-        assert predicate_invocations(record) == sum(len(ivf2k.lists[c]) for c in probed)
+        assert record.telemetry.predicate_invocations == sum(len(ivf2k.lists[c]) for c in probed)
 
 
 class TestMaskFreeExecution:
