@@ -116,10 +116,7 @@ def gls_approx(
     if not 1 <= sample_size <= corpus.n:
         raise ValueError("sample_size must be in [1, N]")
     if isinstance(index, HnswIndex):
-        result = hnsw_search(
-            index, corpus, query, k_neighborhood, k_neighborhood,
-            mode="raw", pool_size=k_neighborhood,
-        )
+        result = hnsw_search(index, corpus, query, k_neighborhood, k_neighborhood)
     elif isinstance(index, IvfIndex):
         result = ivf_search(index, corpus, query, k_neighborhood, index.n_clusters)
     else:

@@ -1,25 +1,33 @@
 """Hierarchical navigable small-world graph index.
 
-Four layer-0 search modes are exposed:
+Every layer is searched by one best-first loop, ``_search_layer``: candidates
+are expanded nearest first into a pool of capacity ``ef``, and the loop stops
+when the nearest unexpanded candidate is farther than the worst entry of a
+full pool. Two admission rules tell its traversals apart:
 
-* ``unfiltered``   -- standard beam search of width ``ef_search``.
-* ``prefilter``    -- same traversal with a shared candidate pool of
-  capacity ``ef_search`` in which filtered-out nodes compete for slots with
-  valid ones; the bitset is applied to the final pool. This mirrors the
-  single-queue behavior of stock library implementations, whose recall
-  collapses when the beam saturates with invalid navigation nodes.
-* ``dualpool``     -- two queues: a result pool of capacity ``ef_search``
-  holding only mask-valid nodes, and a navigation heap ordering expansion
-  over all visited nodes. The search budget is therefore never cannibalized
-  by filtered vectors. Terminates when the nearest unexpanded navigation
-  candidate is farther than the worst entry of a full valid pool; with a
-  full mask this reduces to the standard termination rule.
-* ``raw``          -- unfiltered search returning a ``pool_size``-wide
-  candidate list for downstream post-filtering.
+* the beam (no bitset) -- a node enters the pool while it has room or when
+  the node beats the pool's worst entry, and only pool entrants are queued
+  for expansion. The build and three of the four search modes use it.
+* the dual pool (a bitset) -- a node must also be mask-valid to enter the
+  pool, but every visited node is queued, so filtered-out vectors steer the
+  walk without taking result slots. With a full mask it walks as the beam
+  does, barring exact key ties with the pool's worst entry.
 
-The two filtered modes record how many bitset entries they read in
-``predicate_invocations``: the final pool's length for ``prefilter``, every
-visited layer-0 node for ``dualpool``.
+``hnsw_search`` runs the greedy descent, one layer-0 traversal and one output
+step, in one of four modes:
+
+* ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
+* ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
+  is read for every pool entry and the valid ones are cut to k. Filtered-out
+  nodes compete with valid ones for slots, the single-queue behavior of stock
+  library implementations whose recall collapses at low selectivity.
+* ``dualpool``   -- the dual pool of width ``ef_search``, cut to k.
+* ``raw``        -- the beam with k = ef_search = ``pool_size``, the
+  candidate list that post-filtering masks.
+
+The filtered modes count the bitset entries they read in
+``predicate_invocations``: the pool's length for ``prefilter``, every visited
+layer-0 node for ``dualpool``.
 
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
@@ -129,7 +137,7 @@ def _greedy_descent(
     return cur_key, cur
 
 
-def _beam_search_layer(
+def _search_layer(
     vectors: np.ndarray,
     metric: Metric,
     query: np.ndarray,
@@ -137,12 +145,20 @@ def _beam_search_layer(
     entry_points: list[tuple[float, int]],
     ef: int,
     telemetry: SearchTelemetry,
+    bits: Optional[np.ndarray] = None,
 ) -> list[tuple[float, int]]:
-    """Standard bounded beam: one shared pool of capacity ef."""
+    """Best-first search of one layer into a pool of capacity ``ef``.
+
+    A node enters the pool when the pool has room or the node beats its worst
+    entry; given ``bits``, its bit must also be set. Without ``bits`` only
+    pool entrants are queued for expansion (the bounded beam); with ``bits``
+    every visited node is (the dual pool), and each visited node's bit counts
+    as a predicate invocation.
+    """
     visited = {node for _, node in entry_points}
     candidates = list(entry_points)
     heapify(candidates)
-    pool: list[tuple[float, int]] = [(-key, node) for key, node in entry_points]
+    pool = [(-key, node) for key, node in entry_points if bits is None or bits[node]]
     heapify(pool)
     while len(pool) > ef:
         heappop(pool)
@@ -151,46 +167,16 @@ def _beam_search_layer(
         if len(pool) == ef and key > -pool[0][0]:
             break
         for nkey, neigh in _expand(vectors, metric, query, adjacency, node, visited, telemetry):
-            if len(pool) < ef or nkey < -pool[0][0]:
-                heappush(candidates, (nkey, neigh))
+            if (bits is None or bits[neigh]) and (len(pool) < ef or nkey < -pool[0][0]):
                 heappush(pool, (-nkey, neigh))
                 if len(pool) > ef:
                     heappop(pool)
+            elif bits is None:
+                continue  # the beam queues only pool entrants
+            heappush(candidates, (nkey, neigh))
+    if bits is not None:
+        telemetry.predicate_invocations = len(visited)
     return sorted((-negkey, node) for negkey, node in pool)
-
-
-def _dual_pool_layer(
-    vectors: np.ndarray,
-    metric: Metric,
-    query: np.ndarray,
-    adjacency: dict[int, list[int]],
-    entry_points: list[tuple[float, int]],
-    ef: int,
-    bits: np.ndarray,
-    telemetry: SearchTelemetry,
-) -> list[tuple[float, int]]:
-    """Valid-only result pool plus an unbounded navigation heap."""
-    visited = {node for _, node in entry_points}
-    navigation = list(entry_points)
-    heapify(navigation)
-    valid_pool: list[tuple[float, int]] = []
-    for key, node in entry_points:
-        if bits[node]:
-            heappush(valid_pool, (-key, node))
-    while len(valid_pool) > ef:
-        heappop(valid_pool)
-    while navigation:
-        key, node = heappop(navigation)
-        if len(valid_pool) == ef and key > -valid_pool[0][0]:
-            break
-        for nkey, neigh in _expand(vectors, metric, query, adjacency, node, visited, telemetry):
-            heappush(navigation, (nkey, neigh))
-            if bits[neigh] and (len(valid_pool) < ef or nkey < -valid_pool[0][0]):
-                heappush(valid_pool, (-nkey, neigh))
-                if len(valid_pool) > ef:
-                    heappop(valid_pool)
-    telemetry.predicate_invocations = len(visited)
-    return sorted((-negkey, node) for negkey, node in valid_pool)
 
 
 def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswIndex:
@@ -225,7 +211,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
         entry_points = [_greedy_descent(index, vectors, query, scratch, stop_layer=level)]
         for layer in range(min(level, index.max_level), -1, -1):
             adjacency = index.adjacency[layer]
-            pool = _beam_search_layer(
+            pool = _search_layer(
                 vectors, metric, query, adjacency, entry_points, ef_construction, scratch
             )
             chosen = [cand for _, cand in pool[: index.m]]
@@ -274,34 +260,21 @@ def hnsw_search(
     if mode == "raw":
         if pool_size is None or pool_size < 1:
             raise ValueError("raw mode requires pool_size >= 1")
+        k = ef_search = pool_size
     require_built_from(index, corpus)
 
     telemetry = SearchTelemetry()
-    vectors = corpus.vectors
-    entry = _greedy_descent(index, vectors, query, telemetry)
-    adjacency = index.adjacency[0]
-
-    if mode == "dualpool":
-        ranked = _dual_pool_layer(
-            vectors, index.metric, query, adjacency, [entry], ef_search, mask.bits, telemetry
-        )
-        ranked = ranked[:k]
-    else:
-        width = pool_size if mode == "raw" else ef_search
-        pool = _beam_search_layer(
-            vectors, index.metric, query, adjacency, [entry], width, telemetry
-        )
-        if mode == "unfiltered":
-            ranked = pool[:k]
-        elif mode == "prefilter":
-            telemetry.predicate_invocations = len(pool)
-            ranked = [(key, node) for key, node in pool if mask.bits[node]][:k]
-        else:  # raw
-            ranked = pool[:pool_size]
-
-    ids = np.array([node for _, node in ranked], dtype=np.int64)
-    distances = np.array([key for key, _ in ranked], dtype=np.float64)
-    return SearchResult(ids=ids, distances=distances, telemetry=telemetry)
+    entry = _greedy_descent(index, corpus.vectors, query, telemetry)
+    pool = _search_layer(
+        corpus.vectors, index.metric, query, index.adjacency[0], [entry], ef_search, telemetry,
+        bits=mask.bits if mode == "dualpool" else None,
+    )
+    result = SearchResult(
+        ids=np.array([node for _, node in pool], dtype=np.int64),
+        distances=np.array([key for key, _ in pool], dtype=np.float64),
+        telemetry=telemetry,
+    )
+    return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 
 
 def layer0_reachable_fraction(index: HnswIndex) -> float:
@@ -352,14 +325,18 @@ def load_hnsw(path: str | Path) -> HnswIndex:
     if not 0 <= entry_point < n:
         reader.fail(f"entry point {entry_point} outside 0..{n - 1}")
     levels = reader.array("<i4", n).astype(np.int32)
+    if levels.min() < 0 or not levels.max() == max_level == levels[entry_point]:
+        reader.fail(f"node levels do not peak at max level {max_level} on the entry point")
     adjacency: list[dict[int, list[int]]] = []
     for level in range(max_level + 1):
         (n_nodes,) = reader.unpack("<I")
         nodes = reader.array("<u4", n_nodes)
+        if not np.array_equal(nodes, np.flatnonzero(levels >= level)):
+            reader.fail(f"layer {level} does not list exactly the nodes of level >= {level}")
         degrees = reader.array("<u4", n_nodes)
         flat = reader.array("<u4", int(degrees.sum()))
-        if np.any(nodes >= n) or np.any(flat >= n):
-            reader.fail(f"layer {level} holds a node id outside 0..{n - 1}")
+        if np.any(flat >= n):
+            reader.fail(f"layer {level} holds a neighbor id outside 0..{n - 1}")
         layer: dict[int, list[int]] = {}
         pos = 0
         for node, degree in zip(nodes.tolist(), degrees.tolist()):

@@ -9,9 +9,11 @@ net). Exact answers are the oracle's ``exact_knn`` results, returned as is.
 
 Runtime is the single-queue prefilter with its predicate tested lazily: the
 traversal never reads the bitset, only the rows the executor must classify
-are tested, and their count is the index's ``predicate_invocations``. Every
-plan reaches an index through ``_search``, the one place that tells HNSW
-from IVFFlat.
+are tested, and their count is the index's ``predicate_invocations``. Post
+masks its raw pool with ``SearchResult.masked``, the HNSW prefilter's
+post-filter step, so on either family it counts a read for every pool row.
+Every plan reaches an index through ``_search``, the one place that tells
+HNSW from IVFFlat.
 """
 
 from __future__ import annotations
@@ -76,14 +78,15 @@ class ExecutionRecord:
 def _search(index, corpus, query, k, params, mode, mask=None) -> SearchResult:
     """One index search in an ``hnsw_search`` mode, under the family's budget.
 
-    A raw HNSW pool is k wide and searched with a beam as wide; IVFFlat needs
-    no mode, because its mask (or none) says everything the mode does.
+    A raw pool is k wide on either family; IVFFlat needs no mode, because its
+    mask (or none) says everything the mode does.
     """
     if isinstance(index, HnswIndex):
         if params.ef_search is None:
             raise ConfigurationError("HNSW execution requires ef_search")
-        ef = k if mode == "raw" else params.ef_search
-        return hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=k)
+        return hnsw_search(
+            index, corpus, query, k, params.ef_search, mode=mode, mask=mask, pool_size=k
+        )
     if isinstance(index, IvfIndex):
         if params.n_probe is None:
             raise ConfigurationError("IVFFlat execution requires n_probe")
@@ -123,7 +126,9 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
     if kind is PlanKind.PRE_EXACT:
         return kind, oracle.exact_knn(corpus, query, k, mask)
 
-    if kind is PlanKind.PRE_ANNS:
+    if kind in (PlanKind.PRE_ANNS, PlanKind.RUNTIME):
+        if mask is None and kind is PlanKind.RUNTIME:
+            raise ConfigurationError("Runtime plan requires a mask")
         mode = "unfiltered" if mask is None else "prefilter"
         return kind, _search(index, corpus, query, k, params, mode, mask)
 
@@ -133,17 +138,7 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
             expansion = default_expansion(mask, k, corpus.n)
         pool_size = min(max(int(math.ceil(expansion * k)), k), corpus.n)
         result = _search(index, corpus, query, pool_size, params, "raw")
-        keep = slice(None) if mask is None else mask.bits[result.ids]
-        return kind, SearchResult(
-            ids=result.ids[keep][:k],
-            distances=result.distances[keep][:k],
-            telemetry=result.telemetry,
-        )
-
-    if kind is PlanKind.RUNTIME:
-        if mask is None:
-            raise ConfigurationError("Runtime plan requires a mask")
-        return kind, _search(index, corpus, query, k, params, "prefilter", mask)
+        return kind, result.top(k) if mask is None else result.masked(mask.bits, k)
 
     if kind is PlanKind.ADAPTIVE_AUTO:
         if mask is None:

@@ -33,3 +33,12 @@ class SearchResult:
 
     def top(self, k: int) -> "SearchResult":
         return SearchResult(self.ids[:k], self.distances[:k], self.telemetry)
+
+    def masked(self, bits: np.ndarray, k: int) -> "SearchResult":
+        """The first k entries whose filter bit is set: the post-filter step.
+
+        Every entry's bit is read and counted in ``predicate_invocations``.
+        """
+        self.telemetry.predicate_invocations += len(self.ids)
+        keep = bits[self.ids]
+        return SearchResult(self.ids[keep][:k], self.distances[keep][:k], self.telemetry)

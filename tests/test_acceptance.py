@@ -149,9 +149,10 @@ def test_07_pruning_efficiency(corpus20k, ivf20k):
 def test_08_index_inversion_existence(corpus20k, hnsw20k, ivf20k):
     """At some selectivity every HNSW config is dominated by an IVF config
     (HNSW vanishes from the joint recall/QPS frontier); at another an HNSW
-    config is on the frontier. A single config of one family dominating every
-    config of the other family does not occur on this grid in either
-    direction; both findings are reported.
+    config is on the frontier. Whether a single config of one family dominates
+    every config of the other is reported for both directions but not
+    required, because it rests on wall-clock QPS: at sigma=0.01 the IVF
+    n_probe=50 config can dominate every HNSW config.
     """
     hnsw_small = hnsw_build(corpus20k, 5, 25, seed=7)
     workload = bench.make_workload(

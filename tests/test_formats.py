@@ -47,6 +47,13 @@ HNSW_ID_FAULTS = {
     "neighbor": lambda index: index.adjacency[0][0].__setitem__(0, 1_000_000),
     "node": lambda index: index.adjacency[0].__setitem__(index.n, []),
     "entry point": lambda index: setattr(index, "entry_point", index.n),
+    "entry point below max level": lambda index: setattr(
+        index, "entry_point", int(index.levels.argmin())
+    ),
+    "negative level": lambda index: index.levels.__setitem__(int(index.levels.argmin()), -5),
+    "level without its layer": lambda index: index.levels.__setitem__(
+        int(index.levels.argmin()), 1
+    ),
 }
 
 

@@ -124,13 +124,20 @@ class TestGoldenTraversal:
 
 class TestSearchModes:
     def test_full_mask_equivalence_built_index(self, corpus2k, hnsw2k):
+        # under a full mask both filtered modes walk exactly the unfiltered beam
         full = build_mask(corpus2k, -np.inf)
-        for qid in (0, 77, 555):
-            query = corpus2k.vectors[qid]
-            ids_u = hnsw_search(hnsw2k, corpus2k, query, 10, 60).ids
-            ids_p = hnsw_search(hnsw2k, corpus2k, query, 10, 60, mode="prefilter", mask=full).ids
-            ids_d = hnsw_search(hnsw2k, corpus2k, query, 10, 60, mode="dualpool", mask=full).ids
-            assert set(ids_u.tolist()) == set(ids_p.tolist()) == set(ids_d.tolist())
+        _, queries = sample_queries(corpus2k, 50, seed=49)
+
+        def trace(result):
+            t = result.telemetry
+            return result.ids.tolist(), t.distance_evaluations, t.nodes_visited
+
+        for query in queries:
+            for ef in (10, 60):
+                beam = trace(hnsw_search(hnsw2k, corpus2k, query, 10, ef))
+                for mode in ("prefilter", "dualpool"):
+                    filtered = hnsw_search(hnsw2k, corpus2k, query, 10, ef, mode=mode, mask=full)
+                    assert trace(filtered) == beam
 
     @pytest.mark.parametrize("mode", ["prefilter", "dualpool"])
     def test_filtered_modes_only_return_valid_ids(self, corpus2k, hnsw2k, mode):

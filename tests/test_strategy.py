@@ -154,6 +154,22 @@ class TestPost:
                          StrategyPlan(PlanKind.POST), PARAMS)
         assert mask02.bits[record.results.ids].all()
 
+    @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
+    def test_every_pool_bit_is_counted(self, request, monkeypatch, corpus2k, mask02, family):
+        pools = []
+        name = SEARCH_FOR[family]
+
+        def recording(*args, _search=getattr(strategy, name), **kwargs):
+            result = _search(*args, **kwargs)
+            pools.append(len(result))
+            return result
+
+        monkeypatch.setattr(strategy, name, recording)
+        record = execute(request.getfixturevalue(family), corpus2k, corpus2k.vectors[7], 10,
+                         mask02, StrategyPlan(PlanKind.POST), PARAMS)
+        assert len(pools) == 1 and pools[0] > 10
+        assert record.telemetry.predicate_invocations == pools[0]
+
 
 class TestRuntime:
     def test_matches_prefilter_ids_on_hnsw(self, corpus2k, hnsw2k, mask02):
