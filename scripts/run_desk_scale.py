@@ -19,7 +19,7 @@ import numpy as np
 
 from fanns import bench
 from fanns.corpus import build_mask, generate_synthetic, save_corpus, threshold_for_selectivity
-from fanns.gls import gls_exact, gls_mean, write_gls_csv
+from fanns.gls import DEFAULT_K_NEIGHBORHOOD, gls_exact, gls_mean, write_gls_csv
 
 
 def main(argv=None):
@@ -61,12 +61,14 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     query_ids = rng.choice(corpus.n, size=min(100, args.queries), replace=False)
     mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.2))
+    # an eighth of the corpus at most: a neighborhood of every row reads rho = 0
+    k_neighborhood = min(DEFAULT_K_NEIGHBORHOOD, corpus.n // 8)
     entries = [
-        gls_exact(corpus, corpus.vectors[qid], mask, query_id=int(qid))
+        gls_exact(corpus, corpus.vectors[qid], mask, k_neighborhood, query_id=int(qid))
         for qid in query_ids
     ]
     write_gls_csv(entries, out_dir / "gls.csv")
-    print(f"gls.csv written (rho_bar={gls_mean(entries):+.4f})")
+    print(f"gls.csv written (k_neighborhood={k_neighborhood}, rho_bar={gls_mean(entries):+.4f})")
     print(f"outputs in {out_dir}/")
     return 0
 

@@ -3,8 +3,9 @@
 Protocol: sample the query set from corpus rows, realize each selectivity
 target as an attribute threshold, and execute every (query, filter, k,
 index config, search param, strategy) cell single-threaded, one query at a
-time, each timed individually with a monotonic clock. Throughput is reported
-as 1 / latency. Indexes are built once per config and reused across the whole
+time, each timed individually with a monotonic clock. A row's throughput is
+1 / latency; ``summarize`` reports both the mean of those and queries over
+summed latency. Indexes are built once per config and reused across the whole
 grid.
 """
 
@@ -312,10 +313,13 @@ _CONFIG_COLS = (
 
 
 def summarize(rows: Sequence[dict], out_path: str | Path | None = None) -> list[dict]:
-    """Per-config mean recall / mean QPS, with a frontier flag per (k, filter).
+    """Per-config mean recall and throughput, with a frontier flag per (k, filter).
 
-    The frontier is computed within each (k, target_sigma) group over the
-    config aggregates.
+    ``mean_qps`` is the mean of the per-query ``1 / latency``, which the
+    fastest queries dominate; ``qps`` is queries over their summed latency,
+    the ANN-Benchmarks convention. The frontier is computed on
+    (``mean_recall``, ``mean_qps``) within each (k, target_sigma) group over
+    the config aggregates.
     """
     if not rows:
         raise ValueError("no result rows")
@@ -330,6 +334,7 @@ def summarize(rows: Sequence[dict], out_path: str | Path | None = None) -> list[
         entry["target_sigma"] = key[-1]
         entry["mean_recall"] = float(np.mean([m["recall"] for m in members]))
         entry["mean_qps"] = float(np.mean([m["qps"] for m in members]))
+        entry["qps"] = len(members) / sum(m["latency_s"] for m in members)
         entry["n_queries"] = len(members)
         agg.append(entry)
     by_slice: dict[tuple, list[int]] = {}
@@ -342,7 +347,7 @@ def summarize(rows: Sequence[dict], out_path: str | Path | None = None) -> list[
             agg[i]["on_frontier"] = int(pos in frontier)
     if out_path is not None:
         fieldnames = list(_CONFIG_COLS) + [
-            "k", "target_sigma", "mean_recall", "mean_qps", "n_queries", "on_frontier",
+            "k", "target_sigma", "mean_recall", "mean_qps", "qps", "n_queries", "on_frontier",
         ]
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fieldnames)

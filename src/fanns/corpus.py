@@ -16,8 +16,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -114,6 +115,23 @@ class Corpus:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
+    @cached_property
+    def vectors64(self) -> np.ndarray:
+        """Float64 copy of ``vectors``, built on first use and kept."""
+        return self.vectors.astype(np.float64)
+
+    @cached_property
+    def cosine_row_norms(self) -> np.ndarray:
+        """Float64 L2 norm of every row, built on first use and kept.
+
+        Raises the cosine zero-vector ``ValueError`` when any row has norm 0:
+        no cosine key to such a row exists.
+        """
+        norms = np.linalg.norm(self.vectors64, axis=1)
+        if not norms.all():
+            raise ValueError("cosine similarity undefined for zero vectors")
+        return norms
+
 
 @dataclass(frozen=True)
 class FilterMask:
@@ -165,7 +183,12 @@ def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.ndarray:
+def ordering_keys(
+    query: np.ndarray,
+    rows: np.ndarray,
+    metric: Metric,
+    norms: Optional[tuple[float, np.ndarray]] = None,
+) -> np.ndarray:
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
     For L2 the key is the Euclidean distance; for inner product and cosine it
@@ -174,6 +197,15 @@ def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.nda
     call. Inner-product and cosine keys go through a BLAS matrix-vector
     product, whose rounding can move a key by an ulp when the rows around it
     change; compare them across calls with a tolerance.
+
+    ``norms`` is a cosine caller's (query norm, row norms) pair, computed
+    beforehand exactly as this function would (``np.linalg.norm(query)`` and
+    the rows' entries of ``Corpus.cosine_row_norms``) and already checked
+    nonzero. The HNSW paths pass it with float64 ``query`` and ``rows``, so
+    that a key costs no conversion and no norm: the corpus's float64 rows and
+    row norms are built once per corpus, on first use, and the query's
+    float64 copy and norm once per search (once per inserted node at build
+    time). The keys are bit-identical to the ones computed without it.
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
@@ -187,12 +219,14 @@ def ordering_keys(query: np.ndarray, rows: np.ndarray, metric: Metric) -> np.nda
     if metric is Metric.INNER_PRODUCT:
         return -(rows @ query)
     if metric is Metric.COSINE:
-        qnorm = np.linalg.norm(query)
-        rnorms = np.linalg.norm(rows, axis=1)
-        denom = qnorm * rnorms
-        if qnorm == 0.0 or np.any(rnorms == 0.0):
-            raise ValueError("cosine similarity undefined for zero vectors")
-        return -(rows @ query) / denom
+        if norms is None:
+            qnorm = np.linalg.norm(query)
+            rnorms = np.linalg.norm(rows, axis=1)
+            if qnorm == 0.0 or np.any(rnorms == 0.0):
+                raise ValueError("cosine similarity undefined for zero vectors")
+        else:
+            qnorm, rnorms = norms
+        return -(rows @ query) / (qnorm * rnorms)
     raise ValueError(f"unknown metric {metric!r}")
 
 

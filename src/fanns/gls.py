@@ -78,6 +78,14 @@ def _entry(query_id: int, sigma_l: float, sigma_g: float) -> GlsEntry:
     )
 
 
+def _check_neighborhood(corpus: Corpus, k_neighborhood: int) -> None:
+    if not 1 <= k_neighborhood < corpus.n:
+        raise ValueError(
+            f"k_neighborhood must be in [1, {corpus.n}): a neighborhood of every "
+            "row has sigma_l = sigma_g, so rho = 0 by construction"
+        )
+
+
 def gls_exact(
     corpus: Corpus,
     query: np.ndarray,
@@ -85,11 +93,13 @@ def gls_exact(
     k_neighborhood: int = DEFAULT_K_NEIGHBORHOOD,
     query_id: int = 0,
 ) -> GlsEntry:
-    """Exact per-query entry: the neighborhood comes from a brute-force scan."""
+    """Exact per-query entry: the neighborhood comes from a brute-force scan.
+
+    ``k_neighborhood`` must be below the corpus size (see ``gls_approx``).
+    """
     if mask.is_empty:
         raise ValueError("mask must be non-empty")
-    if k_neighborhood < 1:
-        raise ValueError("k_neighborhood must be >= 1")
+    _check_neighborhood(corpus, k_neighborhood)
     neighborhood = oracle.exact_knn(corpus, query, k_neighborhood).ids
     sigma_l = float(np.count_nonzero(mask.bits[neighborhood])) / len(neighborhood)
     return _entry(query_id, sigma_l, mask.global_selectivity)
@@ -109,10 +119,13 @@ def gls_approx(
 
     The neighborhood is an HNSW beam of width ``k_neighborhood``, or an
     IVFFlat scan of every list. The sample is drawn without replacement, so
-    sample_size = N recovers the exact global selectivity.
+    sample_size = N recovers the exact global selectivity. A
+    ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood
+    would be the whole corpus and rho would read 0 whatever the filter.
     """
     if mask.is_empty:
         raise ValueError("mask must be non-empty")
+    _check_neighborhood(corpus, k_neighborhood)
     if not 1 <= sample_size <= corpus.n:
         raise ValueError("sample_size must be in [1, N]")
     if isinstance(index, HnswIndex):

@@ -29,6 +29,15 @@ The filtered modes count the bitset entries they read in
 ``predicate_invocations``: the pool's length for ``prefilter``, every visited
 layer-0 node for ``dualpool``.
 
+Every key goes through ``corpus.ordering_keys``, with rows gathered by id
+from values built once and kept (``_scorer``): the corpus's float64 copy of
+its vectors and, for cosine, its row norms, both built on first use by a
+build or search over that corpus, plus the query's float64 copy and norm,
+built once per ``hnsw_search`` call and once per inserted node (and per
+pruned neighbor list) in ``hnsw_build``. The keys are bit-identical to
+uncached ones. Under cosine a zero query, or any zero row in the corpus,
+raises ``ValueError`` before the first key.
+
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
 graphs reproducible. Level assignment uses floor(-ln(U) / ln(M)) with U
@@ -43,7 +52,7 @@ import struct
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,6 +69,9 @@ from fanns.telemetry import SearchResult, SearchTelemetry
 _HNSW_MAGIC = b"FHN1"
 
 SEARCH_MODES = ("unfiltered", "prefilter", "dualpool", "raw")
+
+# ordering keys from one query to the rows with the given ids (see _scorer)
+_Keys = Callable[[int | list[int]], np.ndarray]
 
 
 class HnswFormatError(ValueError):
@@ -89,10 +101,31 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
     return int(math.floor(-math.log(u) * inv_log_m))
 
 
+def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
+    """Ordering keys from ``query`` to corpus rows, given their ids.
+
+    Rows are gathered from the corpus's cached float64 copy and, for cosine,
+    their norms from its cached row norms; the query's float64 copy and norm
+    are built here, once. Each key is still computed by ``ordering_keys``,
+    with the rows as its second argument, so it is bit-identical to
+    ``ordering_keys(query, corpus.vectors[ids], metric)``. A cosine query of
+    norm 0, or a cosine corpus with a zero row, raises here.
+    """
+    rows, metric = corpus.vectors64, corpus.metric
+    query = np.asarray(query, dtype=np.float64)
+    if metric is not Metric.COSINE:
+        return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric)
+    row_norms = corpus.cosine_row_norms
+    query_norm = np.linalg.norm(query)
+    if query_norm == 0.0:
+        raise ValueError("cosine similarity undefined for zero vectors")
+    return lambda ids: ordering_keys(
+        query, rows.take(ids, axis=0), metric, (query_norm, row_norms.take(ids))
+    )
+
+
 def _expand(
-    vectors: np.ndarray,
-    metric: Metric,
-    query: np.ndarray,
+    keys: _Keys,
     adjacency: dict[int, list[int]],
     node: int,
     visited: set[int],
@@ -103,23 +136,21 @@ def _expand(
     if not fresh:
         return []
     visited.update(fresh)
-    keys = ordering_keys(query, vectors[fresh], metric)
     telemetry.distance_evaluations += len(fresh)
     telemetry.nodes_visited += len(fresh)
-    return list(zip(keys.tolist(), fresh))
+    return list(zip(keys(fresh).tolist(), fresh))
 
 
 def _greedy_descent(
     index: HnswIndex,
-    vectors: np.ndarray,
-    query: np.ndarray,
+    keys: _Keys,
     telemetry: SearchTelemetry,
     stop_layer: int = 0,
 ) -> tuple[float, int]:
     """Top-down greedy walk from the entry point to the best node of layer
     ``stop_layer + 1``; search and insertion share it."""
     cur = index.entry_point
-    cur_key = float(ordering_keys(query, vectors[cur], index.metric)[0])
+    cur_key = float(keys(cur)[0])
     telemetry.distance_evaluations += 1
     telemetry.nodes_visited += 1
     for layer in range(index.max_level, stop_layer, -1):
@@ -128,9 +159,7 @@ def _greedy_descent(
         visited = {cur}
         while improved:
             improved = False
-            for key, node in _expand(
-                vectors, index.metric, query, adjacency, cur, visited, telemetry
-            ):
+            for key, node in _expand(keys, adjacency, cur, visited, telemetry):
                 if (key, node) < (cur_key, cur):
                     cur_key, cur = key, node
                     improved = True
@@ -138,9 +167,7 @@ def _greedy_descent(
 
 
 def _search_layer(
-    vectors: np.ndarray,
-    metric: Metric,
-    query: np.ndarray,
+    keys: _Keys,
     adjacency: dict[int, list[int]],
     entry_points: list[tuple[float, int]],
     ef: int,
@@ -166,7 +193,7 @@ def _search_layer(
         key, node = heappop(candidates)
         if len(pool) == ef and key > -pool[0][0]:
             break
-        for nkey, neigh in _expand(vectors, metric, query, adjacency, node, visited, telemetry):
+        for nkey, neigh in _expand(keys, adjacency, node, visited, telemetry):
             if (bits is None or bits[neigh]) and (len(pool) < ef or nkey < -pool[0][0]):
                 heappush(pool, (-nkey, neigh))
                 if len(pool) > ef:
@@ -187,15 +214,14 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
         raise ValueError("ef_construction must be >= m")
     rng = np.random.default_rng(seed)
     inv_log_m = 1.0 / math.log(m)
-    vectors = corpus.vectors
-    metric = corpus.metric
+    vectors = corpus.vectors64
     levels = np.array([_draw_level(rng, inv_log_m) for _ in range(corpus.n)], dtype=np.int32)
 
     index = HnswIndex(
         m=m,
         ef_construction=ef_construction,
         seed=seed,
-        metric=metric,
+        metric=corpus.metric,
         levels=levels,
         entry_point=0,
         max_level=int(levels[0]),
@@ -207,13 +233,11 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     scratch = SearchTelemetry()
     for node in range(1, corpus.n):
         level = int(levels[node])
-        query = vectors[node]
-        entry_points = [_greedy_descent(index, vectors, query, scratch, stop_layer=level)]
+        keys = _scorer(corpus, vectors[node])
+        entry_points = [_greedy_descent(index, keys, scratch, stop_layer=level)]
         for layer in range(min(level, index.max_level), -1, -1):
             adjacency = index.adjacency[layer]
-            pool = _search_layer(
-                vectors, metric, query, adjacency, entry_points, ef_construction, scratch
-            )
+            pool = _search_layer(keys, adjacency, entry_points, ef_construction, scratch)
             chosen = [cand for _, cand in pool[: index.m]]
             cap = 2 * index.m if layer == 0 else index.m
             adjacency[node] = list(chosen)
@@ -221,8 +245,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
                 links = adjacency[neigh]
                 links.append(node)
                 if len(links) > cap:
-                    keys = ordering_keys(vectors[neigh], vectors[links], metric)
-                    order = np.lexsort((links, keys))[:cap]
+                    order = np.lexsort((links, _scorer(corpus, vectors[neigh])(links)))[:cap]
                     adjacency[neigh] = [links[i] for i in order]
             entry_points = pool
         if level > index.max_level:
@@ -263,10 +286,11 @@ def hnsw_search(
         k = ef_search = pool_size
     require_built_from(index, corpus)
 
+    keys = _scorer(corpus, query)
     telemetry = SearchTelemetry()
-    entry = _greedy_descent(index, corpus.vectors, query, telemetry)
+    entry = _greedy_descent(index, keys, telemetry)
     pool = _search_layer(
-        corpus.vectors, index.metric, query, index.adjacency[0], [entry], ef_search, telemetry,
+        keys, index.adjacency[0], [entry], ef_search, telemetry,
         bits=mask.bits if mode == "dualpool" else None,
     )
     result = SearchResult(

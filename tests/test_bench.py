@@ -179,6 +179,17 @@ class TestSummaries:
         lines = out.read_text().splitlines()
         assert len(lines) == len(agg) + 1
         assert lines[0].startswith("index,M,ef_construction,n_clusters,strategy")
+        assert "mean_qps,qps,n_queries" in lines[0]
+
+    def test_qps_is_queries_over_summed_latency(self):
+        config = {"index": "hnsw", "M": 10, "ef_construction": 50, "n_clusters": "",
+                  "strategy": "PreAnns", "search_param": 100, "k": 10, "target_sigma": "0.1"}
+        rows = [dict(config, recall=1.0, latency_s=latency, qps=1.0 / latency)
+                for latency in (0.001, 0.003)]
+        (agg,) = summarize(rows)
+        assert agg["qps"] == pytest.approx(2 / 0.004)
+        assert agg["mean_qps"] == pytest.approx((1000.0 + 1000.0 / 3) / 2)
+        assert agg["n_queries"] == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

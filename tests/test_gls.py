@@ -95,6 +95,14 @@ class TestGlsExact:
         assert entry.rho == -1.0
         assert entry.bin == "low"
 
+    def test_rejects_a_neighborhood_of_every_row(self):
+        corpus = _line_corpus()
+        mask = build_mask(corpus, 0.5)
+        for k in (10, 11):
+            with pytest.raises(ValueError, match="k_neighborhood"):
+                gls_exact(corpus, corpus.vectors[0], mask, k_neighborhood=k)
+        assert gls_exact(corpus, corpus.vectors[0], mask, k_neighborhood=9).sigma_l == 4 / 9
+
     def test_rejects_empty_mask(self):
         corpus = _line_corpus()
         with pytest.raises(ValueError):
@@ -145,6 +153,16 @@ class TestGlsApprox:
             assert approx.sigma_g == exact.sigma_g
             assert approx.sigma_l == pytest.approx(exact.sigma_l)
             assert approx.rho == pytest.approx(exact.rho)
+
+    def test_rejects_a_neighborhood_of_every_row(self):
+        corpus = generate_synthetic(300, 8, seed=33)
+        index = hnsw_build(corpus, 5, 20, seed=33)
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        with pytest.raises(ValueError, match="k_neighborhood"):
+            gls_approx(corpus, index, corpus.vectors[0], mask, k_neighborhood=300)
+        entry = gls_approx(corpus, index, corpus.vectors[0], mask, k_neighborhood=299,
+                           sample_size=100)
+        assert 0.0 <= entry.sigma_l <= 1.0
 
     def test_sampled_sigma_g_within_binomial_bound(self):
         corpus = generate_synthetic(5000, 8, seed=32)

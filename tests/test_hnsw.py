@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fanns import hnsw as hnsw_mod
 from fanns.corpus import (
     Corpus,
     FilterMask,
@@ -196,6 +197,75 @@ class TestSearchModes:
             hnsw_search(hnsw2k, corpus2k, query, 5, 10, mode="raw")
         with pytest.raises(ValueError):
             hnsw_search(hnsw2k, corpus2k, query, 5, 0)
+
+
+def _varied_norm_corpus(metric, n=300, d=12, seed=0):
+    """Gaussian rows scaled by norms spread over 0.01..100."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+    return Corpus(vectors=vectors.astype(np.float32), attribute=rng.uniform(size=n),
+                  metric=metric)
+
+
+class TestCachedKeys:
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_bitwise_equal_to_uncached_keys(self, metric):
+        corpus = _varied_norm_corpus(metric, seed=metric.value)
+        rng = np.random.default_rng(40 + metric.value)
+        for trial in range(700):
+            query = rng.standard_normal(corpus.dim) * 10.0 ** rng.uniform(-2, 2)
+            if trial % 2:
+                query = query.astype(np.float32)
+            keys = hnsw_mod._scorer(corpus, query)
+            ids = rng.choice(corpus.n, size=int(rng.integers(1, 30)), replace=False).tolist()
+            expected = ordering_keys(query, corpus.vectors[ids], metric)
+            assert np.array_equal(keys(ids), expected)
+            one = ordering_keys(query, corpus.vectors[ids[0]], metric)
+            assert np.array_equal(keys(ids[0]), one)
+
+    @pytest.mark.parametrize("mode", ["unfiltered", "dualpool"])
+    def test_every_key_is_scored_through_the_traced_name(self, monkeypatch, corpus2k, hnsw2k, mode):
+        # perfbench's --trace 1 wraps fanns.hnsw.ordering_keys and reads the
+        # rows from its second positional argument
+        original = hnsw_mod.ordering_keys
+        rows_seen = []
+
+        def counting(*args, **kwargs):
+            assert len(args) >= 2 and "rows" not in kwargs
+            rows_seen.append(1 if np.ndim(args[1]) == 1 else len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hnsw_mod, "ordering_keys", counting)
+        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
+        result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 50, mode=mode, mask=mask)
+        assert len(rows_seen) > 1
+        assert sum(rows_seen) == result.telemetry.distance_evaluations
+
+
+class TestCosineZeroVectors:
+    def test_zero_query_is_refused(self, corpus2k, hnsw2k):
+        with pytest.raises(ValueError, match="zero vectors"):
+            hnsw_search(hnsw2k, corpus2k, np.zeros(corpus2k.dim), 10, 50)
+
+    def test_a_zero_row_fails_every_search(self, corpus2k, hnsw2k):
+        # the zeroed row is the query's farthest, yet the corpus-wide norm
+        # check refuses the search before any key is scored
+        query = corpus2k.vectors[0]
+        far = int(np.argmax(ordering_keys(query, corpus2k.vectors, corpus2k.metric)))
+        vectors = corpus2k.vectors.copy()
+        vectors[far] = 0.0
+        zeroed = Corpus(vectors=vectors, attribute=corpus2k.attribute, metric=Metric.COSINE)
+        with pytest.raises(ValueError, match="zero vectors"):
+            hnsw_search(hnsw2k, zeroed, query, 10, 10)
+
+    @pytest.mark.parametrize("row", [0, 1, 199])
+    def test_build_refuses_a_zero_row(self, row):
+        corpus = generate_synthetic(200, 8, seed=3)
+        vectors = corpus.vectors.copy()
+        vectors[row] = 0.0
+        zeroed = Corpus(vectors=vectors, attribute=corpus.attribute, metric=Metric.COSINE)
+        with pytest.raises(ValueError, match="zero vectors"):
+            hnsw_build(zeroed, 5, 20, seed=0)
 
 
 class TestPersistence:

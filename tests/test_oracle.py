@@ -94,6 +94,17 @@ def test_ties_at_the_kth_key_go_to_the_smaller_id():
         assert got.ids.tolist() == reference
 
 
+def test_cosine_zero_query_and_zero_row_are_refused():
+    corpus = generate_synthetic(100, 8, seed=4)
+    with pytest.raises(ValueError, match="zero vectors"):
+        exact_knn(corpus, np.zeros(8), 5)
+    vectors = corpus.vectors.copy()
+    vectors[17] = 0.0
+    zeroed = Corpus(vectors=vectors, attribute=corpus.attribute, metric=Metric.COSINE)
+    with pytest.raises(ValueError, match="zero vectors"):
+        exact_knn(zeroed, corpus.vectors[0], 5)
+
+
 def test_distances_nondecreasing_and_ids_unique(corpus2k):
     row = exact_knn(corpus2k, corpus2k.vectors[5], 50)
     assert np.all(np.diff(row.distances) >= 0)

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at a small scale."""
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -22,3 +23,6 @@ def test_desk_scale_writes_every_output(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
     header = (tmp_path / "results.csv").read_text().splitlines()[0]
     assert header == bench.RESULTS_HEADER
+    with open(tmp_path / "gls.csv", newline="") as fh:
+        rhos = [float(row["rho"]) for row in csv.DictReader(fh)]
+    assert any(rho != 0.0 for rho in rhos)
