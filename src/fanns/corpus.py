@@ -9,6 +9,10 @@ where *smaller means closer*: the L2 metric uses the Euclidean distance
 itself, inner product and cosine use the negated similarity. The public
 :func:`distance` function reports the conventional value for each metric
 (similarities are positive, larger = closer).
+
+Every full pass over the corpus rows (the exact scan, the cosine row norms,
+k-means in IVFFlat) runs over the blocks of :func:`row_blocks`, so its float64
+temporaries stay a few megabytes whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import numpy as np
 
 _CORPUS_MAGIC = b"FVC1"
 _NORM_ATOL = 1e-5
+
+# rows per block of every full pass over the corpus (see row_blocks)
+ROW_BLOCK = 4096
 
 
 class CorpusFormatError(ValueError):
@@ -79,6 +86,20 @@ class BinaryReader:
             self.fail(f"{len(self.data) - self.offset} trailing bytes")
 
 
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of ``ROW_BLOCK`` rows covering rows 0..n-1.
+
+    A single row left over at the end joins the block before it. numpy
+    computes a one-row matrix product with a dot kernel, whose rounding
+    differs from the matrix kernels', so a one-row block would move that
+    row's key by an ulp against one product over all the rows.
+    """
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Immutable store of N d-dimensional vectors plus one scalar attribute.
@@ -86,6 +107,10 @@ class Corpus:
     Row ids are implicit 0..N-1. Vectors are float32, the attribute column
     float64 (quantile computations on the attribute should not suffer from
     float32 granularity).
+
+    Two derived arrays are built on first use and kept: ``cosine_row_norms``
+    (n float64 values, used by every cosine exact scan and HNSW path) and
+    ``vectors64`` (a float64 copy of the vectors, used only by HNSW).
     """
 
     vectors: np.ndarray
@@ -117,17 +142,23 @@ class Corpus:
 
     @cached_property
     def vectors64(self) -> np.ndarray:
-        """Float64 copy of ``vectors``, built on first use and kept."""
+        """Float64 copy of ``vectors``, built on first use and kept; HNSW
+        gathers its rows from it."""
         return self.vectors.astype(np.float64)
 
     @cached_property
     def cosine_row_norms(self) -> np.ndarray:
         """Float64 L2 norm of every row, built on first use and kept.
 
-        Raises the cosine zero-vector ``ValueError`` when any row has norm 0:
-        no cosine key to such a row exists.
+        Each ``row_blocks`` block of float32 rows is converted on its own, so
+        the norms equal ``np.linalg.norm(vectors.astype(np.float64), axis=1)``
+        without building ``vectors64``. Raises the cosine zero-vector
+        ``ValueError`` when any row has norm 0: no cosine key to such a row
+        exists.
         """
-        norms = np.linalg.norm(self.vectors64, axis=1)
+        norms = np.empty(self.n)
+        for block in row_blocks(self.n):
+            norms[block] = np.linalg.norm(self.vectors[block].astype(np.float64), axis=1)
         if not norms.all():
             raise ValueError("cosine similarity undefined for zero vectors")
         return norms
@@ -201,11 +232,13 @@ def ordering_keys(
     ``norms`` is a cosine caller's (query norm, row norms) pair, computed
     beforehand exactly as this function would (``np.linalg.norm(query)`` and
     the rows' entries of ``Corpus.cosine_row_norms``) and already checked
-    nonzero. The HNSW paths pass it with float64 ``query`` and ``rows``, so
-    that a key costs no conversion and no norm: the corpus's float64 rows and
-    row norms are built once per corpus, on first use, and the query's
-    float64 copy and norm once per search (once per inserted node at build
-    time). The keys are bit-identical to the ones computed without it.
+    nonzero. The keys are bit-identical to the ones computed without it.
+    Two callers pass it: the HNSW paths, with float64 ``query`` and ``rows``
+    gathered from ``Corpus.vectors64``, so that a key costs no conversion and
+    no norm; and the exact scan, with float32 rows, one block of
+    ``row_blocks`` per call, so that a scan computes no row norm. The row
+    norms are built once per corpus, on first use, and the query's norm once
+    per search (once per inserted node at HNSW build time).
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)

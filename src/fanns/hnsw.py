@@ -301,20 +301,6 @@ def hnsw_search(
     return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 
 
-def layer0_reachable_fraction(index: HnswIndex) -> float:
-    """Fraction of nodes reachable from the entry point along layer-0 edges."""
-    adjacency = index.adjacency[0]
-    seen = {index.entry_point}
-    stack = [index.entry_point]
-    while stack:
-        node = stack.pop()
-        for neigh in adjacency.get(node, []):
-            if neigh not in seen:
-                seen.add(neigh)
-                stack.append(neigh)
-    return len(seen) / index.n
-
-
 def save_hnsw(index: HnswIndex, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HNSW_MAGIC)
@@ -343,6 +329,11 @@ def save_hnsw(index: HnswIndex, path: str | Path) -> None:
 
 
 def load_hnsw(path: str | Path) -> HnswIndex:
+    """Read an FHN1 file, raising ``HnswFormatError`` unless it holds a graph
+    a build could have made: levels peaking on the entry point, each layer
+    listing exactly the nodes of its level, and neighbor lists of ids inside
+    the graph, at most 2M long on layer 0 and M above, with no repeated id
+    and no node listing itself."""
     reader = BinaryReader(path, _HNSW_MAGIC, HnswFormatError)
     n, m, ef_construction, seed, entry_point, max_level, metric_kind = reader.unpack("<IIIqiIB")
     metric = reader.metric(metric_kind)
@@ -361,6 +352,15 @@ def load_hnsw(path: str | Path) -> HnswIndex:
         flat = reader.array("<u4", int(degrees.sum()))
         if np.any(flat >= n):
             reader.fail(f"layer {level} holds a neighbor id outside 0..{n - 1}")
+        cap = 2 * m if level == 0 else m
+        if degrees.max() > cap:
+            reader.fail(f"layer {level} holds a neighbor list longer than {cap}")
+        owners = np.repeat(nodes, degrees)
+        if np.any(flat == owners):
+            reader.fail(f"layer {level} holds a node that lists itself")
+        links = np.sort(owners.astype(np.uint64) * np.uint64(n) + flat)  # < n**2 <= 2**64
+        if np.any(links[1:] == links[:-1]):
+            reader.fail(f"layer {level} holds a neighbor list that repeats an id")
         layer: dict[int, list[int]] = {}
         pos = 0
         for node, degree in zip(nodes.tolist(), degrees.tolist()):

@@ -1,7 +1,9 @@
 """Inverted-file index with flat (uncompressed) storage.
 
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
-iterations, deterministic given the seed). Search ranks all centroids by
+iterations, deterministic given the seed) on a float64 copy of the vectors
+that lives only as long as the build; every pass over the rows runs one
+block of about ``ROW_BLOCK`` rows at a time. Search ranks all centroids by
 distance and runs the oracle's exact scan over the rows of the ``n_probe``
 nearest inverted lists. Given a mask, the bitset is tested before any row
 distance, so invalid rows in the probed lists cost no distance evaluations;
@@ -23,17 +25,23 @@ from typing import Optional
 import numpy as np
 
 from fanns.corpus import (
+    ROW_BLOCK,
     BinaryReader,
     Corpus,
     FilterMask,
     Metric,
     ordering_keys,
     require_built_from,
+    row_blocks,
 )
 from fanns.oracle import exact_scan
 from fanns.telemetry import SearchResult
 
 _IVF_MAGIC = b"FIV1"
+
+# Lloyd iterations stop after _MAX_ITERS, or once no centroid moves _TOL
+_MAX_ITERS = 25
+_TOL = 1e-4
 
 
 class IvfFormatError(ValueError):
@@ -53,12 +61,22 @@ class IvfIndex:
         return sum(len(lst) for lst in self.lists)
 
 
+def _fold_closest_sq(rows: np.ndarray, point: np.ndarray, closest_sq: np.ndarray) -> None:
+    """Lower each entry of ``closest_sq`` to its row's squared L2 distance
+    from ``point`` where that is smaller, one ``row_blocks`` block at a time."""
+    for block in row_blocks(rows.shape[0]):
+        diff = rows[block] - point
+        np.square(diff, out=diff)
+        np.minimum(closest_sq[block], np.sum(diff, axis=1), out=closest_sq[block])
+
+
 def _kmeans_pp_seed(rows: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     n = rows.shape[0]
     centroids = np.empty((n_clusters, rows.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = rows[first]
-    closest_sq = np.sum((rows - centroids[0]) ** 2, axis=1)
+    closest_sq = np.full(n, np.inf)
+    _fold_closest_sq(rows, centroids[0], closest_sq)
     for i in range(1, n_clusters):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -67,38 +85,52 @@ def _kmeans_pp_seed(rows: np.ndarray, n_clusters: int, rng: np.random.Generator)
         else:
             pick = int(rng.choice(n, p=closest_sq / total))
         centroids[i] = rows[pick]
-        closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[i]) ** 2, axis=1))
+        _fold_closest_sq(rows, centroids[i], closest_sq)
     return centroids
 
 
-def ivf_build(
-    corpus: Corpus, n_clusters: int, seed: int, max_iters: int = 25, tol: float = 1e-4
-) -> IvfIndex:
-    """k-means++ seeding plus Lloyd iterations until centroid shift < tol.
+def _nearest_centroids(
+    sq_norms: np.ndarray, twice_rows: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """Nearest centroid of every row in squared L2, via the expansion
+    ||x||^2 - 2x.c + ||c||^2, scored one ``row_blocks`` block at a time."""
+    c2 = np.sum(centroids**2, axis=1)
+    assign = np.empty(len(sq_norms), dtype=np.int64)
+    for block in row_blocks(len(sq_norms)):
+        d2 = twice_rows[block] @ centroids.T
+        np.subtract(sq_norms[block, None], d2, out=d2)
+        d2 += c2
+        assign[block] = np.argmin(d2, axis=1)
+    return assign
+
+
+def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
+    """k-means++ seeding plus at most ``_MAX_ITERS`` Lloyd iterations, until
+    no centroid moves by ``_TOL`` or more.
 
     k-means runs in plain L2 geometry (on already-normalized rows for cosine
-    corpora, a spherical-k-means approximation). Empty clusters are reseeded
-    from the farthest point of the largest cluster. The final row-to-list
-    assignment uses the corpus metric.
+    corpora, a spherical-k-means approximation). Row norms and doubled rows
+    are computed once; seeding distances and each Lloyd step's distance
+    matrix one ``row_blocks`` block at a time. Each cluster mean averages its
+    rows in id order, read from one stable sort of the assignment. Empty
+    clusters are reseeded from the farthest point of the largest cluster. The
+    final row-to-list assignment uses the corpus metric.
     """
     if not 1 <= n_clusters <= corpus.n:
         raise ValueError("n_clusters must be in [1, N]")
     rng = np.random.default_rng(seed)
     rows = corpus.vectors.astype(np.float64)
+    sq_norms = np.sum(rows**2, axis=1)
+    twice_rows = 2.0 * rows
     centroids = _kmeans_pp_seed(rows, n_clusters, rng)
-    for _ in range(max_iters):
-        # squared L2 via the expansion ||x||^2 - 2 x.c + ||c||^2
-        d2 = (
-            np.sum(rows**2, axis=1)[:, None]
-            - 2.0 * rows @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
+    for _ in range(_MAX_ITERS):
+        assign = _nearest_centroids(sq_norms, twice_rows, centroids)
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=n_clusters)
-        for c in range(n_clusters):
-            if counts[c] > 0:
-                new_centroids[c] = rows[assign == c].mean(axis=0)
+        grouped = rows[np.argsort(assign, kind="stable")]
+        starts = np.cumsum(counts) - counts
+        for c in np.flatnonzero(counts):
+            new_centroids[c] = grouped[starts[c] : starts[c] + counts[c]].mean(axis=0)
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
@@ -109,13 +141,14 @@ def ivf_build(
             counts = np.bincount(assign, minlength=n_clusters)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
-    # final assignment under the corpus metric
+    # final assignment under the corpus metric, in plain ROW_BLOCK steps (a
+    # one-row tail kept apart): these keys decide the saved lists, and index
+    # files of the same corpus and seed must stay byte-identical
     final_assign = np.empty(corpus.n, dtype=np.int64)
-    block = 4096
-    for start in range(0, corpus.n, block):
-        stop = min(start + block, corpus.n)
+    for start in range(0, corpus.n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, corpus.n)
         keys = np.stack(
             [
                 ordering_keys(centroids[c], rows[start:stop], corpus.metric)

@@ -6,6 +6,11 @@ top-k kernel: the PreExact plan and each IVFFlat probe run it too. Distances
 reported here are the smaller-is-closer ordering keys of :mod:`fanns.corpus`,
 so approximate results can be compared value-for-value. Ties are broken by
 ascending row id everywhere.
+
+The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
+straight from the float32 vectors: no float64 copy of the corpus is made.
+Cosine scans read the corpus's cached row norms, so a cosine corpus with any
+zero row fails every exact scan, masked or not.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fanns.corpus import BinaryReader, Corpus, FilterMask, ordering_keys
+from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys, row_blocks
 from fanns.telemetry import SearchResult, SearchTelemetry
 
 _GT_MAGIC = b"FGT1"
@@ -34,19 +39,32 @@ def exact_scan(
 ) -> SearchResult:
     """The (key, id)-ordered top k of the rows ``ids`` (every row when None).
 
-    All rows are scored in one ``ordering_keys`` call and counted as distance
-    evaluations. Every row whose key ties the k-th key is ranked before the
-    cut, so ties go to the smaller id whatever order ``ids`` is in.
+    Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
+    and gathered by id otherwise, with keys bit-identical to one
+    ``ordering_keys`` call over all of them; every row counts as a distance
+    evaluation. Under cosine the query's norm is computed once and the row
+    norms come from ``Corpus.cosine_row_norms``; a zero query, or any zero
+    row in the corpus, raises ``ValueError``. Every row whose key ties the
+    k-th key is ranked before the cut, so ties go to the smaller id whatever
+    order ``ids`` is in.
     """
-    if ids is None:
-        ids, rows = np.arange(corpus.n), corpus.vectors
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-        rows = corpus.vectors[ids]
+    full = ids is None
+    ids = np.arange(corpus.n) if full else np.asarray(ids, dtype=np.int64)
     m = min(k, len(ids))
     if m < 1:
         return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    keys = ordering_keys(query, rows, corpus.metric)
+    query = np.asarray(query, dtype=np.float64)
+    row_norms = None
+    if corpus.metric is Metric.COSINE:
+        query_norm = np.linalg.norm(query)
+        if query_norm == 0.0:
+            raise ValueError("cosine similarity undefined for zero vectors")
+        row_norms = corpus.cosine_row_norms
+    keys = np.empty(len(ids))
+    for block in row_blocks(len(ids)):
+        block_ids = block if full else ids[block]
+        norms = None if row_norms is None else (query_norm, row_norms[block_ids])
+        keys[block] = ordering_keys(query, corpus.vectors[block_ids], corpus.metric, norms)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
     order = pick[np.lexsort((ids[pick], keys[pick]))][:m]

@@ -54,6 +54,14 @@ HNSW_ID_FAULTS = {
     "level without its layer": lambda index: index.levels.__setitem__(
         int(index.levels.argmin()), 1
     ),
+    "layer-0 list over 2M": lambda index: index.adjacency[0].__setitem__(
+        0, list(range(1, 2 * index.m + 2))
+    ),
+    "upper list over M": lambda index: index.adjacency[1].__setitem__(
+        index.entry_point, [v for v in range(index.m + 2) if v != index.entry_point]
+    ),
+    "repeated neighbor": lambda index: index.adjacency[0].__setitem__(0, [1, 2, 1]),
+    "node lists itself": lambda index: index.adjacency[0].__setitem__(0, [1, 0]),
 }
 
 

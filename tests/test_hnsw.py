@@ -16,13 +16,26 @@ from fanns.hnsw import (
     HnswIndex,
     hnsw_build,
     hnsw_search,
-    layer0_reachable_fraction,
     load_hnsw,
     save_hnsw,
 )
 from fanns.oracle import exact_knn
 
 from conftest import sample_queries
+
+
+def layer0_reachable_fraction(index: HnswIndex) -> float:
+    """Fraction of nodes reachable from the entry point along layer-0 edges."""
+    adjacency = index.adjacency[0]
+    seen = {index.entry_point}
+    stack = [index.entry_point]
+    while stack:
+        node = stack.pop()
+        for neigh in adjacency.get(node, []):
+            if neigh not in seen:
+                seen.add(neigh)
+                stack.append(neigh)
+    return len(seen) / index.n
 
 
 def small_graph_index():

@@ -2,16 +2,93 @@ import numpy as np
 import pytest
 
 from fanns.corpus import (
+    ROW_BLOCK,
     Corpus,
     Metric,
     build_mask,
     generate_synthetic,
+    ordering_keys,
     threshold_for_selectivity,
 )
 from fanns.ivfflat import IvfFormatError, ivf_build, ivf_search, load_ivf, save_ivf
 from fanns.oracle import exact_knn
 
 from conftest import sample_queries
+
+
+def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
+    """The unblocked k-means: whole-matrix distance products, per-cluster
+    boolean masks, 25 iterations, tol 1e-4. Appends one entry to ``reseeds``
+    per empty cluster reseeded."""
+    rng = np.random.default_rng(seed)
+    rows = corpus.vectors.astype(np.float64)
+    n = rows.shape[0]
+    centroids = np.empty((n_clusters, rows.shape[1]))
+    centroids[0] = rows[int(rng.integers(n))]
+    closest_sq = np.sum((rows - centroids[0]) ** 2, axis=1)
+    for i in range(1, n_clusters):
+        total = closest_sq.sum()
+        if total <= 0.0:
+            pick = int(rng.integers(n))
+        else:
+            pick = int(rng.choice(n, p=closest_sq / total))
+        centroids[i] = rows[pick]
+        closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[i]) ** 2, axis=1))
+    for _ in range(25):
+        d2 = (
+            np.sum(rows**2, axis=1)[:, None]
+            - 2.0 * rows @ centroids.T
+            + np.sum(centroids**2, axis=1)[None, :]
+        )
+        assign = np.argmin(d2, axis=1)
+        new_centroids = centroids.copy()
+        counts = np.bincount(assign, minlength=n_clusters)
+        for c in range(n_clusters):
+            if counts[c] > 0:
+                new_centroids[c] = rows[assign == c].mean(axis=0)
+        for c in np.flatnonzero(counts == 0):
+            reseeds.append(c)
+            largest = int(np.argmax(counts))
+            members = np.flatnonzero(assign == largest)
+            dists = np.sum((rows[members] - new_centroids[largest]) ** 2, axis=1)
+            stray = members[int(np.argmax(dists))]
+            new_centroids[c] = rows[stray]
+            assign[stray] = c
+            counts = np.bincount(assign, minlength=n_clusters)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift < 1e-4:
+            break
+    final_assign = np.empty(n, dtype=np.int64)
+    for start in range(0, n, 4096):
+        stop = min(start + 4096, n)
+        keys = [ordering_keys(c, rows[start:stop], corpus.metric) for c in centroids]
+        final_assign[start:stop] = np.argmin(np.stack(keys, axis=1), axis=1)
+    lists = [np.flatnonzero(final_assign == c) for c in range(n_clusters)]
+    return centroids.astype(np.float32), lists
+
+
+def _mixture(n, d, metric, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((24, d)) * 4.0
+    vectors = centers[rng.integers(0, 24, size=n)] + rng.standard_normal((n, d))
+    return Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), metric)
+
+
+def _duplicate_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((10, d))
+    return Corpus(
+        distinct[rng.integers(0, 10, size=n)].astype(np.float32), rng.uniform(0, 1, n), Metric.L2
+    )
+
+
+BLOCKED_BUILD_CORPORA = {
+    "cosine": lambda: generate_synthetic(9000, 16, seed=3, attr_mode="cluster_correlated"),
+    "l2": lambda: _mixture(10001, 12, Metric.L2, seed=4),
+    "inner product": lambda: _mixture(2 * ROW_BLOCK + 1, 16, Metric.INNER_PRODUCT, seed=5),
+    "duplicate rows": lambda: _duplicate_rows(2 * ROW_BLOCK + 3, 8, seed=6),
+}
 
 
 class TestBuild:
@@ -57,6 +134,20 @@ class TestBuild:
         assert np.array_equal(a.centroids, b.centroids)
         for la, lb in zip(a.lists, b.lists):
             assert np.array_equal(la, lb)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_BUILD_CORPORA))
+    def test_blocked_kmeans_equals_the_unblocked_reference(self, name):
+        # Blocked distance products and sort-grouped means must reproduce the
+        # unblocked k-means bit for bit, on this machine's BLAS.
+        corpus = BLOCKED_BUILD_CORPORA[name]()
+        n_clusters = 50 if name == "duplicate rows" else 40
+        reseeds = []
+        centroids, lists = _reference_ivf_build(corpus, n_clusters, 11, reseeds)
+        index = ivf_build(corpus, n_clusters, seed=11)
+        assert index.centroids.tobytes() == centroids.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(index.lists, lists))
+        if name == "duplicate rows":
+            assert reseeds  # the reseed branch ran
 
     def test_cluster_count_validation(self, corpus2k):
         with pytest.raises(ValueError):

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from fanns.corpus import Corpus, FilterMask, Metric, build_mask, generate_synthetic, ordering_keys
+from fanns.corpus import (
+    ROW_BLOCK,
+    Corpus,
+    FilterMask,
+    Metric,
+    build_mask,
+    generate_synthetic,
+    ordering_keys,
+)
 from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import (
     GroundTruthFormatError,
     batch_ground_truth,
     exact_knn,
+    exact_scan,
     load_ground_truth,
     save_ground_truth,
 )
@@ -103,6 +112,44 @@ def test_cosine_zero_query_and_zero_row_are_refused():
     zeroed = Corpus(vectors=vectors, attribute=corpus.attribute, metric=Metric.COSINE)
     with pytest.raises(ValueError, match="zero vectors"):
         exact_knn(zeroed, corpus.vectors[0], 5)
+    # the row norms are read for the whole corpus, so a scan that never
+    # scores the zero row fails too
+    without_zero = FilterMask(np.arange(corpus.n) != 17)
+    with pytest.raises(ValueError, match="zero vectors"):
+        exact_knn(zeroed, corpus.vectors[0], 5, without_zero)
+
+
+def _varied_corpus(n, d, metric, seed):
+    """Rows with norms spread over 0.01-100, so cosine norms matter."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+    return Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), metric)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("n", [ROW_BLOCK, 2 * ROW_BLOCK + 1])
+def test_blocked_scan_equals_one_key_call(metric, n):
+    # Scored one block of rows per call, the keys must equal one call over
+    # all the rows bit for bit, on this machine's BLAS.
+    corpus = _varied_corpus(n, 24, metric, seed=n)
+    rng = np.random.default_rng(5)
+    for ids in (None, rng.permutation(n)):
+        rows = np.arange(n) if ids is None else ids
+        for query in (rng.standard_normal(24), corpus.vectors[3]):
+            keys = ordering_keys(query, corpus.vectors[rows], metric)
+            order = np.lexsort((rows, keys))
+            result = exact_scan(corpus, query, len(rows), ids)
+            assert np.array_equal(result.distances, keys[order])
+            assert np.array_equal(result.ids, rows[order])
+            assert result.telemetry.distance_evaluations == len(rows)
+
+
+def test_cosine_row_norms_are_blockwise_exact_and_skip_the_float64_copy():
+    corpus = _varied_corpus(2 * ROW_BLOCK + 1, 24, Metric.COSINE, seed=9)
+    expected = np.linalg.norm(corpus.vectors.astype(np.float64), axis=1)
+    assert np.array_equal(corpus.cosine_row_norms, expected)
+    exact_knn(corpus, corpus.vectors[0], 10)
+    assert "vectors64" not in corpus.__dict__
 
 
 def test_distances_nondecreasing_and_ids_unique(corpus2k):
