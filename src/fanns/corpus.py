@@ -11,8 +11,9 @@ itself, inner product and cosine use the negated similarity. The public
 (similarities are positive, larger = closer).
 
 Every full pass over the corpus rows (the exact scan, the cosine row norms,
-k-means in IVFFlat) runs over the blocks of :func:`row_blocks`, so its float64
-temporaries stay a few megabytes whatever the corpus size.
+the unit-norm check of a normalized cosine corpus, k-means in IVFFlat) runs
+over the blocks of :func:`row_blocks`, so its float64 temporaries stay a few
+megabytes whatever the corpus size.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ class Corpus:
         if attribute.shape != (vectors.shape[0],):
             raise ValueError("attribute column length must equal the number of rows")
         if self.metric is Metric.COSINE and self.normalized:
-            norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
-            if not np.allclose(norms, 1.0, atol=_NORM_ATOL):
-                raise ValueError("normalized cosine corpus has rows with non-unit L2 norm")
+            for block in row_blocks(vectors.shape[0]):
+                norms = np.linalg.norm(vectors[block].astype(np.float64), axis=1)
+                if not np.allclose(norms, 1.0, atol=_NORM_ATOL):
+                    raise ValueError("normalized cosine corpus has rows with non-unit L2 norm")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "attribute", attribute)
 
@@ -218,7 +220,7 @@ def ordering_keys(
     query: np.ndarray,
     rows: np.ndarray,
     metric: Metric,
-    norms: Optional[tuple[float, np.ndarray]] = None,
+    norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
@@ -226,19 +228,20 @@ def ordering_keys(
     is the negated similarity, computed in float64. An L2 key depends only on
     its (query, row) pair, so it is identical whatever other rows share the
     call. Inner-product and cosine keys go through a BLAS matrix-vector
-    product, whose rounding can move a key by an ulp when the rows around it
-    change; compare them across calls with a tolerance.
+    product (``rows.dot(query)``, the same GEMV as ``rows @ query`` without
+    the matmul dispatch), whose rounding can move a key by an ulp when the
+    rows around it change; compare them across calls with a tolerance.
 
-    ``norms`` is a cosine caller's (query norm, row norms) pair, computed
-    beforehand exactly as this function would (``np.linalg.norm(query)`` and
-    the rows' entries of ``Corpus.cosine_row_norms``) and already checked
-    nonzero. The keys are bit-identical to the ones computed without it.
-    Two callers pass it: the HNSW paths, with float64 ``query`` and ``rows``
-    gathered from ``Corpus.vectors64``, so that a key costs no conversion and
-    no norm; and the exact scan, with float32 rows, one block of
-    ``row_blocks`` per call, so that a scan computes no row norm. The row
-    norms are built once per corpus, on first use, and the query's norm once
-    per search (once per inserted node at HNSW build time).
+    ``norms`` is a cosine caller's per-row divisors |query|·|row|, computed
+    beforehand exactly as this function would (``np.linalg.norm(query)``
+    times the rows' entries of ``Corpus.cosine_row_norms``) and already
+    checked nonzero. The keys are bit-identical to the ones computed without
+    it. The HNSW searches pass the rows' entries of one n-long divisor array
+    built per search, with float64 ``query`` and ``rows`` gathered from
+    ``Corpus.vectors64``, so that a key call costs no conversion, no norm and
+    no multiply beyond its GEMV and one divide; the exact scan, the HNSW
+    prune step and the IVFFlat build's final assignment form the divisors
+    for the rows they score.
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
@@ -250,16 +253,15 @@ def ordering_keys(
         diff = rows - query
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if metric is Metric.INNER_PRODUCT:
-        return -(rows @ query)
+        return -rows.dot(query)
     if metric is Metric.COSINE:
         if norms is None:
             qnorm = np.linalg.norm(query)
             rnorms = np.linalg.norm(rows, axis=1)
             if qnorm == 0.0 or np.any(rnorms == 0.0):
                 raise ValueError("cosine similarity undefined for zero vectors")
-        else:
-            qnorm, rnorms = norms
-        return -(rows @ query) / (qnorm * rnorms)
+            norms = qnorm * rnorms
+        return -rows.dot(query) / norms
     raise ValueError(f"unknown metric {metric!r}")
 
 

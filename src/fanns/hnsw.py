@@ -32,11 +32,13 @@ layer-0 node for ``dualpool``.
 Every key goes through ``corpus.ordering_keys``, with rows gathered by id
 from values built once and kept (``_scorer``): the corpus's float64 copy of
 its vectors and, for cosine, its row norms, both built on first use by a
-build or search over that corpus, plus the query's float64 copy and norm,
-built once per ``hnsw_search`` call and once per inserted node (and per
-pruned neighbor list) in ``hnsw_build``. The keys are bit-identical to
-uncached ones. Under cosine a zero query, or any zero row in the corpus,
-raises ``ValueError`` before the first key.
+build or search over that corpus, plus the query's float64 copy and, for
+cosine, its norm times every row norm (n per-row divisors), built once per
+``hnsw_search`` call and once per inserted node in ``hnsw_build``. A pruned
+neighbor list is scored by one direct ``ordering_keys`` call, with divisors
+formed for its links only. The keys are bit-identical to uncached ones.
+Under cosine a zero query, or any zero row in the corpus, raises
+``ValueError`` before the first key.
 
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -104,12 +106,13 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
 def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     """Ordering keys from ``query`` to corpus rows, given their ids.
 
-    Rows are gathered from the corpus's cached float64 copy and, for cosine,
-    their norms from its cached row norms; the query's float64 copy and norm
-    are built here, once. Each key is still computed by ``ordering_keys``,
-    with the rows as its second argument, so it is bit-identical to
-    ``ordering_keys(query, corpus.vectors[ids], metric)``. A cosine query of
-    norm 0, or a cosine corpus with a zero row, raises here.
+    Rows are gathered from the corpus's cached float64 copy. For cosine the
+    query's float64 copy and norm are built here, once, and so is the array
+    of per-row divisors ``query_norm * corpus.cosine_row_norms`` (n floats);
+    each call gathers its rows' divisors from it. Each key is still computed
+    by ``ordering_keys``, with the rows as its second argument, so it is
+    bit-identical to ``ordering_keys(query, corpus.vectors[ids], metric)``. A
+    cosine query of norm 0, or a cosine corpus with a zero row, raises here.
     """
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
@@ -119,9 +122,8 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     query_norm = np.linalg.norm(query)
     if query_norm == 0.0:
         raise ValueError("cosine similarity undefined for zero vectors")
-    return lambda ids: ordering_keys(
-        query, rows.take(ids, axis=0), metric, (query_norm, row_norms.take(ids))
-    )
+    divisors = query_norm * row_norms
+    return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
 
 
 def _expand(
@@ -180,7 +182,9 @@ def _search_layer(
     entry; given ``bits``, its bit must also be set. Without ``bits`` only
     pool entrants are queued for expansion (the bounded beam); with ``bits``
     every visited node is (the dual pool), and each visited node's bit counts
-    as a predicate invocation.
+    as a predicate invocation. The expansion is written out here rather than
+    calling ``_expand``, and ``worst`` holds the full pool's worst key (inf
+    while the pool has room), so each neighbor costs one comparison.
     """
     visited = {node for _, node in entry_points}
     candidates = list(entry_points)
@@ -189,18 +193,31 @@ def _search_layer(
     heapify(pool)
     while len(pool) > ef:
         heappop(pool)
+    worst = -pool[0][0] if len(pool) == ef else math.inf
+    evaluated = 0
     while candidates:
         key, node = heappop(candidates)
-        if len(pool) == ef and key > -pool[0][0]:
+        if key > worst:
             break
-        for nkey, neigh in _expand(keys, adjacency, node, visited, telemetry):
-            if (bits is None or bits[neigh]) and (len(pool) < ef or nkey < -pool[0][0]):
-                heappush(pool, (-nkey, neigh))
-                if len(pool) > ef:
-                    heappop(pool)
+        fresh = [v for v in adjacency.get(node, ()) if v not in visited]
+        if not fresh:
+            continue
+        visited.update(fresh)
+        evaluated += len(fresh)
+        for nkey, neigh in zip(keys(fresh).tolist(), fresh):
+            if nkey < worst and (bits is None or bits[neigh]):
+                if len(pool) < ef:
+                    heappush(pool, (-nkey, neigh))
+                    if len(pool) == ef:
+                        worst = -pool[0][0]
+                else:
+                    heapreplace(pool, (-nkey, neigh))
+                    worst = -pool[0][0]
             elif bits is None:
                 continue  # the beam queues only pool entrants
             heappush(candidates, (nkey, neigh))
+    telemetry.distance_evaluations += evaluated
+    telemetry.nodes_visited += evaluated
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
     return sorted((-negkey, node) for negkey, node in pool)
@@ -245,7 +262,14 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
                 links = adjacency[neigh]
                 links.append(node)
                 if len(links) > cap:
-                    order = np.lexsort((links, _scorer(corpus, vectors[neigh])(links)))[:cap]
+                    query = vectors[neigh]
+                    divisors = None
+                    if corpus.metric is Metric.COSINE:
+                        divisors = np.linalg.norm(query) * corpus.cosine_row_norms.take(links)
+                    link_keys = ordering_keys(
+                        query, vectors.take(links, axis=0), corpus.metric, divisors
+                    )
+                    order = np.lexsort((links, link_keys))[:cap]
                     adjacency[neigh] = [links[i] for i in order]
             entry_points = pool
         if level > index.max_level:

@@ -145,13 +145,26 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             break
     # final assignment under the corpus metric, in plain ROW_BLOCK steps (a
     # one-row tail kept apart): these keys decide the saved lists, and index
-    # files of the same corpus and seed must stay byte-identical
+    # files of the same corpus and seed must stay byte-identical. Cosine
+    # divisors come from each centroid's norm, taken once, and the cached
+    # row norms, exactly as ordering_keys would compute them.
+    centroid_norms = None
+    if corpus.metric is Metric.COSINE:
+        centroid_norms = [np.linalg.norm(centroid) for centroid in centroids]
+        if not all(centroid_norms):
+            raise ValueError("cosine similarity undefined for zero vectors")
+        row_norms = corpus.cosine_row_norms
     final_assign = np.empty(corpus.n, dtype=np.int64)
     for start in range(0, corpus.n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, corpus.n)
         keys = np.stack(
             [
-                ordering_keys(centroids[c], rows[start:stop], corpus.metric)
+                ordering_keys(
+                    centroids[c],
+                    rows[start:stop],
+                    corpus.metric,
+                    None if centroid_norms is None else centroid_norms[c] * row_norms[start:stop],
+                )
                 for c in range(n_clusters)
             ],
             axis=1,

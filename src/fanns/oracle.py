@@ -42,8 +42,9 @@ def exact_scan(
     Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
     and gathered by id otherwise, with keys bit-identical to one
     ``ordering_keys`` call over all of them; every row counts as a distance
-    evaluation. Under cosine the query's norm is computed once and the row
-    norms come from ``Corpus.cosine_row_norms``; a zero query, or any zero
+    evaluation. Under cosine the query's norm is computed once and each
+    block's divisors are it times the block's entries of
+    ``Corpus.cosine_row_norms``; a zero query, or any zero
     row in the corpus, raises ``ValueError``. Every row whose key ties the
     k-th key is ranked before the cut, so ties go to the smaller id whatever
     order ``ids`` is in.
@@ -63,8 +64,8 @@ def exact_scan(
     keys = np.empty(len(ids))
     for block in row_blocks(len(ids)):
         block_ids = block if full else ids[block]
-        norms = None if row_norms is None else (query_norm, row_norms[block_ids])
-        keys[block] = ordering_keys(query, corpus.vectors[block_ids], corpus.metric, norms)
+        divisors = None if row_norms is None else query_norm * row_norms[block_ids]
+        keys[block] = ordering_keys(query, corpus.vectors[block_ids], corpus.metric, divisors)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
     order = pick[np.lexsort((ids[pick], keys[pick]))][:m]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fanns.corpus import generate_synthetic
+from fanns.corpus import ROW_BLOCK, Metric, generate_synthetic
 from fanns.hnsw import hnsw_build
 from fanns.ivfflat import ivf_build
 
@@ -56,6 +56,22 @@ def corpus20k_cluster():
     return generate_synthetic(
         20000, 16, seed=303, attr_mode="cluster_correlated", strength=1.0
     )
+
+
+# row counts of the key-identity checks: every small batch HNSW makes, one
+# full exact-scan block, and block sizes one row past it
+ROW_COUNTS = list(range(1, 41)) + [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
+
+
+def matmul_keys(query, rows, metric):
+    """Inner-product and cosine keys as ``rows @ query`` over float64 rows,
+    with the cosine norms multiplied per call: the reference that
+    ``ordering_keys`` and the HNSW scorer must equal bit for bit."""
+    query = np.asarray(query, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if metric is Metric.INNER_PRODUCT:
+        return -(rows @ query)
+    return -(rows @ query) / (np.linalg.norm(query) * np.linalg.norm(rows, axis=1))
 
 
 def sample_queries(corpus, n, seed):

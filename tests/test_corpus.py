@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanns.corpus import (
+    ROW_BLOCK,
     Corpus,
     CorpusFormatError,
     FilterMask,
@@ -18,6 +20,8 @@ from fanns.corpus import (
     save_corpus,
     threshold_for_selectivity,
 )
+
+from conftest import ROW_COUNTS, matmul_keys
 
 
 def _reference_distance(a, b, metric):
@@ -87,6 +91,30 @@ class TestOrderingKeys:
         order_ip = np.argsort(ordering_keys(q, rows, Metric.INNER_PRODUCT), kind="stable")
         assert np.array_equal(order_cos, order_ip)
 
+    @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
+    @pytest.mark.parametrize("d", [3, 16, 100])
+    def test_dot_keys_equal_the_matmul_formulas(self, metric, d):
+        # ordering_keys computes rows.dot(query) with per-row cosine divisors;
+        # on the BLAS running this suite its keys must equal the matmul
+        # formulas bit for bit, for sliced and gathered rows of either dtype
+        rng = np.random.default_rng(d)
+        n = 2 * ROW_BLOCK + 1
+        matrix = rng.standard_normal((n, d)) * rng.uniform(0.5, 2, size=(n, 1))
+        matrix = matrix.astype(np.float32)
+        query = rng.standard_normal(d)
+        for m in ROW_COUNTS:
+            start = int(rng.integers(0, n - m + 1))
+            for rows in (matrix[start : start + m], matrix[rng.choice(n, m, replace=False)]):
+                for dtype in (np.float32, np.float64):
+                    typed = rows.astype(dtype)
+                    expected = matmul_keys(query, typed, metric)
+                    assert np.array_equal(ordering_keys(query, typed, metric), expected)
+                    if metric is Metric.COSINE:
+                        rows64 = typed.astype(np.float64)
+                        divisors = np.linalg.norm(query) * np.linalg.norm(rows64, axis=1)
+                        keys = ordering_keys(query, typed, metric, divisors)
+                        assert np.array_equal(keys, expected)
+
 
 class TestCorpusValidation:
     def test_attribute_length_mismatch(self):
@@ -101,6 +129,20 @@ class TestCorpusValidation:
                 metric=Metric.COSINE,
                 normalized=True,
             )
+
+    def test_normalized_cosine_check_holds_no_float64_copy(self):
+        rng = np.random.default_rng(12)
+        vectors = rng.standard_normal((20000, 256)).astype(np.float32)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        float64_copy = vectors.size * 8
+        tracemalloc.start()
+        try:
+            Corpus(vectors=vectors, attribute=np.zeros(20000), metric=Metric.COSINE,
+                   normalized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_copy
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+from heapq import heapify, heappop, heappush
+
 import numpy as np
 import pytest
 
 from fanns import hnsw as hnsw_mod
 from fanns.corpus import (
+    ROW_BLOCK,
     Corpus,
     FilterMask,
     Metric,
@@ -21,7 +24,7 @@ from fanns.hnsw import (
 )
 from fanns.oracle import exact_knn
 
-from conftest import sample_queries
+from conftest import ROW_COUNTS, matmul_keys, sample_queries
 
 
 def layer0_reachable_fraction(index: HnswIndex) -> float:
@@ -253,6 +256,89 @@ class TestCachedKeys:
         result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 50, mode=mode, mask=mask)
         assert len(rows_seen) > 1
         assert sum(rows_seen) == result.telemetry.distance_evaluations
+
+
+    @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
+    def test_keys_equal_the_matmul_formulas(self, metric):
+        # the scorer's keys, with divisors gathered from one per-search array,
+        # against the formulas computed per call over the float32 rows
+        rng = np.random.default_rng(70 + metric.value)
+        n = 2 * ROW_BLOCK + 1
+        vectors = rng.standard_normal((n, 16)) * rng.uniform(0.5, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
+        for query in (rng.standard_normal(16), rng.standard_normal(16).astype(np.float32)):
+            keys = hnsw_mod._scorer(corpus, query)
+            for m in ROW_COUNTS:
+                start = int(rng.integers(0, n - m + 1))
+                for ids in (list(range(start, start + m)), rng.permutation(n)[:m].tolist()):
+                    expected = matmul_keys(query, corpus.vectors[ids], metric)
+                    assert np.array_equal(keys(ids), expected)
+
+
+def _reference_expand(keys, adjacency, node, visited, telemetry):
+    fresh = [v for v in adjacency.get(node, []) if v not in visited]
+    if not fresh:
+        return []
+    visited.update(fresh)
+    telemetry.distance_evaluations += len(fresh)
+    telemetry.nodes_visited += len(fresh)
+    return list(zip(keys(fresh).tolist(), fresh))
+
+
+def _reference_search_layer(keys, adjacency, entry_points, ef, telemetry, bits=None):
+    """The best-first loop with one ``_expand`` call per expanded node, which
+    reads the pool's length and worst entry for every neighbor and counts
+    evaluations per expansion."""
+    visited = {node for _, node in entry_points}
+    candidates = list(entry_points)
+    heapify(candidates)
+    pool = [(-key, node) for key, node in entry_points if bits is None or bits[node]]
+    heapify(pool)
+    while len(pool) > ef:
+        heappop(pool)
+    while candidates:
+        key, node = heappop(candidates)
+        if len(pool) == ef and key > -pool[0][0]:
+            break
+        for nkey, neigh in _reference_expand(keys, adjacency, node, visited, telemetry):
+            if (bits is None or bits[neigh]) and (len(pool) < ef or nkey < -pool[0][0]):
+                heappush(pool, (-nkey, neigh))
+                if len(pool) > ef:
+                    heappop(pool)
+            elif bits is None:
+                continue
+            heappush(candidates, (nkey, neigh))
+    if bits is not None:
+        telemetry.predicate_invocations = len(visited)
+    return sorted((-negkey, node) for negkey, node in pool)
+
+
+class TestReferenceLoop:
+    def test_searches_equal_the_reference(self, monkeypatch, corpus2k, hnsw2k):
+        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
+        _, queries = sample_queries(corpus2k, 50, seed=71)
+
+        def run_all():
+            out = []
+            for query in queries:
+                for ef in (10, 100, corpus2k.n):
+                    for mode in ("unfiltered", "prefilter", "dualpool"):
+                        r = hnsw_search(hnsw2k, corpus2k, query, 10, ef, mode=mode, mask=mask)
+                        t = r.telemetry
+                        out.append((r.ids.tolist(), r.distances.tolist(),
+                                    t.distance_evaluations, t.nodes_visited,
+                                    t.predicate_invocations, t.centroid_evaluations))
+            return out
+
+        real = run_all()
+        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        assert run_all() == real
+
+    def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, corpus2k, hnsw2k):
+        save_hnsw(hnsw2k, tmp_path / "real.idx")
+        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        save_hnsw(hnsw_build(corpus2k, 10, 50, seed=7), tmp_path / "reference.idx")
+        assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 
 class TestCosineZeroVectors:

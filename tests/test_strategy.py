@@ -11,6 +11,7 @@ from fanns.corpus import (
     threshold_for_selectivity,
 )
 from fanns.hnsw import hnsw_build, hnsw_search
+from fanns.ivfflat import ivf_build
 from fanns.oracle import exact_knn
 from fanns.strategy import (
     ConfigurationError,
@@ -221,6 +222,40 @@ class TestMaskFreeExecution:
         assert len(record.results) == 10
         gt = exact_knn(corpus2k, corpus2k.vectors[77], 10)
         assert _recall(record, gt) > 0.0
+
+
+class TestOracleDifferential:
+    """Plans that score every candidate row return the oracle's answer under
+    L2 and inner product too: IVFFlat probing all C lists, and the exact
+    plans. Masked Post is left out, because its pool is only a few k wide."""
+
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+    def test_exhaustive_plans_match_the_oracle(self, metric):
+        rng = np.random.default_rng(80 + metric.value)
+        n, d = 1500, 8
+        vectors = rng.standard_normal((n, d)) * rng.uniform(0.5, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
+        index = ivf_build(corpus, 20, seed=3)
+        params = SearchParams(n_probe=index.n_clusters)
+        masks = [None] + [
+            build_mask(corpus, threshold_for_selectivity(corpus, sigma))
+            for sigma in (0.01, 0.1, 0.5)
+        ]
+        queries = rng.standard_normal((25, d)) * rng.uniform(0.5, 2, size=(25, 1))
+        checked = 0
+        for mask in masks:
+            # Runtime needs a mask; masked Post is not exhaustive
+            left_out = PlanKind.RUNTIME if mask is None else PlanKind.POST
+            for kind in PlanKind:
+                if kind is left_out:
+                    continue
+                for query in queries:
+                    gt = exact_knn(corpus, query, 10, mask)
+                    got = execute(index, corpus, query, 10, mask, StrategyPlan(kind), params)
+                    assert got.results.ids.tolist() == gt.ids.tolist()
+                    assert np.allclose(got.results.distances, gt.distances)
+                    checked += 1
+        assert checked == 16 * len(queries)
 
 
 class TestTraceSites:
