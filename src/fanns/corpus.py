@@ -11,9 +11,10 @@ itself, inner product and cosine use the negated similarity. The public
 (similarities are positive, larger = closer).
 
 Every full pass over the corpus rows (the exact scan, the cosine row norms,
-the unit-norm check of a normalized cosine corpus, k-means in IVFFlat) runs
-over the blocks of :func:`row_blocks`, so its float64 temporaries stay a few
-megabytes whatever the corpus size.
+the finiteness and unit-norm checks of a new corpus, the whole IVFFlat build)
+runs over the blocks of :func:`row_blocks`, so its float64 temporaries stay a
+few megabytes whatever the corpus size. Only HNSW keeps a float64 copy of the
+vectors (``Corpus.vectors64``).
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class Corpus:
 
     Row ids are implicit 0..N-1. Vectors are float32, the attribute column
     float64 (quantile computations on the attribute should not suffer from
-    float32 granularity).
+    float32 granularity). A vector entry that is NaN or inf raises
+    ``ValueError``: no key to such a row orders anything.
 
     Two derived arrays are built on first use and kept: ``cosine_row_norms``
     (n float64 values, used by every cosine exact scan and HNSW path) and
@@ -126,8 +128,10 @@ class Corpus:
             raise ValueError("vectors must be a non-empty N x d matrix")
         if attribute.shape != (vectors.shape[0],):
             raise ValueError("attribute column length must equal the number of rows")
-        if self.metric is Metric.COSINE and self.normalized:
-            for block in row_blocks(vectors.shape[0]):
+        for block in row_blocks(vectors.shape[0]):
+            if not np.isfinite(vectors[block]).all():
+                raise ValueError("vectors must be finite: a row holds NaN or inf")
+            if self.metric is Metric.COSINE and self.normalized:
                 norms = np.linalg.norm(vectors[block].astype(np.float64), axis=1)
                 if not np.allclose(norms, 1.0, atol=_NORM_ATOL):
                     raise ValueError("normalized cosine corpus has rows with non-unit L2 norm")
@@ -225,7 +229,9 @@ def ordering_keys(
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
     For L2 the key is the Euclidean distance; for inner product and cosine it
-    is the negated similarity, computed in float64. An L2 key depends only on
+    is the negated similarity, computed in float64. L2 converts the rows as
+    it subtracts the query, so its one row-sized temporary is the difference;
+    the other metrics convert the rows first. An L2 key depends only on
     its (query, row) pair, so it is identical whatever other rows share the
     call. Inner-product and cosine keys go through a BLAS matrix-vector
     product (``rows.dot(query)``, the same GEMV as ``rows @ query`` without
@@ -244,14 +250,16 @@ def ordering_keys(
     for the rows they score.
     """
     query = np.asarray(query, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.shape[1] != query.shape[0]:
         raise ValueError(f"dimension mismatch: {query.shape[0]} vs {rows.shape[1]}")
     if metric is Metric.L2:
-        diff = rows - query
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        diff = np.subtract(rows, query, dtype=np.float64)
+        keys = np.einsum("ij,ij->i", diff, diff)
+        return np.sqrt(keys, out=keys)
+    rows = np.asarray(rows, dtype=np.float64)
     if metric is Metric.INNER_PRODUCT:
         return -rows.dot(query)
     if metric is Metric.COSINE:
@@ -263,6 +271,13 @@ def ordering_keys(
             norms = qnorm * rnorms
         return -rows.dot(query) / norms
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def require_finite(query: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``query`` is finite: a NaN
+    query has NaN keys, which order nothing."""
+    if not np.isfinite(query).all():
+        raise ValueError("query must be finite: it holds NaN or inf")
 
 
 def require_built_from(index, corpus: Corpus) -> None:
@@ -362,9 +377,12 @@ def load_corpus(path: str | Path) -> Corpus:
     vectors = reader.array("<f4", n * d).reshape(n, d)
     attribute = reader.array("<f8", n)
     reader.end()
-    return Corpus(
-        vectors=vectors.copy(),
-        attribute=attribute.copy(),
-        metric=metric,
-        normalized=bool(normalized),
-    )
+    try:
+        return Corpus(
+            vectors=vectors.copy(),
+            attribute=attribute.copy(),
+            metric=metric,
+            normalized=bool(normalized),
+        )
+    except ValueError as exc:
+        reader.fail(str(exc))

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from fanns import oracle
-from fanns.corpus import Corpus, FilterMask, ordering_keys
+from fanns.corpus import Corpus, FilterMask, Metric, ordering_keys, require_finite
 from fanns.hnsw import HnswIndex, hnsw_search
 from fanns.ivfflat import IvfIndex, ivf_search
 
@@ -166,6 +166,11 @@ def distance_correlation(
     minimum ordering key over the subset. The expectation is a Monte Carlo
     mean over `trials` draws without replacement, so a full mask gives
     C_q = 0 exactly.
+
+    Each subset's keys come from one ``ordering_keys`` call; under cosine its
+    divisors are the query's norm times the subset's entries of
+    ``Corpus.cosine_row_norms``, as in the exact scan, so a zero query or a
+    zero row anywhere in the corpus raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -174,12 +179,22 @@ def distance_correlation(
     for i, (query, mask) in enumerate(queries_with_masks):
         if mask.is_empty:
             raise ValueError("mask must be non-empty")
-        valid = mask.valid_ids()
-        g_filtered = float(np.min(ordering_keys(query, corpus.vectors[valid], corpus.metric)))
+        require_finite(query)
+        query = np.asarray(query, dtype=np.float64)
+        query_norm = None
+        if corpus.metric is Metric.COSINE:
+            query_norm = np.linalg.norm(query)
+            if query_norm == 0.0:
+                raise ValueError("cosine similarity undefined for zero vectors")
+
+        def min_key(ids: np.ndarray) -> float:
+            divisors = None if query_norm is None else query_norm * corpus.cosine_row_norms[ids]
+            return float(np.min(ordering_keys(query, corpus.vectors[ids], corpus.metric, divisors)))
+
+        g_filtered = min_key(mask.valid_ids())
         g_random = 0.0
         for _ in range(trials):
-            sample = rng.choice(corpus.n, size=len(valid), replace=False)
-            g_random += float(np.min(ordering_keys(query, corpus.vectors[sample], corpus.metric)))
+            g_random += min_key(rng.choice(corpus.n, size=mask.valid_count, replace=False))
         per_query[i] = g_random / trials - g_filtered
     return float(per_query.mean()), per_query
 

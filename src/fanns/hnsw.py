@@ -65,6 +65,7 @@ from fanns.corpus import (
     Metric,
     ordering_keys,
     require_built_from,
+    require_finite,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
 
@@ -309,6 +310,7 @@ def hnsw_search(
             raise ValueError("raw mode requires pool_size >= 1")
         k = ef_search = pool_size
     require_built_from(index, corpus)
+    require_finite(query)
 
     keys = _scorer(corpus, query)
     telemetry = SearchTelemetry()

@@ -1,13 +1,16 @@
 """Inverted-file index with flat (uncompressed) storage.
 
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
-iterations, deterministic given the seed) on a float64 copy of the vectors
-that lives only as long as the build; every pass over the rows runs one
-block of about ``ROW_BLOCK`` rows at a time. Search ranks all centroids by
-distance and runs the oracle's exact scan over the rows of the ``n_probe``
-nearest inverted lists. Given a mask, the bitset is tested before any row
-distance, so invalid rows in the probed lists cost no distance evaluations;
-every row of a probed list counts as one predicate invocation.
+iterations, deterministic given the seed) in float64 arithmetic. Every pass
+over the rows reads the float32 vectors one block of about ``ROW_BLOCK`` rows
+at a time (each cluster mean, one cluster at a time) and converts only that
+block, so the build makes no float64 copy of the corpus.
+
+Search ranks all centroids by distance and runs the oracle's exact scan over
+the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
+is tested before any row distance, so invalid rows in the probed lists cost
+no distance evaluations; every row of a probed list counts as one predicate
+invocation.
 
 Centroid distances are tracked separately from row distance evaluations in
 the telemetry. Centroid ranking never consults the mask: centroids are
@@ -32,6 +35,7 @@ from fanns.corpus import (
     Metric,
     ordering_keys,
     require_built_from,
+    require_finite,
     row_blocks,
 )
 from fanns.oracle import exact_scan
@@ -61,22 +65,28 @@ class IvfIndex:
         return sum(len(lst) for lst in self.lists)
 
 
-def _fold_closest_sq(rows: np.ndarray, point: np.ndarray, closest_sq: np.ndarray) -> None:
+def _sq_dists(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared L2 distance of each row from ``point``, computed in float64
+    whatever the dtype of ``rows``."""
+    diff = np.subtract(rows, point, dtype=np.float64)
+    np.square(diff, out=diff)
+    return np.sum(diff, axis=1)
+
+
+def _fold_closest_sq(vectors: np.ndarray, point: np.ndarray, closest_sq: np.ndarray) -> None:
     """Lower each entry of ``closest_sq`` to its row's squared L2 distance
     from ``point`` where that is smaller, one ``row_blocks`` block at a time."""
-    for block in row_blocks(rows.shape[0]):
-        diff = rows[block] - point
-        np.square(diff, out=diff)
-        np.minimum(closest_sq[block], np.sum(diff, axis=1), out=closest_sq[block])
+    for block in row_blocks(vectors.shape[0]):
+        np.minimum(closest_sq[block], _sq_dists(vectors[block], point), out=closest_sq[block])
 
 
-def _kmeans_pp_seed(rows: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
-    n = rows.shape[0]
-    centroids = np.empty((n_clusters, rows.shape[1]))
+def _kmeans_pp_seed(vectors: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+    n = vectors.shape[0]
+    centroids = np.empty((n_clusters, vectors.shape[1]))
     first = int(rng.integers(n))
-    centroids[0] = rows[first]
+    centroids[0] = vectors[first]
     closest_sq = np.full(n, np.inf)
-    _fold_closest_sq(rows, centroids[0], closest_sq)
+    _fold_closest_sq(vectors, centroids[0], closest_sq)
     for i in range(1, n_clusters):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -84,20 +94,26 @@ def _kmeans_pp_seed(rows: np.ndarray, n_clusters: int, rng: np.random.Generator)
             pick = int(rng.integers(n))
         else:
             pick = int(rng.choice(n, p=closest_sq / total))
-        centroids[i] = rows[pick]
-        _fold_closest_sq(rows, centroids[i], closest_sq)
+        centroids[i] = vectors[pick]
+        _fold_closest_sq(vectors, centroids[i], closest_sq)
     return centroids
 
 
 def _nearest_centroids(
-    sq_norms: np.ndarray, twice_rows: np.ndarray, centroids: np.ndarray
+    vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
     """Nearest centroid of every row in squared L2, via the expansion
-    ||x||^2 - 2x.c + ||c||^2, scored one ``row_blocks`` block at a time."""
+    ||x||^2 - 2x.c + ||c||^2, scored one ``row_blocks`` block at a time: each
+    block is converted to float64 and doubled in place (exact), and its
+    products with the centroids go into one buffer reused by every block."""
     c2 = np.sum(centroids**2, axis=1)
     assign = np.empty(len(sq_norms), dtype=np.int64)
+    products = np.empty((ROW_BLOCK + 1, len(centroids)))
     for block in row_blocks(len(sq_norms)):
-        d2 = twice_rows[block] @ centroids.T
+        twice = vectors[block].astype(np.float64)
+        twice *= 2.0
+        d2 = products[: len(twice)]
+        np.matmul(twice, centroids.T, out=d2)
         np.subtract(sq_norms[block, None], d2, out=d2)
         d2 += c2
         assign[block] = np.argmin(d2, axis=1)
@@ -109,34 +125,36 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     no centroid moves by ``_TOL`` or more.
 
     k-means runs in plain L2 geometry (on already-normalized rows for cosine
-    corpora, a spherical-k-means approximation). Row norms and doubled rows
-    are computed once; seeding distances and each Lloyd step's distance
-    matrix one ``row_blocks`` block at a time. Each cluster mean averages its
-    rows in id order, read from one stable sort of the assignment. Empty
-    clusters are reseeded from the farthest point of the largest cluster. The
-    final row-to-list assignment uses the corpus metric.
+    corpora, a spherical-k-means approximation), in float64 arithmetic on
+    float32 rows read one ``row_blocks`` block at a time: no float64 copy of
+    the corpus is made. Row norms are computed once; seeding distances and
+    each Lloyd step's distance matrix block by block. Each cluster mean
+    averages its rows in id order, gathered and converted one cluster at a
+    time through one stable sort of the assignment. Empty clusters are
+    reseeded from the farthest point of the largest cluster. The final
+    row-to-list assignment uses the corpus metric.
     """
     if not 1 <= n_clusters <= corpus.n:
         raise ValueError("n_clusters must be in [1, N]")
     rng = np.random.default_rng(seed)
-    rows = corpus.vectors.astype(np.float64)
-    sq_norms = np.sum(rows**2, axis=1)
-    twice_rows = 2.0 * rows
-    centroids = _kmeans_pp_seed(rows, n_clusters, rng)
+    vectors = corpus.vectors
+    sq_norms = np.concatenate([_sq_dists(vectors[block], 0.0) for block in row_blocks(corpus.n)])
+    centroids = _kmeans_pp_seed(vectors, n_clusters, rng)
     for _ in range(_MAX_ITERS):
-        assign = _nearest_centroids(sq_norms, twice_rows, centroids)
+        assign = _nearest_centroids(vectors, sq_norms, centroids)
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=n_clusters)
-        grouped = rows[np.argsort(assign, kind="stable")]
+        order = np.argsort(assign, kind="stable")
         starts = np.cumsum(counts) - counts
         for c in np.flatnonzero(counts):
-            new_centroids[c] = grouped[starts[c] : starts[c] + counts[c]].mean(axis=0)
+            members = order[starts[c] : starts[c] + counts[c]]
+            new_centroids[c] = vectors[members].astype(np.float64).mean(axis=0)
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
-            dists = np.sum((rows[members] - new_centroids[largest]) ** 2, axis=1)
+            dists = _sq_dists(vectors[members], new_centroids[largest])
             stray = members[int(np.argmax(dists))]
-            new_centroids[c] = rows[stray]
+            new_centroids[c] = vectors[stray]
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
@@ -145,9 +163,10 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             break
     # final assignment under the corpus metric, in plain ROW_BLOCK steps (a
     # one-row tail kept apart): these keys decide the saved lists, and index
-    # files of the same corpus and seed must stay byte-identical. Cosine
-    # divisors come from each centroid's norm, taken once, and the cached
-    # row norms, exactly as ordering_keys would compute them.
+    # files of the same corpus and seed must stay byte-identical. Each step's
+    # rows are converted once; cosine divisors come from each centroid's norm,
+    # taken once, and the cached row norms, exactly as ordering_keys would
+    # compute them.
     centroid_norms = None
     if corpus.metric is Metric.COSINE:
         centroid_norms = [np.linalg.norm(centroid) for centroid in centroids]
@@ -155,21 +174,19 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             raise ValueError("cosine similarity undefined for zero vectors")
         row_norms = corpus.cosine_row_norms
     final_assign = np.empty(corpus.n, dtype=np.int64)
+    keys = np.empty((ROW_BLOCK, n_clusters))
     for start in range(0, corpus.n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, corpus.n)
-        keys = np.stack(
-            [
-                ordering_keys(
-                    centroids[c],
-                    rows[start:stop],
-                    corpus.metric,
-                    None if centroid_norms is None else centroid_norms[c] * row_norms[start:stop],
-                )
-                for c in range(n_clusters)
-            ],
-            axis=1,
-        )
-        final_assign[start:stop] = np.argmin(keys, axis=1)
+        rows = vectors[start:stop].astype(np.float64)
+        step_keys = keys[: stop - start]
+        for c in range(n_clusters):
+            step_keys[:, c] = ordering_keys(
+                centroids[c],
+                rows,
+                corpus.metric,
+                None if centroid_norms is None else centroid_norms[c] * row_norms[start:stop],
+            )
+        final_assign[start:stop] = np.argmin(step_keys, axis=1)
     lists = [np.flatnonzero(final_assign == c).astype(np.int64) for c in range(n_clusters)]
     return IvfIndex(
         n_clusters=n_clusters,
@@ -192,6 +209,7 @@ def ivf_search(
     if not 1 <= n_probe <= index.n_clusters:
         raise ValueError("n_probe must be in [1, C]")
     require_built_from(index, corpus)
+    require_finite(query)
     centroid_keys = ordering_keys(query, index.centroids, index.metric)
     probe_order = np.lexsort((np.arange(index.n_clusters), centroid_keys))[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probe_order])

@@ -21,7 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from fanns.corpus import BinaryReader, Corpus, FilterMask, Metric, ordering_keys, row_blocks
+from fanns.corpus import (
+    BinaryReader,
+    Corpus,
+    FilterMask,
+    Metric,
+    ordering_keys,
+    require_finite,
+    row_blocks,
+)
 from fanns.telemetry import SearchResult, SearchTelemetry
 
 _GT_MAGIC = b"FGT1"
@@ -86,6 +94,7 @@ def exact_knn(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    require_finite(query)
     return exact_scan(corpus, query, k, None if mask is None else mask.valid_ids())
 
 

@@ -116,6 +116,25 @@ class TestOrderingKeys:
                         assert np.array_equal(keys, expected)
 
 
+    @pytest.mark.parametrize("d", [3, 16, 100])
+    def test_l2_keys_equal_the_converted_formula(self, d):
+        # ordering_keys subtracts the query while converting the rows; its
+        # keys must equal those of the rows converted first, bit for bit
+        rng = np.random.default_rng(d + 7)
+        n = 2 * ROW_BLOCK + 1
+        matrix = rng.standard_normal((n, d)) * rng.uniform(0.5, 2, size=(n, 1))
+        matrices = (matrix.astype(np.float32), matrix)
+        query = rng.standard_normal(d)
+        for m in ROW_COUNTS:
+            start = int(rng.integers(0, n - m + 1))
+            gathered = rng.choice(n, m, replace=False)
+            for typed in matrices:
+                for rows in (typed[start : start + m], typed[gathered]):
+                    diff = rows.astype(np.float64) - query
+                    expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                    assert np.array_equal(ordering_keys(query, rows, Metric.L2), expected)
+
+
 class TestCorpusValidation:
     def test_attribute_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -147,6 +166,15 @@ class TestCorpusValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Corpus(vectors=np.zeros((0, 4)), attribute=np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, ROW_BLOCK + 5])
+    def test_non_finite_vectors_rejected(self, bad, row):
+        vectors = np.ones((ROW_BLOCK + 9, 3), dtype=np.float32)
+        vectors[row, 1] = bad
+        for metric in Metric:
+            with pytest.raises(ValueError, match="finite"):
+                Corpus(vectors=vectors, attribute=np.zeros(len(vectors)), metric=metric)
 
 
 class TestFilterMask:
@@ -252,6 +280,19 @@ class TestFileIO:
         save_corpus(corpus, p1)
         save_corpus(load_corpus(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_is_a_format_error(self, tmp_path, bad):
+        corpus = generate_synthetic(50, 4, seed=9)
+        path = tmp_path / "c.fvc"
+        save_corpus(corpus, path)
+        data = bytearray(path.read_bytes())
+        # header: 4-byte magic, then n, d (u32), metric, normalized, 2 pad bytes
+        offset = 16 + 4 * (7 * corpus.dim + 2)
+        data[offset : offset + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusFormatError, match="finite"):
+            load_corpus(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fvc"

@@ -9,6 +9,7 @@ from fanns.corpus import (
     Metric,
     build_mask,
     generate_synthetic,
+    ordering_keys,
     threshold_for_selectivity,
 )
 from fanns.gls import (
@@ -195,7 +196,50 @@ class TestReportAndCsv:
         assert lines[1].endswith(",medium")
 
 
+def _reference_distance_correlation(corpus, queries_with_masks, trials, seed):
+    """distance_correlation with every key from an uncached ordering_keys
+    call, which computes its own cosine norms."""
+    rng = np.random.default_rng(seed)
+    per_query = np.empty(len(queries_with_masks))
+    for i, (query, mask) in enumerate(queries_with_masks):
+        valid = mask.valid_ids()
+        g_filtered = float(np.min(ordering_keys(query, corpus.vectors[valid], corpus.metric)))
+        g_random = 0.0
+        for _ in range(trials):
+            sample = rng.choice(corpus.n, size=len(valid), replace=False)
+            g_random += float(np.min(ordering_keys(query, corpus.vectors[sample], corpus.metric)))
+        per_query[i] = g_random / trials - g_filtered
+    return float(per_query.mean()), per_query
+
+
+def _varied_norm_corpus(metric):
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((3000, 12)) * rng.uniform(0.5, 2, size=(3000, 1))
+    return Corpus(vectors.astype(np.float32), rng.uniform(0, 1, 3000), metric)
+
+
 class TestDistanceCorrelation:
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_equals_the_uncached_reference(self, metric):
+        corpus = _varied_norm_corpus(metric)
+        _, queries = sample_queries(corpus, 6, seed=32)
+        pairs = [
+            (query, build_mask(corpus, threshold_for_selectivity(corpus, sigma)))
+            for query in queries
+            for sigma in (0.05, 0.5, 1.0)
+        ]
+        value, per_query = distance_correlation(corpus, pairs, trials=10, seed=3)
+        ref_value, ref_per_query = _reference_distance_correlation(corpus, pairs, 10, 3)
+        assert np.array_equal(per_query, ref_per_query)
+        assert value == ref_value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_is_refused(self, corpus2k, bad):
+        query = corpus2k.vectors[0].copy()
+        query[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            distance_correlation(corpus2k, [(query, build_mask(corpus2k, -np.inf))])
+
     def test_full_mask_is_exactly_zero(self, corpus2k):
         full = build_mask(corpus2k, -np.inf)
         value, per_query = distance_correlation(

@@ -367,6 +367,14 @@ class TestCosineZeroVectors:
             hnsw_build(zeroed, 5, 20, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_is_refused(corpus2k, hnsw2k, bad):
+    query = corpus2k.vectors[3].copy()
+    query[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hnsw_search(hnsw2k, corpus2k, query, 10, 50)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path, corpus2k):
         index = hnsw_build(corpus2k, 5, 25, seed=11)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,22 @@ class TestBuild:
         if name == "duplicate rows":
             assert reseeds  # the reseed branch ran
 
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE])
+    def test_build_holds_no_float64_copy(self, metric):
+        # every pass converts one block of rows at a time, so the build's
+        # peak stays below one float64 copy of the vectors
+        rng = np.random.default_rng(21)
+        vectors = rng.standard_normal((20000, 128)).astype(np.float32)
+        corpus = Corpus(vectors, rng.uniform(0, 1, 20000), metric)
+        float64_copy = vectors.size * 8
+        tracemalloc.start()
+        try:
+            ivf_build(corpus, 50, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_copy
+
     def test_cluster_count_validation(self, corpus2k):
         with pytest.raises(ValueError):
             ivf_build(corpus2k, 0, seed=0)
@@ -211,6 +229,13 @@ class TestSearch:
         result = ivf_search(ivf2k, corpus2k, corpus2k.vectors[0], 200, 10)
         assert len(result) == 200 > max(len(lst) for lst in ivf2k.lists)
         assert np.all(np.diff(result.distances) >= 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_query_is_refused(self, corpus2k, ivf2k, bad):
+        query = corpus2k.vectors[3].copy()
+        query[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ivf_search(ivf2k, corpus2k, query, 10, 5)
 
     def test_parameter_validation(self, corpus2k, ivf2k):
         query = corpus2k.vectors[0]

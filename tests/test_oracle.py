@@ -152,6 +152,16 @@ def test_cosine_row_norms_are_blockwise_exact_and_skip_the_float64_copy():
     assert "vectors64" not in corpus.__dict__
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("masked", [False, True])
+def test_non_finite_query_is_refused(l2_corpus, bad, masked):
+    query = l2_corpus.vectors[5].copy()
+    query[4] = bad
+    mask = build_mask(l2_corpus, 0.5) if masked else None
+    with pytest.raises(ValueError, match="finite"):
+        exact_knn(l2_corpus, query, 10, mask)
+
+
 def test_distances_nondecreasing_and_ids_unique(corpus2k):
     row = exact_knn(corpus2k, corpus2k.vectors[5], 50)
     assert np.all(np.diff(row.distances) >= 0)
