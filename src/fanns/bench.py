@@ -162,7 +162,8 @@ def _plan_for(name: str) -> StrategyPlan:
         raise ValueError(f"unknown strategy {name!r}") from None
 
 
-def _build_index(corpus: Corpus, config: IndexConfig):
+def build_index(corpus: Corpus, config: IndexConfig):
+    """Build the index ``config`` names; returns it with the build's seconds."""
     start = time.perf_counter()
     if config.kind == "hnsw":
         index = hnsw_build(corpus, config.m, config.ef_construction, config.seed)
@@ -204,7 +205,7 @@ def run_experiment(
         if prebuilt is not None:
             index, build_time = prebuilt[ci], 0.0
         else:
-            index, build_time = _build_index(corpus, config)
+            index, build_time = build_index(corpus, config)
         for param in config.search_params:
             params = (
                 SearchParams(ef_search=param)

@@ -22,8 +22,8 @@ from fanns.corpus import (
     save_corpus,
     threshold_for_selectivity,
 )
-from fanns.hnsw import HnswIndex, hnsw_build, load_hnsw, save_hnsw
-from fanns.ivfflat import IvfIndex, ivf_build, load_ivf, save_ivf
+from fanns.hnsw import load_hnsw, save_hnsw
+from fanns.ivfflat import load_ivf, save_ivf
 
 
 class CliError(Exception):
@@ -109,12 +109,22 @@ def _require_file(path: str, prefix: str) -> Path:
     return p
 
 
-def _load_index(path: Path, prefix: str):
+def _load_index(path: Path, prefix: str, search_params=()) -> tuple[object, bench.IndexConfig]:
+    """The index in an FHN1 or FIV1 file, told apart by its magic, and the
+    config that builds it, with ``search_params`` to run it under."""
     magic = path.read_bytes()[:4]
     if magic == b"FHN1":
-        return load_hnsw(path)
+        index = load_hnsw(path)
+        return index, bench.IndexConfig(
+            kind="hnsw", m=index.m, ef_construction=index.ef_construction,
+            seed=index.seed, search_params=search_params,
+        )
     if magic == b"FIV1":
-        return load_ivf(path)
+        index = load_ivf(path)
+        return index, bench.IndexConfig(
+            kind="ivfflat", n_clusters=index.n_clusters, seed=index.seed,
+            search_params=search_params,
+        )
     raise CliError(f"{prefix}: {path} is not a recognized index file")
 
 
@@ -129,15 +139,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     corpus = load_corpus(_require_file(args.corpus, "build error"))
-    if args.index == "hnsw":
-        index = hnsw_build(corpus, args.m, args.ef_construction, args.seed)
-        save_hnsw(index, args.out)
-    else:
-        n_clusters = args.n_clusters
-        if n_clusters is None:
-            n_clusters = max(1, int(round(np.sqrt(corpus.n))))
-        index = ivf_build(corpus, n_clusters, args.seed)
-        save_ivf(index, args.out)
+    n_clusters = args.n_clusters
+    if n_clusters is None:
+        n_clusters = max(1, int(round(np.sqrt(corpus.n))))
+    config = bench.IndexConfig(
+        kind=args.index, m=args.m, ef_construction=args.ef_construction,
+        n_clusters=n_clusters, seed=args.seed,
+    )
+    index, _ = bench.build_index(corpus, config)
+    (save_hnsw if args.index == "hnsw" else save_ivf)(index, args.out)
     print(f"wrote {args.index} index -> {args.out}")
     return 0
 
@@ -187,18 +197,11 @@ def _cmd_run(args) -> int:
     if index_files:
         prebuilt = []
         for f in index_files:
-            index = _load_index(_require_file(f, "run error"), "run error")
+            index, config = _load_index(
+                _require_file(f, "run error"), "run error", tuple(settings["search_params"])
+            )
             prebuilt.append(index)
-            if isinstance(index, HnswIndex):
-                configs.append(bench.IndexConfig(
-                    kind="hnsw", m=index.m, ef_construction=index.ef_construction,
-                    seed=index.seed, search_params=tuple(settings["search_params"]),
-                ))
-            else:
-                configs.append(bench.IndexConfig(
-                    kind="ivfflat", n_clusters=index.n_clusters, seed=index.seed,
-                    search_params=tuple(settings["search_params"]),
-                ))
+            configs.append(config)
     else:
         for raw in settings.get("index_grid", []):
             configs.append(bench.IndexConfig(
@@ -229,7 +232,7 @@ def _cmd_gls(args) -> int:
     queries = corpus.vectors[query_ids]
     index = None
     if args.index is not None:
-        index = _load_index(_require_file(args.index, "gls error"), "gls error")
+        index, _ = _load_index(_require_file(args.index, "gls error"), "gls error")
     entries = []
     qid = 0
     for target in args.targets:

@@ -4,11 +4,10 @@ A :class:`Corpus` is an immutable pair of a row-major float32 vector matrix
 and a float64 scalar attribute column. Filters are materialized as dense
 boolean masks over row ids (:class:`FilterMask`).
 
-All search code in this package orders candidates by a single scalar key
-where *smaller means closer*: the L2 metric uses the Euclidean distance
-itself, inner product and cosine use the negated similarity. The public
-:func:`distance` function reports the conventional value for each metric
-(similarities are positive, larger = closer).
+All search code in this package orders candidates by a single scalar key,
+:func:`ordering_keys`, where *smaller means closer*: the L2 metric uses the
+Euclidean distance itself, inner product and cosine use the negated
+similarity.
 
 Every full pass over the corpus rows (the exact scan, the cosine row norms,
 the finiteness and unit-norm checks of a new corpus, the whole IVFFlat build)
@@ -202,24 +201,6 @@ class FilterMask:
         return np.flatnonzero(self.bits)
 
 
-def distance(a: np.ndarray, b: np.ndarray, metric: Metric) -> float:
-    """Distance (L2) or similarity (inner product, cosine) between two vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric is Metric.L2:
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    if metric is Metric.INNER_PRODUCT:
-        return float(np.dot(a, b))
-    if metric is Metric.COSINE:
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        if denom == 0.0:
-            raise ValueError("cosine similarity undefined for zero vectors")
-        return float(np.dot(a, b)) / denom
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def ordering_keys(
     query: np.ndarray,
     rows: np.ndarray,
@@ -288,6 +269,13 @@ def require_built_from(index, corpus: Corpus) -> None:
             f"index was built over {index.n} {index.metric.name} rows; "
             f"the corpus has {corpus.n} {corpus.metric.name} rows"
         )
+
+
+def require_mask_for(corpus: Corpus, mask: Optional[FilterMask]) -> None:
+    """Raise ValueError unless ``mask`` is None or holds one bit per corpus
+    row: a mask sized for another corpus would filter the wrong rows."""
+    if mask is not None and mask.n != corpus.n:
+        raise ValueError(f"mask has {mask.n} bits; the corpus has {corpus.n} rows")
 
 
 def build_mask(corpus: Corpus, threshold: float) -> FilterMask:

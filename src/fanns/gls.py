@@ -23,7 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from fanns import oracle
-from fanns.corpus import Corpus, FilterMask, Metric, ordering_keys, require_finite
+from fanns.corpus import (
+    Corpus,
+    FilterMask,
+    Metric,
+    ordering_keys,
+    require_finite,
+    require_mask_for,
+)
 from fanns.hnsw import HnswIndex, hnsw_search
 from fanns.ivfflat import IvfIndex, ivf_search
 
@@ -97,6 +104,7 @@ def gls_exact(
 
     ``k_neighborhood`` must be below the corpus size (see ``gls_approx``).
     """
+    require_mask_for(corpus, mask)
     if mask.is_empty:
         raise ValueError("mask must be non-empty")
     _check_neighborhood(corpus, k_neighborhood)
@@ -123,6 +131,7 @@ def gls_approx(
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood
     would be the whole corpus and rho would read 0 whatever the filter.
     """
+    require_mask_for(corpus, mask)
     if mask.is_empty:
         raise ValueError("mask must be non-empty")
     _check_neighborhood(corpus, k_neighborhood)
@@ -177,6 +186,7 @@ def distance_correlation(
     rng = np.random.default_rng(seed)
     per_query = np.empty(len(queries_with_masks))
     for i, (query, mask) in enumerate(queries_with_masks):
+        require_mask_for(corpus, mask)
         if mask.is_empty:
             raise ValueError("mask must be non-empty")
         require_finite(query)

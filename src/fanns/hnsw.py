@@ -1,27 +1,35 @@
 """Hierarchical navigable small-world graph index.
 
-Every layer is searched by one best-first loop, ``_search_layer``: candidates
-are expanded nearest first into a pool of capacity ``ef``, and the loop stops
-when the nearest unexpanded candidate is farther than the worst entry of a
-full pool. Two admission rules tell its traversals apart:
+Every layer, in the build and in a search, is searched by one best-first loop,
+``_search_layer``: candidates are expanded nearest first into a pool of
+capacity ``ef``, and the loop stops when the nearest unexpanded candidate is
+farther than the worst entry of a full pool. Two admission rules tell its
+traversals apart:
 
 * the beam (no bitset) -- a node enters the pool while it has room or when
-  the node beats the pool's worst entry, and only pool entrants are queued
-  for expansion. The build and three of the four search modes use it.
+  its key is strictly below the pool's worst (exact-key ties go to the node
+  reached first), and only pool entrants are queued for expansion. The build
+  and three of the four search modes use it.
 * the dual pool (a bitset) -- a node must also be mask-valid to enter the
   pool, but every visited node is queued, so filtered-out vectors steer the
   walk without taking result slots. With a full mask it walks as the beam
   does, barring exact key ties with the pool's worst entry.
 
-``hnsw_search`` runs the greedy descent, one layer-0 traversal and one output
-step, in one of four modes:
+Build and search score the entry point once and then run one layer loop, as
+SEARCH-LAYER does in Malkov & Yashunin (arXiv:1603.09320, Algorithms 1 and
+5): from the top layer down, each layer's pool seeds the next. A layer above
+the target is searched at ef=1, the greedy descent; the insertion of a node of
+level l searches layers l..0 at ``ef_construction`` and links the node on
+them. ``hnsw_search`` searches layer 0 at ``ef_search`` and then takes one
+output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
   is read for every pool entry and the valid ones are cut to k. Filtered-out
   nodes compete with valid ones for slots, the single-queue behavior of stock
   library implementations whose recall collapses at low selectivity.
-* ``dualpool``   -- the dual pool of width ``ef_search``, cut to k.
+* ``dualpool``   -- the dual pool of width ``ef_search`` on layer 0 (the
+  descent above it ignores the mask), cut to k.
 * ``raw``        -- the beam with k = ef_search = ``pool_size``, the
   candidate list that post-filtering masks.
 
@@ -66,6 +74,7 @@ from fanns.corpus import (
     ordering_keys,
     require_built_from,
     require_finite,
+    require_mask_for,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
 
@@ -127,48 +136,6 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
 
 
-def _expand(
-    keys: _Keys,
-    adjacency: dict[int, list[int]],
-    node: int,
-    visited: set[int],
-    telemetry: SearchTelemetry,
-) -> list[tuple[float, int]]:
-    """Distance-evaluate the unvisited neighbors of `node`."""
-    fresh = [v for v in adjacency.get(node, []) if v not in visited]
-    if not fresh:
-        return []
-    visited.update(fresh)
-    telemetry.distance_evaluations += len(fresh)
-    telemetry.nodes_visited += len(fresh)
-    return list(zip(keys(fresh).tolist(), fresh))
-
-
-def _greedy_descent(
-    index: HnswIndex,
-    keys: _Keys,
-    telemetry: SearchTelemetry,
-    stop_layer: int = 0,
-) -> tuple[float, int]:
-    """Top-down greedy walk from the entry point to the best node of layer
-    ``stop_layer + 1``; search and insertion share it."""
-    cur = index.entry_point
-    cur_key = float(keys(cur)[0])
-    telemetry.distance_evaluations += 1
-    telemetry.nodes_visited += 1
-    for layer in range(index.max_level, stop_layer, -1):
-        adjacency = index.adjacency[layer]
-        improved = True
-        visited = {cur}
-        while improved:
-            improved = False
-            for key, node in _expand(keys, adjacency, cur, visited, telemetry):
-                if (key, node) < (cur_key, cur):
-                    cur_key, cur = key, node
-                    improved = True
-    return cur_key, cur
-
-
 def _search_layer(
     keys: _Keys,
     adjacency: dict[int, list[int]],
@@ -183,8 +150,7 @@ def _search_layer(
     entry; given ``bits``, its bit must also be set. Without ``bits`` only
     pool entrants are queued for expansion (the bounded beam); with ``bits``
     every visited node is (the dual pool), and each visited node's bit counts
-    as a predicate invocation. The expansion is written out here rather than
-    calling ``_expand``, and ``worst`` holds the full pool's worst key (inf
+    as a predicate invocation. ``worst`` holds the full pool's worst key (inf
     while the pool has room), so each neighbor costs one comparison.
     """
     visited = {node for _, node in entry_points}
@@ -252,10 +218,13 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     for node in range(1, corpus.n):
         level = int(levels[node])
         keys = _scorer(corpus, vectors[node])
-        entry_points = [_greedy_descent(index, keys, scratch, stop_layer=level)]
-        for layer in range(min(level, index.max_level), -1, -1):
+        pool = [(float(keys(index.entry_point)[0]), index.entry_point)]
+        for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
-            pool = _search_layer(keys, adjacency, entry_points, ef_construction, scratch)
+            ef = ef_construction if layer <= level else 1
+            pool = _search_layer(keys, adjacency, pool, ef, scratch)
+            if layer > level:
+                continue
             chosen = [cand for _, cand in pool[: index.m]]
             cap = 2 * index.m if layer == 0 else index.m
             adjacency[node] = list(chosen)
@@ -272,7 +241,6 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
                     )
                     order = np.lexsort((links, link_keys))[:cap]
                     adjacency[neigh] = [links[i] for i in order]
-            entry_points = pool
         if level > index.max_level:
             for _ in range(level - index.max_level):
                 index.adjacency.append({})
@@ -293,7 +261,7 @@ def hnsw_search(
     mask: Optional[FilterMask] = None,
     pool_size: Optional[int] = None,
 ) -> SearchResult:
-    """Layer-0 search in one of the four modes; see the module docstring.
+    """Search in one of the four modes; see the module docstring.
 
     ``ef_search`` is deliberately not clamped to ``k``: the result list may
     be shorter than ``k``.
@@ -310,15 +278,17 @@ def hnsw_search(
             raise ValueError("raw mode requires pool_size >= 1")
         k = ef_search = pool_size
     require_built_from(index, corpus)
+    require_mask_for(corpus, mask)
     require_finite(query)
 
     keys = _scorer(corpus, query)
-    telemetry = SearchTelemetry()
-    entry = _greedy_descent(index, keys, telemetry)
-    pool = _search_layer(
-        keys, index.adjacency[0], [entry], ef_search, telemetry,
-        bits=mask.bits if mode == "dualpool" else None,
-    )
+    telemetry = SearchTelemetry(distance_evaluations=1, nodes_visited=1)
+    pool = [(float(keys(index.entry_point)[0]), index.entry_point)]
+    for layer in range(index.max_level, -1, -1):
+        pool = _search_layer(
+            keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
+            bits=mask.bits if mode == "dualpool" and layer == 0 else None,
+        )
     result = SearchResult(
         ids=np.array([node for _, node in pool], dtype=np.int64),
         distances=np.array([key for key, _ in pool], dtype=np.float64),

@@ -36,6 +36,7 @@ from fanns.corpus import (
     ordering_keys,
     require_built_from,
     require_finite,
+    require_mask_for,
     row_blocks,
 )
 from fanns.oracle import exact_scan
@@ -209,6 +210,7 @@ def ivf_search(
     if not 1 <= n_probe <= index.n_clusters:
         raise ValueError("n_probe must be in [1, C]")
     require_built_from(index, corpus)
+    require_mask_for(corpus, mask)
     require_finite(query)
     centroid_keys = ordering_keys(query, index.centroids, index.metric)
     probe_order = np.lexsort((np.arange(index.n_clusters), centroid_keys))[:n_probe]

@@ -28,6 +28,7 @@ from fanns.corpus import (
     Metric,
     ordering_keys,
     require_finite,
+    require_mask_for,
     row_blocks,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
@@ -94,6 +95,7 @@ def exact_knn(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    require_mask_for(corpus, mask)
     require_finite(query)
     return exact_scan(corpus, query, k, None if mask is None else mask.valid_ids())
 

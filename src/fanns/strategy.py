@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from fanns import oracle
-from fanns.corpus import Corpus, FilterMask
+from fanns.corpus import Corpus, FilterMask, require_mask_for
 from fanns.hnsw import HnswIndex, hnsw_search
 from fanns.ivfflat import IvfIndex, ivf_search
 from fanns.telemetry import SearchResult, SearchTelemetry
@@ -111,6 +111,7 @@ def execute(
     params: SearchParams,
 ) -> ExecutionRecord:
     """Run one filtered query under the given plan, timing the whole call."""
+    require_mask_for(corpus, mask)
     if mask is not None and mask.is_empty and plan.kind is not PlanKind.PRE_ANNS:
         raise ValueError("mask must be non-empty for filtered plans")
     start = time.perf_counter_ns()

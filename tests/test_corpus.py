@@ -13,7 +13,6 @@ from fanns.corpus import (
     FilterMask,
     Metric,
     build_mask,
-    distance,
     generate_synthetic,
     load_corpus,
     ordering_keys,
@@ -36,30 +35,6 @@ def _reference_distance(a, b, metric):
     return dot / (na * nb)
 
 
-class TestDistance:
-    def test_unit_axes_l2(self):
-        assert distance([1.0, 0.0], [0.0, 1.0], Metric.L2) == pytest.approx(math.sqrt(2))
-
-    def test_cosine_identity(self):
-        assert distance([0.6, 0.8], [0.6, 0.8], Metric.COSINE) == pytest.approx(1.0)
-
-    def test_against_scalar_reference_768d(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal(768), rng.standard_normal(768)
-        for metric in Metric:
-            assert distance(a, b, metric) == pytest.approx(
-                _reference_distance(a.tolist(), b.tolist(), metric), abs=1e-6
-            )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            distance([1.0, 2.0], [1.0, 2.0, 3.0], Metric.L2)
-
-    def test_cosine_zero_vector(self):
-        with pytest.raises(ValueError):
-            distance([0.0, 0.0], [1.0, 0.0], Metric.COSINE)
-
-
 class TestOrderingKeys:
     def test_matches_distance_scalar(self):
         rng = np.random.default_rng(11)
@@ -68,9 +43,20 @@ class TestOrderingKeys:
         for metric in Metric:
             keys = ordering_keys(q, rows, metric)
             for i in range(5):
-                d = distance(q, rows[i], metric)
+                d = _reference_distance(q.tolist(), rows[i].tolist(), metric)
                 expected = d if metric is Metric.L2 else -d
                 assert keys[i] == pytest.approx(expected, abs=1e-9)
+
+    def test_dimension_mismatch(self):
+        for metric in Metric:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                ordering_keys([1.0, 2.0], [[1.0, 2.0, 3.0]], metric)
+
+    def test_cosine_zero_vector(self):
+        # a zero query, and a zero row among nonzero ones
+        for query, rows in (([0.0, 0.0], [[1.0, 0.0]]), ([1.0, 0.0], [[0.6, 0.8], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="zero vectors"):
+                ordering_keys(query, rows, Metric.COSINE)
 
     @pytest.mark.parametrize("d", [3, 16, 32])
     def test_l2_keys_do_not_depend_on_the_batch(self, d):

@@ -313,31 +313,91 @@ def _reference_search_layer(keys, adjacency, entry_points, ef, telemetry, bits=N
     return sorted((-negkey, node) for negkey, node in pool)
 
 
+EFS = (10, 100)  # and the corpus size
+MODES = ("unfiltered", "prefilter", "dualpool")
+
+
+def _search_answers(corpus, index):
+    """Ids, keys and all four counters of 50 searches x EFS + (n,) x MODES."""
+    mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
+    _, queries = sample_queries(corpus, 50, seed=71)
+    out = []
+    for query in queries:
+        for ef in EFS + (corpus.n,):
+            for mode in MODES:
+                r = hnsw_search(index, corpus, query, 10, ef, mode=mode, mask=mask)
+                t = r.telemetry
+                out.append((r.ids.tolist(), r.distances.tolist(),
+                            t.distance_evaluations, t.nodes_visited,
+                            t.predicate_invocations, t.centroid_evaluations))
+    return out
+
+
 class TestReferenceLoop:
     def test_searches_equal_the_reference(self, monkeypatch, corpus2k, hnsw2k):
-        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
-        _, queries = sample_queries(corpus2k, 50, seed=71)
-
-        def run_all():
-            out = []
-            for query in queries:
-                for ef in (10, 100, corpus2k.n):
-                    for mode in ("unfiltered", "prefilter", "dualpool"):
-                        r = hnsw_search(hnsw2k, corpus2k, query, 10, ef, mode=mode, mask=mask)
-                        t = r.telemetry
-                        out.append((r.ids.tolist(), r.distances.tolist(),
-                                    t.distance_evaluations, t.nodes_visited,
-                                    t.predicate_invocations, t.centroid_evaluations))
-            return out
-
-        real = run_all()
+        real = _search_answers(corpus2k, hnsw2k)
         monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
-        assert run_all() == real
+        assert _search_answers(corpus2k, hnsw2k) == real
 
     def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, corpus2k, hnsw2k):
         save_hnsw(hnsw2k, tmp_path / "real.idx")
         monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
         save_hnsw(hnsw_build(corpus2k, 10, 50, seed=7), tmp_path / "reference.idx")
+        assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
+
+
+_SEARCH_LAYER = hnsw_mod._search_layer
+
+
+def _reference_greedy_descent(keys, adjacency, entry_points, ef, telemetry, bits=None):
+    """``_search_layer`` with every ef=1 layer searched by a separate greedy
+    walk, the reference for the layers above the target: from the one entry
+    point, expand the current node and move to any neighbor with a smaller
+    (key, id), until no neighbor improves. Wider searches run the real loop."""
+    if ef > 1:
+        return _SEARCH_LAYER(keys, adjacency, entry_points, ef, telemetry, bits)
+    ((cur_key, cur),) = entry_points
+    visited = {cur}
+    improved = True
+    while improved:
+        improved = False
+        for key, node in _reference_expand(keys, adjacency, cur, visited, telemetry):
+            if (key, node) < (cur_key, cur):
+                cur_key, cur = key, node
+                improved = True
+    return [(cur_key, cur)]
+
+
+class TestReferenceDescent:
+    """The layers above the target, searched by ``_search_layer`` at ef=1,
+    give what the greedy descent gave on a corpus without exact key ties."""
+
+    @staticmethod
+    def _record_widths(monkeypatch, search_layer):
+        widths = []
+
+        def recording(keys, adjacency, entry_points, ef, telemetry, bits=None):
+            widths.append(ef)
+            return search_layer(keys, adjacency, entry_points, ef, telemetry, bits)
+
+        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        return widths
+
+    def test_searches_equal_the_reference(self, monkeypatch, corpus2k, hnsw2k):
+        widths = self._record_widths(monkeypatch, _SEARCH_LAYER)
+        real = _search_answers(corpus2k, hnsw2k)
+        assert hnsw2k.max_level >= 2
+        per_query = [w for ef in EFS + (corpus2k.n,) for _ in MODES
+                     for w in [1] * hnsw2k.max_level + [ef]]
+        assert widths == per_query * 50
+        self._record_widths(monkeypatch, _reference_greedy_descent)
+        assert _search_answers(corpus2k, hnsw2k) == real
+
+    def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, corpus2k, hnsw2k):
+        save_hnsw(hnsw2k, tmp_path / "real.idx")
+        widths = self._record_widths(monkeypatch, _reference_greedy_descent)
+        save_hnsw(hnsw_build(corpus2k, 10, 50, seed=7), tmp_path / "reference.idx")
+        assert set(widths) == {1, 50}
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 

@@ -280,3 +280,31 @@ class TestTraceSites:
         assert callable(gls.hnsw_search) and callable(gls.ivf_search)
         for module in (corpus, hnsw, ivfflat, oracle, gls):
             assert callable(module.ordering_keys)
+
+
+@pytest.fixture(scope="module")
+def small300():
+    c = corpus.generate_synthetic(300, 8, seed=5)
+    return c, hnsw_build(c, 5, 20, seed=0), ivf_build(c, 10, seed=0)
+
+
+# every entry point that takes a mask, called on (corpus, hnsw, ivf, query, mask)
+MASK_ENTRY_POINTS = {
+    "execute": lambda c, h, i, q, m: execute(
+        h, c, q, 10, m, StrategyPlan(PlanKind.POST), PARAMS),
+    "exact_knn": lambda c, h, i, q, m: exact_knn(c, q, 10, m),
+    "hnsw_search": lambda c, h, i, q, m: hnsw_search(h, c, q, 10, 50, mode="dualpool", mask=m),
+    "ivf_search": lambda c, h, i, q, m: ivfflat.ivf_search(i, c, q, 10, 3, mask=m),
+    "gls_exact": lambda c, h, i, q, m: gls.gls_exact(c, q, m, 50),
+    "gls_approx": lambda c, h, i, q, m: gls.gls_approx(c, h, q, m, 50, sample_size=100),
+    "distance_correlation": lambda c, h, i, q, m: gls.distance_correlation(c, [(q, m)]),
+}
+
+
+@pytest.mark.parametrize("rows", [200, 600], ids=["short", "long"])
+@pytest.mark.parametrize("entry", sorted(MASK_ENTRY_POINTS))
+def test_a_mask_for_another_corpus_is_refused(small300, entry, rows):
+    c, h, i = small300
+    mask = FilterMask(np.arange(rows) % 2 == 0)
+    with pytest.raises(ValueError, match=f"mask has {rows} bits; the corpus has 300 rows"):
+        MASK_ENTRY_POINTS[entry](c, h, i, c.vectors[7], mask)
