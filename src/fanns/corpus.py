@@ -29,9 +29,14 @@ import numpy as np
 
 _CORPUS_MAGIC = b"FVC1"
 _NORM_ATOL = 1e-5
+_ZERO_VECTOR = "cosine similarity undefined for zero vectors"
 
 # rows per block of every full pass over the corpus (see row_blocks)
 ROW_BLOCK = 4096
+
+# generate_synthetic's cluster count and the Gaussian spread of rows about a centre
+_N_GROUPS = 16
+_GROUP_SPREAD = 0.25
 
 
 class CorpusFormatError(ValueError):
@@ -111,8 +116,9 @@ class Corpus:
     ``ValueError``: no key to such a row orders anything.
 
     Two derived arrays are built on first use and kept: ``cosine_row_norms``
-    (n float64 values, used by every cosine exact scan and HNSW path) and
-    ``vectors64`` (a float64 copy of the vectors, used only by HNSW).
+    (n float64 values, read by :meth:`cosine_divisors`; a normalized cosine
+    corpus builds them at once to check its unit norms) and ``vectors64`` (a
+    float64 copy of the vectors, used only by HNSW).
     """
 
     vectors: np.ndarray
@@ -130,12 +136,11 @@ class Corpus:
         for block in row_blocks(vectors.shape[0]):
             if not np.isfinite(vectors[block]).all():
                 raise ValueError("vectors must be finite: a row holds NaN or inf")
-            if self.metric is Metric.COSINE and self.normalized:
-                norms = np.linalg.norm(vectors[block].astype(np.float64), axis=1)
-                if not np.allclose(norms, 1.0, atol=_NORM_ATOL):
-                    raise ValueError("normalized cosine corpus has rows with non-unit L2 norm")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "attribute", attribute)
+        if self.metric is Metric.COSINE and self.normalized:
+            if not np.allclose(self.cosine_row_norms, 1.0, atol=_NORM_ATOL):
+                raise ValueError("normalized cosine corpus has rows with non-unit L2 norm")
 
     @property
     def n(self) -> int:
@@ -165,8 +170,25 @@ class Corpus:
         for block in row_blocks(self.n):
             norms[block] = np.linalg.norm(self.vectors[block].astype(np.float64), axis=1)
         if not norms.all():
-            raise ValueError("cosine similarity undefined for zero vectors")
+            raise ValueError(_ZERO_VECTOR)
         return norms
+
+    def cosine_divisors(self, query: np.ndarray, ids=slice(None)) -> Optional[np.ndarray]:
+        """Divisors |query|·|row| of the cosine keys from ``query`` to the rows
+        ``ids`` (a slice, list or array), or None under the other metrics.
+
+        The float64 query norm times the rows' ``cosine_row_norms``, as
+        :func:`ordering_keys` forms them, so keys stay bit-identical. A zero
+        query, or a zero row anywhere in the corpus, raises ``ValueError``.
+        """
+        if self.metric is not Metric.COSINE:
+            return None
+        query_norm = np.linalg.norm(np.asarray(query, dtype=np.float64))
+        if query_norm == 0.0:
+            raise ValueError(_ZERO_VECTOR)
+        row_norms = self.cosine_row_norms
+        # take() gathers a list of ids faster than indexing with it
+        return query_norm * (row_norms[ids] if isinstance(ids, slice) else row_norms.take(ids))
 
 
 @dataclass(frozen=True)
@@ -219,16 +241,9 @@ def ordering_keys(
     the matmul dispatch), whose rounding can move a key by an ulp when the
     rows around it change; compare them across calls with a tolerance.
 
-    ``norms`` is a cosine caller's per-row divisors |query|·|row|, computed
-    beforehand exactly as this function would (``np.linalg.norm(query)``
-    times the rows' entries of ``Corpus.cosine_row_norms``) and already
-    checked nonzero. The keys are bit-identical to the ones computed without
-    it. The HNSW searches pass the rows' entries of one n-long divisor array
-    built per search, with float64 ``query`` and ``rows`` gathered from
-    ``Corpus.vectors64``, so that a key call costs no conversion, no norm and
-    no multiply beyond its GEMV and one divide; the exact scan, the HNSW
-    prune step and the IVFFlat build's final assignment form the divisors
-    for the rows they score.
+    ``norms`` is a cosine caller's per-row divisors |query|·|row|, from
+    :meth:`Corpus.cosine_divisors`; the keys are bit-identical to the ones
+    computed without it.
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows)
@@ -248,7 +263,7 @@ def ordering_keys(
             qnorm = np.linalg.norm(query)
             rnorms = np.linalg.norm(rows, axis=1)
             if qnorm == 0.0 or np.any(rnorms == 0.0):
-                raise ValueError("cosine similarity undefined for zero vectors")
+                raise ValueError(_ZERO_VECTOR)
             norms = qnorm * rnorms
         return -rows.dot(query) / norms
     raise ValueError(f"unknown metric {metric!r}")
@@ -306,13 +321,11 @@ def generate_synthetic(
     seed: int,
     attr_mode: str = "independent",
     strength: float = 1.0,
-    n_groups: int = 16,
-    group_spread: float = 0.25,
 ) -> Corpus:
     """Deterministic synthetic corpus of unit-norm vectors plus an attribute.
 
     ``independent`` draws the attribute uniform[0,1) independent of the
-    vectors. ``cluster_correlated`` assigns vectors to ``n_groups`` Gaussian
+    vectors. ``cluster_correlated`` assigns vectors to ``_N_GROUPS`` Gaussian
     clusters on the sphere and blends a per-cluster quantile into the
     attribute, giving tunable filter-vector correlation: ``strength=0``
     degenerates to independent, ``strength=1`` makes the attribute a pure
@@ -325,13 +338,13 @@ def generate_synthetic(
         vectors = rng.standard_normal((n, d))
         attribute = rng.uniform(0.0, 1.0, size=n)
     elif attr_mode == "cluster_correlated":
-        centers = rng.standard_normal((n_groups, d))
+        centers = rng.standard_normal((_N_GROUPS, d))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        assignment = rng.integers(0, n_groups, size=n)
-        vectors = centers[assignment] + group_spread * rng.standard_normal((n, d))
+        assignment = rng.integers(0, _N_GROUPS, size=n)
+        vectors = centers[assignment] + _GROUP_SPREAD * rng.standard_normal((n, d))
         within = rng.uniform(0.0, 1.0, size=n)
         noise = rng.uniform(0.0, 1.0, size=n)
-        cluster_quantile = (assignment + within) / n_groups
+        cluster_quantile = (assignment + within) / _N_GROUPS
         attribute = strength * cluster_quantile + (1.0 - strength) * noise
     else:
         raise ValueError(f"unknown attr_mode {attr_mode!r}")

@@ -26,7 +26,6 @@ from fanns import oracle
 from fanns.corpus import (
     Corpus,
     FilterMask,
-    Metric,
     ordering_keys,
     require_finite,
     require_mask_for,
@@ -72,7 +71,10 @@ def _bin_for(rho: float) -> str:
     return "medium"
 
 
-def _entry(query_id: int, sigma_l: float, sigma_g: float) -> GlsEntry:
+def _entry(query_id: int, mask: FilterMask, neighborhood: np.ndarray, sigma_g: float) -> GlsEntry:
+    """The entry whose sigma_l is the fraction of ``neighborhood`` that passes
+    ``mask``."""
+    sigma_l = float(np.count_nonzero(mask.bits[neighborhood])) / len(neighborhood)
     ratio = sigma_l / sigma_g
     rho = gls_rho(ratio)
     return GlsEntry(
@@ -85,7 +87,12 @@ def _entry(query_id: int, sigma_l: float, sigma_g: float) -> GlsEntry:
     )
 
 
-def _check_neighborhood(corpus: Corpus, k_neighborhood: int) -> None:
+def _check_neighborhood(corpus: Corpus, mask: FilterMask, k_neighborhood: int) -> None:
+    """Raise ValueError unless ``mask`` is a non-empty mask over this corpus
+    and ``k_neighborhood`` is below the corpus size."""
+    require_mask_for(corpus, mask)
+    if mask.is_empty:
+        raise ValueError("mask must be non-empty")
     if not 1 <= k_neighborhood < corpus.n:
         raise ValueError(
             f"k_neighborhood must be in [1, {corpus.n}): a neighborhood of every "
@@ -104,13 +111,9 @@ def gls_exact(
 
     ``k_neighborhood`` must be below the corpus size (see ``gls_approx``).
     """
-    require_mask_for(corpus, mask)
-    if mask.is_empty:
-        raise ValueError("mask must be non-empty")
-    _check_neighborhood(corpus, k_neighborhood)
+    _check_neighborhood(corpus, mask, k_neighborhood)
     neighborhood = oracle.exact_knn(corpus, query, k_neighborhood).ids
-    sigma_l = float(np.count_nonzero(mask.bits[neighborhood])) / len(neighborhood)
-    return _entry(query_id, sigma_l, mask.global_selectivity)
+    return _entry(query_id, mask, neighborhood, mask.global_selectivity)
 
 
 def gls_approx(
@@ -131,10 +134,7 @@ def gls_approx(
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood
     would be the whole corpus and rho would read 0 whatever the filter.
     """
-    require_mask_for(corpus, mask)
-    if mask.is_empty:
-        raise ValueError("mask must be non-empty")
-    _check_neighborhood(corpus, k_neighborhood)
+    _check_neighborhood(corpus, mask, k_neighborhood)
     if not 1 <= sample_size <= corpus.n:
         raise ValueError("sample_size must be in [1, N]")
     if isinstance(index, HnswIndex):
@@ -146,14 +146,13 @@ def gls_approx(
     neighborhood = result.ids
     if len(neighborhood) == 0:
         raise ValueError("index returned an empty neighborhood")
-    sigma_l = float(np.count_nonzero(mask.bits[neighborhood])) / len(neighborhood)
     rng = np.random.default_rng(seed)
     sample = rng.choice(corpus.n, size=sample_size, replace=False)
     sigma_g = float(np.count_nonzero(mask.bits[sample])) / sample_size
     if sigma_g == 0.0:
         # degenerate sample; fall back to the known mask selectivity
         sigma_g = mask.global_selectivity
-    return _entry(query_id, sigma_l, sigma_g)
+    return _entry(query_id, mask, neighborhood, sigma_g)
 
 
 def gls_mean(entries: Sequence[GlsEntry]) -> float:
@@ -177,9 +176,9 @@ def distance_correlation(
     C_q = 0 exactly.
 
     Each subset's keys come from one ``ordering_keys`` call; under cosine its
-    divisors are the query's norm times the subset's entries of
-    ``Corpus.cosine_row_norms``, as in the exact scan, so a zero query or a
-    zero row anywhere in the corpus raises ``ValueError``.
+    divisors are the subset's ``Corpus.cosine_divisors``, as in the exact
+    scan, so a zero query or a zero row anywhere in the corpus raises
+    ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -191,14 +190,9 @@ def distance_correlation(
             raise ValueError("mask must be non-empty")
         require_finite(query)
         query = np.asarray(query, dtype=np.float64)
-        query_norm = None
-        if corpus.metric is Metric.COSINE:
-            query_norm = np.linalg.norm(query)
-            if query_norm == 0.0:
-                raise ValueError("cosine similarity undefined for zero vectors")
 
         def min_key(ids: np.ndarray) -> float:
-            divisors = None if query_norm is None else query_norm * corpus.cosine_row_norms[ids]
+            divisors = corpus.cosine_divisors(query, ids)
             return float(np.min(ordering_keys(query, corpus.vectors[ids], corpus.metric, divisors)))
 
         g_filtered = min_key(mask.valid_ids())

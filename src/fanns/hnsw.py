@@ -39,14 +39,13 @@ layer-0 node for ``dualpool``.
 
 Every key goes through ``corpus.ordering_keys``, with rows gathered by id
 from values built once and kept (``_scorer``): the corpus's float64 copy of
-its vectors and, for cosine, its row norms, both built on first use by a
-build or search over that corpus, plus the query's float64 copy and, for
-cosine, its norm times every row norm (n per-row divisors), built once per
-``hnsw_search`` call and once per inserted node in ``hnsw_build``. A pruned
-neighbor list is scored by one direct ``ordering_keys`` call, with divisors
-formed for its links only. The keys are bit-identical to uncached ones.
-Under cosine a zero query, or any zero row in the corpus, raises
-``ValueError`` before the first key.
+its vectors, built on first use by a build or search over that corpus, plus
+the query's float64 copy and, for cosine, ``Corpus.cosine_divisors`` of every
+row (n per-row divisors), built once per ``hnsw_search`` call and once per
+inserted node in ``hnsw_build``. A pruned neighbor list is scored by one
+direct ``ordering_keys`` call, with divisors for its links only. The keys are
+bit-identical to uncached ones. Under cosine a zero query, or any zero row in
+the corpus, raises ``ValueError`` before the first key.
 
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
@@ -116,23 +115,19 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
 def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     """Ordering keys from ``query`` to corpus rows, given their ids.
 
-    Rows are gathered from the corpus's cached float64 copy. For cosine the
-    query's float64 copy and norm are built here, once, and so is the array
-    of per-row divisors ``query_norm * corpus.cosine_row_norms`` (n floats);
-    each call gathers its rows' divisors from it. Each key is still computed
-    by ``ordering_keys``, with the rows as its second argument, so it is
+    Rows are gathered from the corpus's cached float64 copy. The query's
+    float64 copy is built here, once, and for cosine so is the array of every
+    row's divisor, ``corpus.cosine_divisors(query)`` (n floats); each call
+    gathers its rows' divisors from it. Each key is still computed by
+    ``ordering_keys``, with the rows as its second argument, so it is
     bit-identical to ``ordering_keys(query, corpus.vectors[ids], metric)``. A
     cosine query of norm 0, or a cosine corpus with a zero row, raises here.
     """
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
-    if metric is not Metric.COSINE:
+    divisors = corpus.cosine_divisors(query)
+    if divisors is None:
         return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric)
-    row_norms = corpus.cosine_row_norms
-    query_norm = np.linalg.norm(query)
-    if query_norm == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    divisors = query_norm * row_norms
     return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
 
 
@@ -233,11 +228,9 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
                 links.append(node)
                 if len(links) > cap:
                     query = vectors[neigh]
-                    divisors = None
-                    if corpus.metric is Metric.COSINE:
-                        divisors = np.linalg.norm(query) * corpus.cosine_row_norms.take(links)
                     link_keys = ordering_keys(
-                        query, vectors.take(links, axis=0), corpus.metric, divisors
+                        query, vectors.take(links, axis=0), corpus.metric,
+                        corpus.cosine_divisors(query, links),
                     )
                     order = np.lexsort((links, link_keys))[:cap]
                     adjacency[neigh] = [links[i] for i in order]

@@ -165,15 +165,8 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     # final assignment under the corpus metric, in plain ROW_BLOCK steps (a
     # one-row tail kept apart): these keys decide the saved lists, and index
     # files of the same corpus and seed must stay byte-identical. Each step's
-    # rows are converted once; cosine divisors come from each centroid's norm,
-    # taken once, and the cached row norms, exactly as ordering_keys would
-    # compute them.
-    centroid_norms = None
-    if corpus.metric is Metric.COSINE:
-        centroid_norms = [np.linalg.norm(centroid) for centroid in centroids]
-        if not all(centroid_norms):
-            raise ValueError("cosine similarity undefined for zero vectors")
-        row_norms = corpus.cosine_row_norms
+    # rows are converted once; cosine divisors are Corpus.cosine_divisors, so
+    # a zero centroid raises.
     final_assign = np.empty(corpus.n, dtype=np.int64)
     keys = np.empty((ROW_BLOCK, n_clusters))
     for start in range(0, corpus.n, ROW_BLOCK):
@@ -181,12 +174,8 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
         rows = vectors[start:stop].astype(np.float64)
         step_keys = keys[: stop - start]
         for c in range(n_clusters):
-            step_keys[:, c] = ordering_keys(
-                centroids[c],
-                rows,
-                corpus.metric,
-                None if centroid_norms is None else centroid_norms[c] * row_norms[start:stop],
-            )
+            divisors = corpus.cosine_divisors(centroids[c], slice(start, stop))
+            step_keys[:, c] = ordering_keys(centroids[c], rows, corpus.metric, divisors)
         final_assign[start:stop] = np.argmin(step_keys, axis=1)
     lists = [np.flatnonzero(final_assign == c).astype(np.int64) for c in range(n_clusters)]
     return IvfIndex(

@@ -9,8 +9,9 @@ ascending row id everywhere.
 
 The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
 straight from the float32 vectors: no float64 copy of the corpus is made.
-Cosine scans read the corpus's cached row norms, so a cosine corpus with any
-zero row fails every exact scan, masked or not.
+Cosine scans take their divisors from ``Corpus.cosine_divisors``, which reads
+the corpus's cached row norms, so a cosine corpus with any zero row fails
+every exact scan, masked or not.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fanns.corpus import (
     BinaryReader,
     Corpus,
     FilterMask,
-    Metric,
     ordering_keys,
     require_finite,
     require_mask_for,
@@ -51,12 +51,10 @@ def exact_scan(
     Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
     and gathered by id otherwise, with keys bit-identical to one
     ``ordering_keys`` call over all of them; every row counts as a distance
-    evaluation. Under cosine the query's norm is computed once and each
-    block's divisors are it times the block's entries of
-    ``Corpus.cosine_row_norms``; a zero query, or any zero
-    row in the corpus, raises ``ValueError``. Every row whose key ties the
-    k-th key is ranked before the cut, so ties go to the smaller id whatever
-    order ``ids`` is in.
+    evaluation. Under cosine each block's divisors are the block's
+    ``Corpus.cosine_divisors``; a zero query, or any zero row in the corpus,
+    raises ``ValueError``. Every row whose key ties the k-th key is ranked
+    before the cut, so ties go to the smaller id whatever order ``ids`` is in.
     """
     full = ids is None
     ids = np.arange(corpus.n) if full else np.asarray(ids, dtype=np.int64)
@@ -64,16 +62,10 @@ def exact_scan(
     if m < 1:
         return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     query = np.asarray(query, dtype=np.float64)
-    row_norms = None
-    if corpus.metric is Metric.COSINE:
-        query_norm = np.linalg.norm(query)
-        if query_norm == 0.0:
-            raise ValueError("cosine similarity undefined for zero vectors")
-        row_norms = corpus.cosine_row_norms
     keys = np.empty(len(ids))
     for block in row_blocks(len(ids)):
         block_ids = block if full else ids[block]
-        divisors = None if row_norms is None else query_norm * row_norms[block_ids]
+        divisors = corpus.cosine_divisors(query, block_ids)
         keys[block] = ordering_keys(query, corpus.vectors[block_ids], corpus.metric, divisors)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)

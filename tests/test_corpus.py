@@ -149,6 +149,18 @@ class TestCorpusValidation:
             tracemalloc.stop()
         assert peak < float64_copy
 
+    def test_normalized_cosine_zero_row_is_a_zero_vector_error(self, tmp_path):
+        vectors = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32)
+        with pytest.raises(ValueError, match="zero vectors"):
+            Corpus(vectors, np.zeros(2), Metric.COSINE, normalized=True)
+        path = tmp_path / "zero.bin"
+        save_corpus(Corpus(vectors, np.zeros(2), Metric.COSINE), path)
+        data = bytearray(path.read_bytes())
+        data[13] = 1  # the header's normalized flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusFormatError, match="zero vectors"):
+            load_corpus(path)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Corpus(vectors=np.zeros((0, 4)), attribute=np.zeros(0))
@@ -161,6 +173,34 @@ class TestCorpusValidation:
         for metric in Metric:
             with pytest.raises(ValueError, match="finite"):
                 Corpus(vectors=vectors, attribute=np.zeros(len(vectors)), metric=metric)
+
+
+class TestCosineDivisors:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equal_the_query_norm_times_the_row_norms(self, dtype):
+        rng = np.random.default_rng(14)
+        n = 2 * ROW_BLOCK + 1
+        vectors = rng.standard_normal((n, 12)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), Metric.COSINE)
+        query = rng.standard_normal(12).astype(dtype)
+        row_norms = np.linalg.norm(corpus.vectors.astype(np.float64), axis=1)
+        query_norm = np.linalg.norm(query.astype(np.float64))
+        picked = rng.permutation(n)[:40]
+        for ids in (slice(None), slice(ROW_BLOCK - 3, ROW_BLOCK + 20), picked.tolist(), picked):
+            assert np.array_equal(corpus.cosine_divisors(query, ids), query_norm * row_norms[ids])
+        assert np.array_equal(corpus.cosine_divisors(query), query_norm * row_norms)
+
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+    def test_none_under_the_other_metrics(self, metric):
+        corpus = Corpus(np.eye(3, dtype=np.float32), np.zeros(3), metric)
+        assert corpus.cosine_divisors(np.ones(3)) is None
+        assert corpus.cosine_divisors(np.zeros(3), [0, 2]) is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_query_raises(self, dtype):
+        corpus = Corpus(np.eye(3, dtype=np.float32), np.zeros(3), Metric.COSINE)
+        with pytest.raises(ValueError, match="zero vectors"):
+            corpus.cosine_divisors(np.zeros(3, dtype=dtype), [1])
 
 
 class TestFilterMask:

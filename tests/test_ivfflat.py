@@ -112,6 +112,13 @@ class TestBuild:
         assert result.ids.tolist() == gt.ids.tolist()
         assert np.allclose(result.distances, gt.distances)
 
+    def test_zero_cosine_centroid_is_refused(self):
+        # the mean of these unit rows is the zero vector: no cosine key to it
+        vectors = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.float32)
+        corpus = Corpus(vectors, np.zeros(4), Metric.COSINE, normalized=True)
+        with pytest.raises(ValueError, match="zero vectors"):
+            ivf_build(corpus, 1, seed=0)
+
     def test_blob_purity(self):
         rng = np.random.default_rng(17)
         centers = rng.standard_normal((4, 8)) * 30.0

@@ -11,7 +11,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fanns import corpus as corpus_mod
+from fanns import gls, hnsw, ivfflat, oracle
+from fanns.corpus import Corpus, Metric, build_mask
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -57,3 +62,52 @@ def test_workload_at_seed_zero(tmp_path, built, name):
         tracer.uninstall()
     assert [getattr(module, attr) for module, attr, _, _ in spans.TARGETS] == originals
     assert tracer.spans and all(end >= start for _, start, end, _, _ in tracer.spans)
+
+
+def _rows_by_module(monkeypatch) -> dict[str, int]:
+    """Wrap every module's own ``ordering_keys`` name, as ``--trace 1`` does,
+    and count the rows scored through each; rows are read from the second
+    positional argument, where perfbench's span reads them."""
+    traced = {module for module, attr, _, _ in spans.TARGETS if attr == "ordering_keys"}
+    rows: dict[str, int] = {}
+    for module in (corpus_mod, hnsw, ivfflat, oracle, gls):
+        assert module in traced
+        original = module.ordering_keys
+
+        def counting(*args, _original=original, _name=module.__name__, **kwargs):
+            assert len(args) >= 2 and "rows" not in kwargs
+            rows[_name] = rows.get(_name, 0) + (1 if np.ndim(args[1]) == 1 else len(args[1]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "ordering_keys", counting)
+    return rows
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
+    # A key scored through another module's name, or through corpus's own,
+    # would leave that module's trace site blind to it.
+    rng = np.random.default_rng(40 + metric.value)
+    n, d, n_lists, trials = 600, 8, 5, 3
+    vectors = rng.standard_normal((n, d)) * rng.uniform(0.5, 2, size=(n, 1))
+    corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
+    query, mask = rng.standard_normal(d), build_mask(corpus, 0.5)
+    rows = _rows_by_module(monkeypatch)
+
+    result = oracle.exact_knn(corpus, query, 10, mask)
+    assert rows == {"fanns.oracle": result.telemetry.distance_evaluations}
+    rows.clear()
+    index = ivfflat.ivf_build(corpus, n_lists, seed=1)
+    assert rows == {"fanns.ivfflat": n * n_lists}
+    rows.clear()
+    result = ivfflat.ivf_search(index, corpus, query, 10, 2, mask)
+    assert rows == {"fanns.ivfflat": n_lists, "fanns.oracle": result.telemetry.distance_evaluations}
+    rows.clear()
+    gls.distance_correlation(corpus, [(query, mask)], trials=trials)
+    assert rows == {"fanns.gls": mask.valid_count * (1 + trials)}
+    rows.clear()
+    graph = hnsw.hnsw_build(corpus, 6, 24, seed=1)
+    assert set(rows) == {"fanns.hnsw"}
+    rows.clear()
+    result = hnsw.hnsw_search(graph, corpus, query, 10, 40, mode="dualpool", mask=mask)
+    assert rows == {"fanns.hnsw": result.telemetry.distance_evaluations}
