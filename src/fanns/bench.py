@@ -187,7 +187,8 @@ def run_experiment(
     Incompatible cells (Runtime strategy without a filter) are logged and
     skipped, never silently dropped. `prebuilt`, when given, must align with
     `index_grid` and supplies already-built indexes (their build time is
-    reported as 0).
+    reported as 0). An IVFFlat n_probe above n_clusters searches every list and
+    is recorded as n_clusters; each distinct searched value runs once.
     """
     if not index_grid or not strategy_list:
         raise ValueError("index_grid and strategy_list must be nonempty")
@@ -206,11 +207,13 @@ def run_experiment(
             index, build_time = prebuilt[ci], 0.0
         else:
             index, build_time = build_index(corpus, config)
-        for param in config.search_params:
+        for param in dict.fromkeys(
+            p if config.kind == "hnsw" else min(p, config.n_clusters) for p in config.search_params
+        ):
             params = (
                 SearchParams(ef_search=param)
                 if config.kind == "hnsw"
-                else SearchParams(n_probe=min(param, config.n_clusters))
+                else SearchParams(n_probe=param)
             )
             # warm-up pass: touch the whole search path once, untimed
             for name in strategy_list:

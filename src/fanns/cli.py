@@ -1,4 +1,4 @@
-"""Command-line frontend: gen / build / gt / run / gls / summarize.
+"""Command-line frontend: gen / build / run / gls / summarize.
 
 Every subcommand is deterministic given its --seed arguments, validates its
 inputs before writing anything, and never mutates input files. Errors exit
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fanns import bench, gls as gls_mod, oracle
+from fanns import bench, gls as gls_mod
 from fanns.corpus import (
     build_mask,
     generate_synthetic,
@@ -57,15 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--ef-construction", type=int, default=50)
     p.add_argument("--n-clusters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("gt", help="write exact ground truth for a workload")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--n-queries", type=int, default=1000)
-    p.add_argument("--targets", type=_parse_floats,
-                   default=list(bench.DEFAULT_TARGETS))
-    p.add_argument("--k", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -112,7 +103,8 @@ def _require_file(path: str, prefix: str) -> Path:
 def _load_index(path: Path, prefix: str, search_params=()) -> tuple[object, bench.IndexConfig]:
     """The index in an FHN1 or FIV1 file, told apart by its magic, and the
     config that builds it, with ``search_params`` to run it under."""
-    magic = path.read_bytes()[:4]
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
     if magic == b"FHN1":
         index = load_hnsw(path)
         return index, bench.IndexConfig(
@@ -152,17 +144,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_gt(args) -> int:
-    corpus = load_corpus(_require_file(args.corpus, "gt error"))
-    workload = bench.make_workload(
-        corpus, args.n_queries, targets=args.targets, ks=[args.k], seed=args.seed
-    )
-    masks = [spec.mask for spec in workload.filters]
-    oracle.batch_ground_truth(corpus, workload.queries, args.k, masks, out_path=args.out)
-    print(f"wrote ground truth: {len(masks) * len(workload.queries)} rows -> {args.out}")
-    return 0
-
-
 _RUN_DEFAULTS = {
     "n_queries": 100,
     "targets": list(bench.DEFAULT_TARGETS),
@@ -179,9 +160,14 @@ def _cmd_run(args) -> int:
     if args.config is not None:
         cfg_path = _require_file(args.config, "run error")
         try:
-            settings.update(json.loads(cfg_path.read_text()))
+            config = json.loads(cfg_path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"run error: bad JSON in {args.config}: {exc}") from exc
+        grid = config.get("index_grid", []) if isinstance(config, dict) else None
+        if not isinstance(grid, list) or not all(isinstance(r, dict) and "kind" in r for r in grid):
+            raise CliError(f"run error: {args.config} must hold a JSON object whose "
+                           "index_grid, if any, is a list of objects, each with a kind")
+        settings.update(config)
     for key in _RUN_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -265,7 +251,6 @@ def _cmd_summarize(args) -> int:
 _COMMANDS = {
     "gen": _cmd_gen,
     "build": _cmd_build,
-    "gt": _cmd_gt,
     "run": _cmd_run,
     "gls": _cmd_gls,
     "summarize": _cmd_summarize,

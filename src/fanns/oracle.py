@@ -1,11 +1,11 @@
 """Exact (brute-force) k-NN over optionally masked rows.
 
-This is the ground-truth generator and correctness reference for every
-approximate search path, and :func:`exact_scan` is the package's only exact
-top-k kernel: the PreExact plan and each IVFFlat probe run it too. Distances
-reported here are the smaller-is-closer ordering keys of :mod:`fanns.corpus`,
-so approximate results can be compared value-for-value. Ties are broken by
-ascending row id everywhere.
+This is the ground truth, computed in memory and never stored, and the
+correctness reference for every approximate search path; :func:`exact_scan`
+is the package's only exact top-k kernel: the PreExact plan and each IVFFlat
+probe run it too. Distances reported here are the smaller-is-closer ordering
+keys of :mod:`fanns.corpus`, so approximate results can be compared
+value-for-value. Ties are broken by ascending row id everywhere.
 
 The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
 straight from the float32 vectors: no float64 copy of the corpus is made.
@@ -16,14 +16,11 @@ every exact scan, masked or not.
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from fanns.corpus import (
-    BinaryReader,
     Corpus,
     FilterMask,
     ordering_keys,
@@ -32,12 +29,6 @@ from fanns.corpus import (
     row_blocks,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
-
-_GT_MAGIC = b"FGT1"
-
-
-class GroundTruthFormatError(ValueError):
-    """Raised when a ground-truth file is malformed."""
 
 
 def exact_scan(
@@ -90,51 +81,3 @@ def exact_knn(
     require_mask_for(corpus, mask)
     require_finite(query)
     return exact_scan(corpus, query, k, None if mask is None else mask.valid_ids())
-
-
-def batch_ground_truth(
-    corpus: Corpus,
-    queries: np.ndarray,
-    k: int,
-    masks: Sequence[Optional[FilterMask]],
-    out_path: str | Path | None = None,
-) -> list[SearchResult]:
-    """One ground-truth row per (mask, query) pair, optionally persisted.
-
-    Rows are ordered mask-major: all queries under the first mask, then all
-    queries under the second, and so on.
-    """
-    queries = np.atleast_2d(np.asarray(queries))
-    if queries.shape[0] == 0:
-        raise ValueError("queries must be nonempty")
-    rows = [
-        exact_knn(corpus, query, k, mask)
-        for mask in masks
-        for query in queries
-    ]
-    if out_path is not None:
-        save_ground_truth(rows, k, out_path)
-    return rows
-
-
-def save_ground_truth(rows: Sequence[SearchResult], k_max: int, path: str | Path) -> None:
-    """Binary GT format: magic FGT1, row count, k_max, then ragged rows."""
-    with open(path, "wb") as fh:
-        fh.write(_GT_MAGIC + struct.pack("<II", len(rows), k_max))
-        for row in rows:
-            fh.write(struct.pack("<I", len(row)))
-            fh.write(np.ascontiguousarray(row.ids, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(row.distances, dtype="<f4").tobytes())
-
-
-def load_ground_truth(path: str | Path) -> tuple[list[SearchResult], int]:
-    reader = BinaryReader(path, _GT_MAGIC, GroundTruthFormatError)
-    n_rows, k_max = reader.unpack("<II")
-    rows: list[SearchResult] = []
-    for _ in range(n_rows):
-        (m,) = reader.unpack("<I")
-        ids = reader.array("<u4", m).astype(np.int64)
-        dists = reader.array("<f4", m).astype(np.float64)
-        rows.append(SearchResult(ids, dists))
-    reader.end()
-    return rows, k_max

@@ -111,6 +111,14 @@ class TestRunExperiment:
         assert len(rows) == 2  # only the filtered cells
         assert all(row["target_sigma"] == "0.5" for row in rows)
 
+    def test_ivf_n_probe_recorded_as_searched(self, corpus2k):
+        workload = make_workload(corpus2k, 2, targets=[0.5], ks=[5], seed=8)
+        config = IndexConfig(kind="ivfflat", n_clusters=8, search_params=(3, 8, 20))
+        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"])
+        # n_probe 20 searches the same 8 lists as n_probe 8: one config, not two
+        assert [row["search_param"] for row in rows[::4]] == [3, 8]
+        assert len(rows) == 2 * 2 * 2
+
     def test_preexact_rows_have_unit_recall(self, corpus2k):
         workload = make_workload(corpus2k, 5, targets=[0.1], ks=[10], seed=6,
                                  include_unfiltered=False)

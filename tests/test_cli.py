@@ -1,8 +1,11 @@
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fanns import cli
 from fanns.cli import main
 from fanns.corpus import load_corpus
 
@@ -57,21 +60,6 @@ class TestBuild:
                   "--out", str(tmp_path / "x")])
 
 
-class TestGt:
-    def test_writes_ground_truth(self, tmp_path, tiny_corpus):
-        out = tmp_path / "gt.bin"
-        code = main(["gt", "--corpus", str(tiny_corpus), "--n-queries", "4",
-                     "--targets", "0.2,0.5", "--k", "5", "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes()[:4] == b"FGT1"
-
-    def test_missing_corpus(self, tmp_path, capsys):
-        code = main(["gt", "--corpus", str(tmp_path / "nope.fvc"), "--out",
-                     str(tmp_path / "gt.bin")])
-        assert code != 0
-        assert "gt error" in capsys.readouterr().err
-
-
 class TestRunAndSummarize:
     def test_pipeline(self, tmp_path, tiny_corpus):
         h = tmp_path / "h.idx"
@@ -108,6 +96,15 @@ class TestRunAndSummarize:
         assert len(lines) == 1 + 1 * 2 * 1  # override to 1 query, 2 filters, 1 k
         assert all("PreExact" in line for line in lines[1:])
 
+    @pytest.mark.parametrize("text", ['{"index_grid": [{"n_clusters": 4}]}', "[1, 2]"])
+    def test_malformed_config(self, tmp_path, tiny_corpus, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code = main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("run error: ")
+
     def test_run_without_indexes(self, tmp_path, tiny_corpus, capsys):
         code = main(["run", "--corpus", str(tiny_corpus), "--out",
                      str(tmp_path / "r.csv")])
@@ -141,3 +138,13 @@ class TestGls:
                      "--index", str(idx), "--sample-size", "300", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 4
+
+
+def test_docs_name_every_subcommand():
+    """README's CLI walkthrough and the module docstring name exactly the
+    subcommands ``main`` dispatches."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    walkthrough = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^fanns (\w+)", walkthrough, re.M)) == set(cli._COMMANDS)
+    docstring = cli.__doc__.splitlines()[0].split(":", 1)[1].rstrip(".")
+    assert {name.strip() for name in docstring.split("/")} == set(cli._COMMANDS)

@@ -13,16 +13,10 @@ from fanns.corpus import (
 )
 from fanns.hnsw import HnswFormatError, hnsw_build, hnsw_search, load_hnsw, save_hnsw
 from fanns.ivfflat import IvfFormatError, ivf_build, ivf_search, load_ivf, save_ivf
-from fanns.oracle import GroundTruthFormatError, batch_ground_truth, load_ground_truth
-
-
-def _save_gt(corpus, path):
-    batch_ground_truth(corpus, corpus.vectors[:3], 4, [None], out_path=path)
 
 
 FORMATS = {
     "FVC1": (save_corpus, load_corpus, CorpusFormatError),
-    "FGT1": (_save_gt, load_ground_truth, GroundTruthFormatError),
     "FHN1": (lambda c, p: save_hnsw(hnsw_build(c, 4, 8, seed=1), p), load_hnsw, HnswFormatError),
     "FIV1": (lambda c, p: save_ivf(ivf_build(c, 3, seed=1), p), load_ivf, IvfFormatError),
 }

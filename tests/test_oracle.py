@@ -11,14 +11,7 @@ from fanns.corpus import (
     ordering_keys,
 )
 from fanns.ivfflat import ivf_build, ivf_search
-from fanns.oracle import (
-    GroundTruthFormatError,
-    batch_ground_truth,
-    exact_knn,
-    exact_scan,
-    load_ground_truth,
-    save_ground_truth,
-)
+from fanns.oracle import exact_knn, exact_scan
 
 
 def _selection_sort_knn(corpus, query, k, mask=None):
@@ -182,60 +175,3 @@ def test_relaxing_mask_never_worsens_jth_neighbor(corpus2k):
     row_l = exact_knn(corpus2k, query, 10, loose)
     for j in range(min(len(row_s), len(row_l))):
         assert row_l.distances[j] <= row_s.distances[j] + 1e-12
-
-
-def test_batch_matches_single(l2_corpus):
-    query = l2_corpus.vectors[4]
-    rows = batch_ground_truth(l2_corpus, query[None, :], 5, [None])
-    single = exact_knn(l2_corpus, query, 5)
-    assert rows[0].ids.tolist() == single.ids.tolist()
-
-
-def test_batch_is_mask_major(l2_corpus):
-    queries = l2_corpus.vectors[:3]
-    masks = [None, build_mask(l2_corpus, 0.5)]
-    rows = batch_ground_truth(l2_corpus, queries, 4, masks)
-    assert len(rows) == 6
-    assert rows[0].ids.tolist() == exact_knn(l2_corpus, queries[0], 4).ids.tolist()
-    assert rows[3].ids.tolist() == exact_knn(l2_corpus, queries[0], 4, masks[1]).ids.tolist()
-
-
-def test_batch_rejects_empty_queries(l2_corpus):
-    with pytest.raises(ValueError):
-        batch_ground_truth(l2_corpus, np.empty((0, 16)), 3, [None])
-
-
-class TestGroundTruthFile:
-    def test_round_trip(self, tmp_path, l2_corpus):
-        queries = l2_corpus.vectors[:10]
-        masks = [None, build_mask(l2_corpus, 0.9)]
-        path = tmp_path / "gt.bin"
-        rows = batch_ground_truth(l2_corpus, queries, 7, masks, out_path=path)
-        loaded, k_max = load_ground_truth(path)
-        assert k_max == 7
-        assert len(loaded) == len(rows)
-        for a, b in zip(rows, loaded):
-            assert a.ids.tolist() == b.ids.tolist()
-            # file stores float32 distances
-            assert np.allclose(a.distances, b.distances, atol=1e-5)
-
-    def test_round_trip_twice_is_byte_identical(self, tmp_path, l2_corpus):
-        queries = l2_corpus.vectors[:4]
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        batch_ground_truth(l2_corpus, queries, 3, [None], out_path=p1)
-        rows, k_max = load_ground_truth(p1)
-        save_ground_truth(rows, k_max, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 8)
-        with pytest.raises(GroundTruthFormatError):
-            load_ground_truth(path)
-
-    def test_truncated_payload(self, tmp_path, l2_corpus):
-        path = tmp_path / "gt.bin"
-        batch_ground_truth(l2_corpus, l2_corpus.vectors[:2], 3, [None], out_path=path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(GroundTruthFormatError):
-            load_ground_truth(path)
