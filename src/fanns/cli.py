@@ -155,6 +155,28 @@ _RUN_DEFAULTS = {
 }
 
 
+# JSON type of each run-config value and of each index_grid entry's values;
+# "[t]" is a list of t
+_CONFIG_TYPES = {"corpus": "str", "index_files": "[str]", "n_queries": "int",
+                 "targets": "[number]", "ks": "[int]", "strategies": "[str]",
+                 "search_params": "[int]", "seed": "int", "dataset_name": "str"}
+_GRID_TYPES = {"m": "int", "ef_construction": "int", "n_clusters": "int", "seed": "int",
+               "search_params": "[int]"}
+
+
+def _has_type(value, name: str) -> bool:
+    if name.startswith("["):
+        return isinstance(value, list) and all(_has_type(v, name[1:-1]) for v in value)
+    scalar = {"int": int, "number": (int, float), "str": str}[name]
+    return isinstance(value, scalar) and not isinstance(value, bool)
+
+
+def _check_types(entries: dict, types: dict, where: str) -> None:
+    for key, name in types.items():
+        if key in entries and not _has_type(entries[key], name):
+            raise CliError(f"run error: {where}: {key} must be {name}, not {entries[key]!r}")
+
+
 def _cmd_run(args) -> int:
     settings = dict(_RUN_DEFAULTS)
     if args.config is not None:
@@ -167,6 +189,9 @@ def _cmd_run(args) -> int:
         if not isinstance(grid, list) or not all(isinstance(r, dict) and "kind" in r for r in grid):
             raise CliError(f"run error: {args.config} must hold a JSON object whose "
                            "index_grid, if any, is a list of objects, each with a kind")
+        _check_types(config, _CONFIG_TYPES, args.config)
+        for raw in grid:
+            _check_types(raw, _GRID_TYPES, f"{args.config} index_grid entry")
         settings.update(config)
     for key in _RUN_DEFAULTS:
         value = getattr(args, key, None)

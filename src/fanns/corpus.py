@@ -11,9 +11,9 @@ similarity.
 
 Every full pass over the corpus rows (the exact scan, the cosine row norms,
 the finiteness and unit-norm checks of a new corpus, the whole IVFFlat build)
-runs over the blocks of :func:`row_blocks`, so its float64 temporaries stay a
-few megabytes whatever the corpus size. Only HNSW keeps a float64 copy of the
-vectors (``Corpus.vectors64``).
+converts one :func:`row_blocks` block at a time, so its float64 temporaries
+stay a few megabytes whatever the corpus size; L2 subtracts in place. Only
+HNSW keeps a float64 copy of the vectors (``Corpus.vectors64``).
 """
 
 from __future__ import annotations
@@ -232,10 +232,11 @@ def ordering_keys(
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
     For L2 the key is the Euclidean distance; for inner product and cosine it
-    is the negated similarity, computed in float64. L2 converts the rows as
-    it subtracts the query, so its one row-sized temporary is the difference;
-    the other metrics convert the rows first. An L2 key depends only on
-    its (query, row) pair, so it is identical whatever other rows share the
+    is the negated similarity, computed in float64. L2 converts float32 rows
+    once and subtracts the query in place (a mixed-dtype broadcast subtract
+    runs a buffered cast with a d-long inner loop); float64 rows, HNSW's, take
+    one subtract. The other metrics convert the rows first. An L2 key depends
+    only on its (query, row) pair, so it is identical whatever rows share the
     call. Inner-product and cosine keys go through a BLAS matrix-vector
     product (``rows.dot(query)``, the same GEMV as ``rows @ query`` without
     the matmul dispatch), whose rounding can move a key by an ulp when the
@@ -252,7 +253,11 @@ def ordering_keys(
     if rows.shape[1] != query.shape[0]:
         raise ValueError(f"dimension mismatch: {query.shape[0]} vs {rows.shape[1]}")
     if metric is Metric.L2:
-        diff = np.subtract(rows, query, dtype=np.float64)
+        if rows.dtype == np.float64:
+            diff = rows - query
+        else:
+            diff = rows.astype(np.float64)
+            diff -= query
         keys = np.einsum("ij,ij->i", diff, diff)
         return np.sqrt(keys, out=keys)
     rows = np.asarray(rows, dtype=np.float64)

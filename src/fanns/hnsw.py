@@ -261,6 +261,8 @@ def hnsw_search(
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if ef_search < 1:
         raise ValueError("ef_search must be >= 1")
     if mode in ("prefilter", "dualpool"):

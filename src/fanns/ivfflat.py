@@ -3,8 +3,8 @@
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
 iterations, deterministic given the seed) in float64 arithmetic. Every pass
 over the rows reads the float32 vectors one block of about ``ROW_BLOCK`` rows
-at a time (each cluster mean, one cluster at a time) and converts only that
-block, so the build makes no float64 copy of the corpus.
+at a time (each cluster mean, one cluster at a time, gathered with ``take``)
+and converts only that block: the build makes no float64 copy of the corpus.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -67,9 +67,10 @@ class IvfIndex:
 
 
 def _sq_dists(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Squared L2 distance of each row from ``point``, computed in float64
-    whatever the dtype of ``rows``."""
-    diff = np.subtract(rows, point, dtype=np.float64)
+    """Squared L2 distance of each row from ``point`` in float64: the rows
+    are converted once and ``point`` subtracted in place, as L2 keys do."""
+    diff = rows.astype(np.float64)
+    diff -= point
     np.square(diff, out=diff)
     return np.sum(diff, axis=1)
 
@@ -130,10 +131,10 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     float32 rows read one ``row_blocks`` block at a time: no float64 copy of
     the corpus is made. Row norms are computed once; seeding distances and
     each Lloyd step's distance matrix block by block. Each cluster mean
-    averages its rows in id order, gathered and converted one cluster at a
-    time through one stable sort of the assignment. Empty clusters are
-    reseeded from the farthest point of the largest cluster. The final
-    row-to-list assignment uses the corpus metric.
+    averages its rows in id order, gathered with ``take`` and converted one
+    cluster at a time through one stable sort of the assignment. Empty
+    clusters are reseeded from the farthest point of the largest cluster. The
+    final row-to-list assignment uses the corpus metric.
     """
     if not 1 <= n_clusters <= corpus.n:
         raise ValueError("n_clusters must be in [1, N]")
@@ -149,11 +150,11 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
         starts = np.cumsum(counts) - counts
         for c in np.flatnonzero(counts):
             members = order[starts[c] : starts[c] + counts[c]]
-            new_centroids[c] = vectors[members].astype(np.float64).mean(axis=0)
+            new_centroids[c] = vectors.take(members, axis=0).astype(np.float64).mean(axis=0)
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
-            dists = _sq_dists(vectors[members], new_centroids[largest])
+            dists = _sq_dists(vectors.take(members, axis=0), new_centroids[largest])
             stray = members[int(np.argmax(dists))]
             new_centroids[c] = vectors[stray]
             assign[stray] = c
@@ -196,13 +197,15 @@ def ivf_search(
     mask: Optional[FilterMask] = None,
 ) -> SearchResult:
     """Exact top k of the (mask-valid) rows of the n_probe nearest lists."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not 1 <= n_probe <= index.n_clusters:
         raise ValueError("n_probe must be in [1, C]")
     require_built_from(index, corpus)
     require_mask_for(corpus, mask)
     require_finite(query)
     centroid_keys = ordering_keys(query, index.centroids, index.metric)
-    probe_order = np.lexsort((np.arange(index.n_clusters), centroid_keys))[:n_probe]
+    probe_order = np.argsort(centroid_keys, kind="stable")[:n_probe]
     ids = np.concatenate([index.lists[c] for c in probe_order])
     probed = len(ids)
     if mask is not None:

@@ -8,10 +8,11 @@ keys of :mod:`fanns.corpus`, so approximate results can be compared
 value-for-value. Ties are broken by ascending row id everywhere.
 
 The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
-straight from the float32 vectors: no float64 copy of the corpus is made.
-Cosine scans take their divisors from ``Corpus.cosine_divisors``, which reads
-the corpus's cached row norms, so a cosine corpus with any zero row fails
-every exact scan, masked or not.
+straight from the float32 vectors (gathered by ``take``, faster than fancy
+indexing; a full scan slices them and uses row positions as ids): no float64
+copy of the corpus is made. Cosine scans take their divisors from
+``Corpus.cosine_divisors``, which reads the corpus's cached row norms, so a
+cosine corpus with any zero row fails every exact scan, masked or not.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def exact_scan(
     """The (key, id)-ordered top k of the rows ``ids`` (every row when None).
 
     Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
-    and gathered by id otherwise, with keys bit-identical to one
+    and gathered by id with ``take`` otherwise, with keys bit-identical to one
     ``ordering_keys`` call over all of them; every row counts as a distance
     evaluation. Under cosine each block's divisors are the block's
     ``Corpus.cosine_divisors``; a zero query, or any zero row in the corpus,
@@ -48,21 +49,23 @@ def exact_scan(
     before the cut, so ties go to the smaller id whatever order ``ids`` is in.
     """
     full = ids is None
-    ids = np.arange(corpus.n) if full else np.asarray(ids, dtype=np.int64)
-    m = min(k, len(ids))
+    ids = None if full else np.asarray(ids, dtype=np.int64)
+    n = corpus.n if full else len(ids)
+    m = min(k, n)
     if m < 1:
         return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     query = np.asarray(query, dtype=np.float64)
-    keys = np.empty(len(ids))
-    for block in row_blocks(len(ids)):
+    keys = np.empty(n)
+    for block in row_blocks(n):
         block_ids = block if full else ids[block]
+        rows = corpus.vectors[block] if full else corpus.vectors.take(block_ids, axis=0)
         divisors = corpus.cosine_divisors(query, block_ids)
-        keys[block] = ordering_keys(query, corpus.vectors[block_ids], corpus.metric, divisors)
+        keys[block] = ordering_keys(query, rows, corpus.metric, divisors)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
-    order = pick[np.lexsort((ids[pick], keys[pick]))][:m]
-    telemetry = SearchTelemetry(distance_evaluations=len(ids), nodes_visited=len(ids))
-    return SearchResult(ids[order], keys[order], telemetry)
+    order = pick[np.lexsort((pick if full else ids[pick], keys[pick]))][:m]
+    telemetry = SearchTelemetry(distance_evaluations=n, nodes_visited=n)
+    return SearchResult(order if full else ids[order], keys[order], telemetry)
 
 
 def exact_knn(

@@ -111,6 +111,8 @@ def execute(
     params: SearchParams,
 ) -> ExecutionRecord:
     """Run one filtered query under the given plan, timing the whole call."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     require_mask_for(corpus, mask)
     if mask is not None and mask.is_empty and plan.kind is not PlanKind.PRE_ANNS:
         raise ValueError("mask must be non-empty for filtered plans")

@@ -78,3 +78,20 @@ def sample_queries(corpus, n, seed):
     rng = np.random.default_rng(seed)
     ids = rng.choice(corpus.n, size=n, replace=False)
     return ids, corpus.vectors[ids]
+
+
+def mixed_dtype_keys(query, rows, metric, norms=None):
+    """``ordering_keys`` with the L2 difference formed by one mixed-dtype
+    subtract, ``np.subtract(rows, query, dtype=np.float64)``: the reference
+    that the converted-then-subtracted kernel must equal bit for bit."""
+    query = np.asarray(query, dtype=np.float64)
+    rows = np.atleast_2d(rows)
+    if metric is Metric.L2:
+        diff = np.subtract(rows, query, dtype=np.float64)
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    rows = np.asarray(rows, dtype=np.float64)
+    if metric is Metric.INNER_PRODUCT:
+        return -rows.dot(query)
+    if norms is None:
+        norms = np.linalg.norm(query) * np.linalg.norm(rows, axis=1)
+    return -rows.dot(query) / norms

@@ -96,7 +96,12 @@ class TestRunAndSummarize:
         assert len(lines) == 1 + 1 * 2 * 1  # override to 1 query, 2 filters, 1 k
         assert all("PreExact" in line for line in lines[1:])
 
-    @pytest.mark.parametrize("text", ['{"index_grid": [{"n_clusters": 4}]}', "[1, 2]"])
+    @pytest.mark.parametrize("text", [
+        '{"index_grid": [{"n_clusters": 4}]}',
+        "[1, 2]",
+        '{"search_params": 5, "index_grid": [{"kind": "ivfflat", "n_clusters": 4}]}',
+        '{"index_grid": [{"kind": "ivfflat", "n_clusters": "4"}]}',
+    ])
     def test_malformed_config(self, tmp_path, tiny_corpus, capsys, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)

@@ -12,10 +12,11 @@ from fanns.corpus import (
     ordering_keys,
     threshold_for_selectivity,
 )
-from fanns.ivfflat import IvfFormatError, ivf_build, ivf_search, load_ivf, save_ivf
-from fanns.oracle import exact_knn
+from fanns import ivfflat
+from fanns.ivfflat import IvfFormatError, IvfIndex, ivf_build, ivf_search, load_ivf, save_ivf
+from fanns.oracle import exact_knn, exact_scan
 
-from conftest import sample_queries
+from conftest import ROW_COUNTS, mixed_dtype_keys, sample_queries
 
 
 def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
@@ -68,6 +69,11 @@ def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
         final_assign[start:stop] = np.argmin(np.stack(keys, axis=1), axis=1)
     lists = [np.flatnonzero(final_assign == c) for c in range(n_clusters)]
     return centroids.astype(np.float32), lists
+
+
+def _mixed_dtype_sq_dists(rows, point):
+    """``_sq_dists`` with one mixed-dtype subtract: its bit-for-bit reference."""
+    return np.sum(np.square(np.subtract(rows, point, dtype=np.float64)), axis=1)
 
 
 def _mixture(n, d, metric, seed):
@@ -174,6 +180,29 @@ class TestBuild:
             tracemalloc.stop()
         assert peak < float64_copy
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sq_dists_equal_the_mixed_dtype_formula(self, dtype):
+        rng = np.random.default_rng(30)
+        n = 2 * ROW_BLOCK + 1
+        matrix = (rng.standard_normal((n, 12)) * rng.uniform(0.5, 2, (n, 1))).astype(dtype)
+        for point in (0.0, rng.standard_normal(12)):
+            for m in ROW_COUNTS:
+                start = int(rng.integers(0, n - m + 1))
+                for rows in (matrix[start : start + m], matrix[rng.choice(n, m)]):
+                    expected = _mixed_dtype_sq_dists(rows, point)
+                    assert np.array_equal(ivfflat._sq_dists(rows, point), expected)
+
+    @pytest.mark.parametrize("name", ["l2", "duplicate rows"])
+    def test_build_bytes_equal_the_mixed_dtype_kernels(self, tmp_path, monkeypatch, name):
+        # the seeding, reseeding and final-assignment kernels swapped for the
+        # mixed-dtype subtract must leave the index file unchanged
+        corpus = BLOCKED_BUILD_CORPORA[name]()
+        save_ivf(ivf_build(corpus, 50, seed=12), tmp_path / "real.idx")
+        monkeypatch.setattr(ivfflat, "_sq_dists", _mixed_dtype_sq_dists)
+        monkeypatch.setattr(ivfflat, "ordering_keys", mixed_dtype_keys)
+        save_ivf(ivf_build(corpus, 50, seed=12), tmp_path / "reference.idx")
+        assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
+
     def test_cluster_count_validation(self, corpus2k):
         with pytest.raises(ValueError):
             ivf_build(corpus2k, 0, seed=0)
@@ -243,6 +272,22 @@ class TestSearch:
         query[0] = bad
         with pytest.raises(ValueError, match="finite"):
             ivf_search(ivf2k, corpus2k, query, 10, 5)
+
+    def test_tied_centroids_are_probed_in_list_id_order(self):
+        # 40 lists whose centroids are copies of 3 points: every n_probe must
+        # search the lowest-numbered lists of the group tied at key 0
+        rng = np.random.default_rng(31)
+        corpus = Corpus(rng.standard_normal((400, 4)).astype(np.float32),
+                        rng.uniform(0, 1, 400), Metric.L2)
+        points = rng.standard_normal((3, 4)).astype(np.float32)
+        group = rng.integers(0, 3, size=40)
+        lists = [np.sort(lst) for lst in np.array_split(rng.permutation(400), 40)]
+        index = IvfIndex(40, 0, Metric.L2, points[group], lists)
+        tied = np.flatnonzero(group == 0)
+        for n_probe in range(1, len(tied) + 1):
+            got = ivf_search(index, corpus, points[0], corpus.n, n_probe)
+            probed = np.concatenate([lists[c] for c in tied[:n_probe]])
+            assert np.array_equal(got.ids, exact_scan(corpus, points[0], corpus.n, probed).ids)
 
     def test_parameter_validation(self, corpus2k, ivf2k):
         query = corpus2k.vectors[0]

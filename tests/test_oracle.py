@@ -9,9 +9,13 @@ from fanns.corpus import (
     build_mask,
     generate_synthetic,
     ordering_keys,
+    row_blocks,
 )
 from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import exact_knn, exact_scan
+from fanns.telemetry import SearchTelemetry
+
+from conftest import mixed_dtype_keys
 
 
 def _selection_sort_knn(corpus, query, k, mask=None):
@@ -175,3 +179,83 @@ def test_relaxing_mask_never_worsens_jth_neighbor(corpus2k):
     row_l = exact_knn(corpus2k, query, 10, loose)
     for j in range(min(len(row_s), len(row_l))):
         assert row_l.distances[j] <= row_s.distances[j] + 1e-12
+
+
+def _reference_exact_scan(corpus, query, k, ids=None):
+    """The exact scan with a fancy-index gather per block, ``np.arange`` ids
+    for a full scan and the mixed-dtype L2 subtract: slow, and the reference
+    the gathered and position-id scan must equal in ids, keys and counters."""
+    full = ids is None
+    ids = np.arange(corpus.n) if full else np.asarray(ids, dtype=np.int64)
+    m = min(k, len(ids))
+    if m < 1:
+        return np.empty(0, dtype=np.int64), np.empty(0), SearchTelemetry()
+    query = np.asarray(query, dtype=np.float64)
+    keys = np.empty(len(ids))
+    for block in row_blocks(len(ids)):
+        block_ids = block if full else ids[block]
+        divisors = None
+        if corpus.metric is Metric.COSINE:
+            divisors = np.linalg.norm(query) * corpus.cosine_row_norms[block_ids]
+        keys[block] = mixed_dtype_keys(query, corpus.vectors[block_ids], corpus.metric, divisors)
+    kth = keys[np.argpartition(keys, m - 1)[m - 1]]
+    pick = np.flatnonzero(keys <= kth)
+    order = pick[np.lexsort((ids[pick], keys[pick]))][:m]
+    return ids[order], keys[order], SearchTelemetry(len(ids), len(ids))
+
+
+class TestReferenceScan:
+    N = 2 * ROW_BLOCK + 1  # two blocks, the second with the one-row tail
+
+    @pytest.fixture(scope="class", params=list(Metric), ids=lambda m: m.name)
+    def tied_corpus(self, request):
+        """Rows of varied norms, a quarter of them copies of other rows, so
+        that many keys tie."""
+        rng = np.random.default_rng(60 + request.param.value)
+        vectors = rng.standard_normal((self.N, 8)) * 10.0 ** rng.uniform(-1, 1, (self.N, 1))
+        vectors[rng.choice(self.N, self.N // 4)] = vectors[rng.choice(self.N, self.N // 4)]
+        return Corpus(vectors.astype(np.float32), rng.uniform(0, 1, self.N), request.param)
+
+    def _queries(self, corpus):
+        rng = np.random.default_rng(61)
+        row = corpus.vectors[int(rng.integers(corpus.n))]
+        return {"float32 row": row, "float64 row": row.astype(np.float64),
+                "float64": rng.standard_normal(corpus.dim)}
+
+    @staticmethod
+    def _assert_equal(result, reference):
+        ids, keys, telemetry = reference
+        assert result.ids.dtype == np.int64
+        assert np.array_equal(result.ids, ids)
+        assert np.array_equal(result.distances, keys)
+        assert result.telemetry == telemetry
+
+    @pytest.mark.parametrize("k", [1, 10, ROW_BLOCK + 1, N])
+    def test_scans_equal_the_reference(self, tied_corpus, k):
+        rng = np.random.default_rng(k)
+        shuffled = rng.permutation(self.N)
+        scans = {
+            "full": None,
+            "shuffled": shuffled,
+            "shuffled part": shuffled[: ROW_BLOCK + 1],
+            "sorted part": np.sort(shuffled[:ROW_BLOCK]),
+            "empty": np.empty(0, dtype=np.int64),
+        }
+        for query in self._queries(tied_corpus).values():
+            for ids in scans.values():
+                self._assert_equal(
+                    exact_scan(tied_corpus, query, k, ids),
+                    _reference_exact_scan(tied_corpus, query, k, ids),
+                )
+
+    @pytest.mark.parametrize("k", [1, 10, ROW_BLOCK + 1, N])
+    def test_exact_knn_equals_the_reference(self, tied_corpus, k):
+        for sigma in (None, 0.05, 0.5, 1.0):
+            mask = None if sigma is None else build_mask(
+                tied_corpus, np.quantile(tied_corpus.attribute, 1.0 - sigma))
+            ids = None if mask is None else mask.valid_ids()
+            for query in self._queries(tied_corpus).values():
+                self._assert_equal(
+                    exact_knn(tied_corpus, query, k, mask),
+                    _reference_exact_scan(tied_corpus, query, k, ids),
+                )

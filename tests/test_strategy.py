@@ -308,3 +308,29 @@ def test_a_mask_for_another_corpus_is_refused(small300, entry, rows):
     mask = FilterMask(np.arange(rows) % 2 == 0)
     with pytest.raises(ValueError, match=f"mask has {rows} bits; the corpus has 300 rows"):
         MASK_ENTRY_POINTS[entry](c, h, i, c.vectors[7], mask)
+
+
+# every search entry point but execute that takes k, called on
+# (corpus, hnsw, ivf, query, k)
+K_ENTRY_POINTS = {
+    "exact_knn": lambda c, h, i, q, k: exact_knn(c, q, k),
+    "hnsw_search": lambda c, h, i, q, k: hnsw_search(h, c, q, k, 10),
+    "ivf_search": lambda c, h, i, q, k: ivfflat.ivf_search(i, c, q, k, 3),
+}
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+def test_k_below_one_is_refused(small300, entry, k):
+    c, h, i = small300
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        K_ENTRY_POINTS[entry](c, h, i, c.vectors[7], k)
+
+
+@pytest.mark.parametrize("kind", list(PlanKind), ids=lambda kind: kind.value)
+def test_execute_refuses_k_below_one(small300, kind):
+    c, h, i = small300
+    for index in (h, i):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                execute(index, c, c.vectors[7], k, build_mask(c, 0.5), StrategyPlan(kind), PARAMS)
