@@ -6,7 +6,7 @@ index config, search param, strategy) cell single-threaded, one query at a
 time, each timed individually with a monotonic clock. A row's throughput is
 1 / latency; ``summarize`` reports both the mean of those and queries over
 summed latency. Indexes are built once per config and reused across the whole
-grid.
+grid; rows are labelled from the searched index itself (``IndexConfig.of``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from fanns import oracle, strategy
 from fanns.corpus import Corpus, FilterMask, build_mask, threshold_for_selectivity
-from fanns.hnsw import hnsw_build
+from fanns.hnsw import HnswIndex, hnsw_build
 from fanns.ivfflat import ivf_build
 from fanns.strategy import PlanKind, SearchParams, StrategyPlan
 from fanns.telemetry import SearchResult
@@ -45,7 +45,6 @@ class FilterSpec:
     """One realized filter condition; target None means unfiltered."""
 
     target_sigma: Optional[float]
-    threshold: Optional[float]
     realized_sigma: float
     mask: Optional[FilterMask]
 
@@ -60,7 +59,6 @@ class Workload:
     queries: np.ndarray
     filters: tuple[FilterSpec, ...]
     ks: tuple[int, ...]
-    seed: int
 
     @property
     def n_instances(self) -> int:
@@ -83,8 +81,15 @@ class IndexConfig:
             raise ValueError(f"unknown index kind {self.kind!r}")
         if self.kind == "hnsw" and (self.m is None or self.ef_construction is None):
             raise ValueError("hnsw config requires m and ef_construction")
-        if self.kind == "ivfflat" and self.n_clusters is None:
-            raise ValueError("ivfflat config requires n_clusters")
+
+    @classmethod
+    def of(cls, index, search_params: Sequence[int] = ()) -> "IndexConfig":
+        """The config that builds ``index``, its IVFFlat n_probes cut to the list count."""
+        if isinstance(index, HnswIndex):
+            return cls("hnsw", m=index.m, ef_construction=index.ef_construction,
+                       seed=index.seed, search_params=tuple(search_params))
+        return cls("ivfflat", n_clusters=index.n_clusters, seed=index.seed,
+                   search_params=tuple(min(p, index.n_clusters) for p in search_params))
 
 
 def make_workload(
@@ -114,15 +119,14 @@ def make_workload(
                 f"selectivity target {target:g} unattainable; nearest is {realized:g}",
                 stacklevel=2,
             )
-        filters.append(FilterSpec(target, threshold, realized, mask))
+        filters.append(FilterSpec(target, realized, mask))
     if include_unfiltered:
-        filters.append(FilterSpec(None, None, 1.0, None))
+        filters.append(FilterSpec(None, 1.0, None))
     return Workload(
         query_ids=query_ids,
         queries=corpus.vectors[query_ids].copy(),
         filters=tuple(filters),
         ks=tuple(ks),
-        seed=seed,
     )
 
 
@@ -163,12 +167,16 @@ def _plan_for(name: str) -> StrategyPlan:
 
 
 def build_index(corpus: Corpus, config: IndexConfig):
-    """Build the index ``config`` names; returns it with the build's seconds."""
+    """Build the index ``config`` names, by default round(sqrt(N)) IVFFlat
+    lists; returns it with the build's seconds."""
     start = time.perf_counter()
     if config.kind == "hnsw":
         index = hnsw_build(corpus, config.m, config.ef_construction, config.seed)
     else:
-        index = ivf_build(corpus, config.n_clusters, config.seed)
+        n_clusters = config.n_clusters
+        if n_clusters is None:
+            n_clusters = max(1, int(round(np.sqrt(corpus.n))))
+        index = ivf_build(corpus, n_clusters, config.seed)
     return index, time.perf_counter() - start
 
 
@@ -185,10 +193,11 @@ def run_experiment(
 
     Ground truth is computed once per (filter, query) at max(ks) and sliced.
     Incompatible cells (Runtime strategy without a filter) are logged and
-    skipped, never silently dropped. `prebuilt`, when given, must align with
-    `index_grid` and supplies already-built indexes (their build time is
-    reported as 0). An IVFFlat n_probe above n_clusters searches every list and
-    is recorded as n_clusters; each distinct searched value runs once.
+    skipped, never silently dropped. `prebuilt`, when given, aligns with
+    `index_grid` (then read for search params only) and supplies built indexes,
+    timed at 0 s. Rows are labelled from the searched index, never its config;
+    an IVFFlat n_probe above its list count searches every list and is recorded
+    as that count. Each distinct searched value runs once.
     """
     if not index_grid or not strategy_list:
         raise ValueError("index_grid and strategy_list must be nonempty")
@@ -207,14 +216,12 @@ def run_experiment(
             index, build_time = prebuilt[ci], 0.0
         else:
             index, build_time = build_index(corpus, config)
-        for param in dict.fromkeys(
-            p if config.kind == "hnsw" else min(p, config.n_clusters) for p in config.search_params
-        ):
-            params = (
-                SearchParams(ef_search=param)
-                if config.kind == "hnsw"
-                else SearchParams(n_probe=param)
-            )
+        built = IndexConfig.of(index, config.search_params)
+        labels = {col: "" if value is None else value for col, value in zip(
+            _CONFIG_COLS, (built.kind, built.m, built.ef_construction, built.n_clusters))}
+        for param in dict.fromkeys(built.search_params):
+            # each family reads its own budget and ignores the other
+            params = SearchParams(ef_search=param, n_probe=param)
             # warm-up pass: touch the whole search path once, untimed
             for name in strategy_list:
                 if name == "Runtime" and workload.filters[0].mask is None:
@@ -242,14 +249,7 @@ def run_experiment(
                             rows.append(
                                 {
                                     "dataset": dataset_name,
-                                    "index": config.kind,
-                                    "M": config.m if config.kind == "hnsw" else "",
-                                    "ef_construction": config.ef_construction
-                                    if config.kind == "hnsw"
-                                    else "",
-                                    "n_clusters": config.n_clusters
-                                    if config.kind == "ivfflat"
-                                    else "",
+                                    **labels,
                                     "strategy": name,
                                     "search_param": param,
                                     "k": k,
@@ -281,7 +281,12 @@ def write_results_csv(rows: Sequence[dict], path: str | Path) -> None:
 
 def load_results_csv(path: str | Path) -> list[dict]:
     with open(path, newline="") as fh:
-        raw = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        raw = list(reader)
+    if reader.fieldnames != RESULTS_HEADER.split(",") or any(
+            None in r or None in r.values() for r in raw):
+        raise ValueError(f"{path} is not a results CSV: its header must be {RESULTS_HEADER} "
+                         "and each row must hold exactly those fields")
     rows = []
     for r in raw:
         row = dict(r)

@@ -2,7 +2,9 @@
 
 Every subcommand is deterministic given its --seed arguments, validates its
 inputs before writing anything, and never mutates input files. Errors exit
-nonzero with a subcommand-specific message prefix on stderr.
+nonzero with a subcommand-specific message prefix on stderr. ``run`` is the
+one experiment frontend; its ``--config`` file may hold the settings in
+``_RUN_SETTINGS`` and nothing else.
 """
 
 from __future__ import annotations
@@ -100,23 +102,14 @@ def _require_file(path: str, prefix: str) -> Path:
     return p
 
 
-def _load_index(path: Path, prefix: str, search_params=()) -> tuple[object, bench.IndexConfig]:
-    """The index in an FHN1 or FIV1 file, told apart by its magic, and the
-    config that builds it, with ``search_params`` to run it under."""
+def _load_index(path: Path, prefix: str):
+    """The index in an FHN1 or FIV1 file, told apart by its magic."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"FHN1":
-        index = load_hnsw(path)
-        return index, bench.IndexConfig(
-            kind="hnsw", m=index.m, ef_construction=index.ef_construction,
-            seed=index.seed, search_params=search_params,
-        )
+        return load_hnsw(path)
     if magic == b"FIV1":
-        index = load_ivf(path)
-        return index, bench.IndexConfig(
-            kind="ivfflat", n_clusters=index.n_clusters, seed=index.seed,
-            search_params=search_params,
-        )
+        return load_ivf(path)
     raise CliError(f"{prefix}: {path} is not a recognized index file")
 
 
@@ -131,12 +124,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     corpus = load_corpus(_require_file(args.corpus, "build error"))
-    n_clusters = args.n_clusters
-    if n_clusters is None:
-        n_clusters = max(1, int(round(np.sqrt(corpus.n))))
     config = bench.IndexConfig(
         kind=args.index, m=args.m, ef_construction=args.ef_construction,
-        n_clusters=n_clusters, seed=args.seed,
+        n_clusters=args.n_clusters, seed=args.seed,
     )
     index, _ = bench.build_index(corpus, config)
     (save_hnsw if args.index == "hnsw" else save_ivf)(index, args.out)
@@ -144,83 +134,73 @@ def _cmd_build(args) -> int:
     return 0
 
 
-_RUN_DEFAULTS = {
-    "n_queries": 100,
-    "targets": list(bench.DEFAULT_TARGETS),
-    "ks": list(bench.DEFAULT_KS),
-    "strategies": ["PreAnns", "Post", "AdaptiveAuto"],
-    "search_params": [10, 100],
-    "seed": 0,
-    "dataset_name": "synthetic",
+# Each run setting: its JSON type ("[t]" is a list of t) and its default. A
+# flag of the same name overrides the --config file.
+_RUN_SETTINGS = {
+    "corpus": ("str", None),
+    "index_files": ("[str]", None),
+    "index_grid": ("[object]", []),
+    "n_queries": ("int", 100),
+    "targets": ("[number]", list(bench.DEFAULT_TARGETS)),
+    "ks": ("[int]", list(bench.DEFAULT_KS)),
+    "strategies": ("[str]", ["PreAnns", "Post", "AdaptiveAuto"]),
+    "search_params": ("[int]", [10, 100]),
+    "seed": ("int", 0),
+    "dataset_name": ("str", "synthetic"),
 }
-
-
-# JSON type of each run-config value and of each index_grid entry's values;
-# "[t]" is a list of t
-_CONFIG_TYPES = {"corpus": "str", "index_files": "[str]", "n_queries": "int",
-                 "targets": "[number]", "ks": "[int]", "strategies": "[str]",
-                 "search_params": "[int]", "seed": "int", "dataset_name": "str"}
-_GRID_TYPES = {"m": "int", "ef_construction": "int", "n_clusters": "int", "seed": "int",
-               "search_params": "[int]"}
+# The settings of one index_grid entry, each a bench.IndexConfig field; kind
+# is required, and search_params defaults to the run's
+_GRID_TYPES = {"kind": "str", "m": "int", "ef_construction": "int", "n_clusters": "int",
+               "seed": "int", "search_params": "[int]"}
 
 
 def _has_type(value, name: str) -> bool:
     if name.startswith("["):
         return isinstance(value, list) and all(_has_type(v, name[1:-1]) for v in value)
-    scalar = {"int": int, "number": (int, float), "str": str}[name]
+    scalar = {"int": int, "number": (int, float), "str": str, "object": dict}[name]
     return isinstance(value, scalar) and not isinstance(value, bool)
 
 
-def _check_types(entries: dict, types: dict, where: str) -> None:
-    for key, name in types.items():
-        if key in entries and not _has_type(entries[key], name):
-            raise CliError(f"run error: {where}: {key} must be {name}, not {entries[key]!r}")
+def _check_settings(entries: dict, types: dict, where: str) -> None:
+    for key, value in entries.items():
+        if key not in types:
+            raise CliError(f"run error: {where}: unknown setting {key!r}")
+        if not _has_type(value, types[key]):
+            raise CliError(f"run error: {where}: {key} must be {types[key]}, not {value!r}")
 
 
 def _cmd_run(args) -> int:
-    settings = dict(_RUN_DEFAULTS)
+    settings = {key: default for key, (_, default) in _RUN_SETTINGS.items()}
     if args.config is not None:
         cfg_path = _require_file(args.config, "run error")
         try:
             config = json.loads(cfg_path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"run error: bad JSON in {args.config}: {exc}") from exc
-        grid = config.get("index_grid", []) if isinstance(config, dict) else None
-        if not isinstance(grid, list) or not all(isinstance(r, dict) and "kind" in r for r in grid):
-            raise CliError(f"run error: {args.config} must hold a JSON object whose "
-                           "index_grid, if any, is a list of objects, each with a kind")
-        _check_types(config, _CONFIG_TYPES, args.config)
-        for raw in grid:
-            _check_types(raw, _GRID_TYPES, f"{args.config} index_grid entry")
+        if not isinstance(config, dict):
+            raise CliError(f"run error: {args.config} must hold a JSON object")
+        _check_settings(config, {key: t for key, (t, _) in _RUN_SETTINGS.items()}, args.config)
+        for raw in config.get("index_grid", []):
+            if "kind" not in raw:
+                raise CliError(f"run error: {args.config}: index_grid entry {raw} has no kind")
+            _check_settings(raw, _GRID_TYPES, f"{args.config} index_grid entry")
         settings.update(config)
-    for key in _RUN_DEFAULTS:
+    for key in settings:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    corpus_path = args.corpus or settings.get("corpus")
-    if corpus_path is None:
+    if settings["corpus"] is None:
         raise CliError("run error: --corpus (or a corpus entry in --config) is required")
-    corpus = load_corpus(_require_file(corpus_path, "run error"))
+    corpus = load_corpus(_require_file(settings["corpus"], "run error"))
 
-    index_files = args.index_files or settings.get("index_files")
-    configs: list[bench.IndexConfig] = []
     prebuilt = None
-    if index_files:
-        prebuilt = []
-        for f in index_files:
-            index, config = _load_index(
-                _require_file(f, "run error"), "run error", tuple(settings["search_params"])
-            )
-            prebuilt.append(index)
-            configs.append(config)
+    if settings["index_files"]:
+        prebuilt = [_load_index(_require_file(f, "run error"), "run error")
+                    for f in settings["index_files"]]
+        configs = [bench.IndexConfig.of(index, settings["search_params"]) for index in prebuilt]
     else:
-        for raw in settings.get("index_grid", []):
-            configs.append(bench.IndexConfig(
-                kind=raw["kind"], m=raw.get("m"),
-                ef_construction=raw.get("ef_construction"),
-                n_clusters=raw.get("n_clusters"), seed=raw.get("seed", 0),
-                search_params=tuple(raw.get("search_params", settings["search_params"])),
-            ))
+        configs = [bench.IndexConfig(**dict(raw, search_params=tuple(
+            raw.get("search_params", settings["search_params"])))) for raw in settings["index_grid"]]
     if not configs:
         raise CliError("run error: no indexes given (--index-files or config index_grid)")
 
@@ -243,7 +223,7 @@ def _cmd_gls(args) -> int:
     queries = corpus.vectors[query_ids]
     index = None
     if args.index is not None:
-        index, _ = _load_index(_require_file(args.index, "gls error"), "gls error")
+        index = _load_index(_require_file(args.index, "gls error"), "gls error")
     entries = []
     qid = 0
     for target in args.targets:

@@ -14,8 +14,11 @@ from fanns.bench import (
     summarize,
     write_results_csv,
 )
-from fanns.corpus import Corpus, Metric
+from fanns.corpus import Corpus, Metric, generate_synthetic
+from fanns.hnsw import hnsw_build
+from fanns.ivfflat import ivf_build
 from fanns.oracle import exact_knn
+from fanns.strategy import PlanKind, SearchParams, StrategyPlan, execute
 from fanns.telemetry import SearchResult
 
 
@@ -118,6 +121,30 @@ class TestRunExperiment:
         # n_probe 20 searches the same 8 lists as n_probe 8: one config, not two
         assert [row["search_param"] for row in rows[::4]] == [3, 8]
         assert len(rows) == 2 * 2 * 2
+
+    def test_rows_are_labelled_from_the_searched_index(self):
+        """A prebuilt index is searched and labelled with its own build
+        parameters, whatever its config says."""
+        corpus = generate_synthetic(600, 8, 3)
+        workload = make_workload(corpus, 3, targets=[0.5], ks=[5], seed=1)
+        ivf = ivf_build(corpus, 45, seed=0)
+        config = IndexConfig(kind="ivfflat", n_clusters=8, search_params=(20,))
+        rows = run_experiment(corpus, workload, [config], ["PreAnns"], prebuilt=[ivf])
+        assert {(row["n_clusters"], row["search_param"]) for row in rows} == {(45, 20)}
+        expected = []
+        for spec in workload.filters:
+            for query in workload.queries:
+                record = execute(ivf, corpus, query, 5, spec.mask,
+                                 StrategyPlan(PlanKind.PRE_ANNS), SearchParams(n_probe=20))
+                expected.append(record.telemetry.distance_evaluations
+                                + record.telemetry.centroid_evaluations)
+        assert [row["dist_evals"] for row in rows] == expected
+
+        hnsw = hnsw_build(corpus, 6, 24, seed=0)
+        config = IndexConfig(kind="hnsw", m=16, ef_construction=200, search_params=(20,))
+        rows = run_experiment(corpus, workload, [config], ["PreAnns"], prebuilt=[hnsw])
+        assert {(row["M"], row["ef_construction"], row["n_clusters"]) for row in rows} == {
+            (6, 24, "")}
 
     def test_preexact_rows_have_unit_recall(self, corpus2k):
         workload = make_workload(corpus2k, 5, targets=[0.1], ks=[10], seed=6,

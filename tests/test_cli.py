@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fanns import cli
+from fanns import bench, cli
 from fanns.cli import main
 from fanns.corpus import load_corpus
 
@@ -60,6 +60,10 @@ class TestBuild:
                   "--out", str(tmp_path / "x")])
 
 
+# one well-formed results row, in RESULTS_HEADER's column order
+_RESULT_ROW = "synthetic,hnsw,6,30,,PreAnns,20,10,0.5,0.5,3,1.0,1.0,0.001,1000.0,50,0,0.0"
+
+
 class TestRunAndSummarize:
     def test_pipeline(self, tmp_path, tiny_corpus):
         h = tmp_path / "h.idx"
@@ -101,6 +105,9 @@ class TestRunAndSummarize:
         "[1, 2]",
         '{"search_params": 5, "index_grid": [{"kind": "ivfflat", "n_clusters": 4}]}',
         '{"index_grid": [{"kind": "ivfflat", "n_clusters": "4"}]}',
+        '{"n_querys": 3, "ks": [5], "targets": [0.5], "strategies": ["PreExact"],'
+        ' "index_grid": [{"kind": "ivfflat", "n_clusters": 4, "n_probe": 2}]}',
+        '{"index_grid": [{"kind": "ivfflat", "n_clusters": 4, "n_probe": 2}]}',
     ])
     def test_malformed_config(self, tmp_path, tiny_corpus, capsys, text):
         cfg = tmp_path / "run.json"
@@ -109,6 +116,16 @@ class TestRunAndSummarize:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("run error: ")
+
+    def test_grid_entry_without_n_clusters_builds_sqrt_n_lists(self, tmp_path):
+        corpus, cfg, res = tmp_path / "c.fvc", tmp_path / "run.json", tmp_path / "res.csv"
+        assert main(["gen", "--n", "300", "--d", "8", "--seed", "3", "--out", str(corpus)]) == 0
+        cfg.write_text('{"n_queries": 2, "targets": [0.5], "ks": [5], "strategies": ["PreAnns"],'
+                       ' "index_grid": [{"kind": "ivfflat", "search_params": [40]}]}')
+        assert main(["run", "--corpus", str(corpus), "--config", str(cfg), "--out", str(res)]) == 0
+        rows = bench.load_results_csv(res)
+        assert len(rows) == 2 * 2
+        assert {(row["n_clusters"], row["search_param"]) for row in rows} == {("17", 17)}
 
     def test_run_without_indexes(self, tmp_path, tiny_corpus, capsys):
         code = main(["run", "--corpus", str(tiny_corpus), "--out",
@@ -121,6 +138,25 @@ class TestRunAndSummarize:
                      "--out", str(tmp_path / "s.csv")])
         assert code != 0
         assert "summarize error" in capsys.readouterr().err
+
+    def test_results_without_recall_column(self, tmp_path, capsys):
+        header = bench.RESULTS_HEADER.split(",")
+        row = dict(zip(header, _RESULT_ROW.split(",")))
+        del row["recall"]
+        self._refused(tmp_path, capsys, ",".join(row) + "\n" + ",".join(row.values()) + "\n")
+
+    def test_results_row_cut_short(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, bench.RESULTS_HEADER + "\n" + _RESULT_ROW + "\n"
+                      + ",".join(_RESULT_ROW.split(",")[:2]) + "\n")
+
+    @staticmethod
+    def _refused(tmp_path, capsys, text):
+        res = tmp_path / "res.csv"
+        res.write_text(text)
+        code = main(["summarize", "--results", str(res), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"summarize error: {res} ")
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestGls:
