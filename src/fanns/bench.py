@@ -279,23 +279,32 @@ def write_results_csv(rows: Sequence[dict], path: str | Path) -> None:
         writer.writerows(rows)
 
 
+_NUMERIC_COLS = {
+    **dict.fromkeys(("recall", "recall_eq1", "latency_s", "qps", "realized_sigma",
+                     "build_time_s"), float),
+    **dict.fromkeys(("search_param", "k", "query_id", "dist_evals", "fallback_used"), int),
+}
+
+
 def load_results_csv(path: str | Path) -> list[dict]:
+    """The rows of a results CSV, numeric columns converted; a file that is
+    not one raises ``ValueError`` naming the file (and the line and column
+    of a value that is not a number of its column's type)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        raw = list(reader)
+        raw = [(reader.line_num, row) for row in reader]
     if reader.fieldnames != RESULTS_HEADER.split(",") or any(
-            None in r or None in r.values() for r in raw):
+            None in r or None in r.values() for _, r in raw):
         raise ValueError(f"{path} is not a results CSV: its header must be {RESULTS_HEADER} "
                          "and each row must hold exactly those fields")
-    rows = []
-    for r in raw:
-        row = dict(r)
-        for col in ("recall", "recall_eq1", "latency_s", "qps", "realized_sigma", "build_time_s"):
-            row[col] = float(row[col])
-        for col in ("search_param", "k", "query_id", "dist_evals", "fallback_used"):
-            row[col] = int(row[col])
-        rows.append(row)
-    return rows
+    for line, row in raw:
+        for col, kind in _NUMERIC_COLS.items():
+            try:
+                row[col] = kind(row[col])
+            except ValueError:
+                raise ValueError(f"{path} line {line}: {col} {row[col]!r} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
+    return [row for _, row in raw]
 
 
 def pareto_frontier(points: Sequence[tuple[float, float]]) -> list[int]:

@@ -14,16 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from fanns import bench, gls as gls_mod
-from fanns.corpus import (
-    build_mask,
-    generate_synthetic,
-    load_corpus,
-    save_corpus,
-    threshold_for_selectivity,
-)
+from fanns.corpus import generate_synthetic, load_corpus, save_corpus
 from fanns.hnsw import load_hnsw, save_hnsw
 from fanns.ivfflat import load_ivf, save_ivf
 
@@ -217,29 +209,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gls(args) -> int:
+    if not args.targets:
+        raise CliError("gls error: --targets names no selectivity")
     corpus = load_corpus(_require_file(args.corpus, "gls error"))
-    rng = np.random.default_rng(args.seed)
-    query_ids = np.sort(rng.choice(corpus.n, size=args.n_queries, replace=False))
-    queries = corpus.vectors[query_ids]
     index = None
     if args.index is not None:
         index = _load_index(_require_file(args.index, "gls error"), "gls error")
+    # the queries and filters of `fanns run` at the same --seed and --n-queries,
+    # so each entry's query_id is the corpus row id its results rows carry
+    workload = bench.make_workload(corpus, args.n_queries, args.targets, seed=args.seed,
+                                   include_unfiltered=False)
     entries = []
-    qid = 0
-    for target in args.targets:
-        mask = build_mask(corpus, threshold_for_selectivity(corpus, target))
-        if mask.is_empty:
-            raise CliError(f"gls error: target {target:g} yields an empty filter")
-        for query in queries:
+    for spec in workload.filters:
+        if spec.mask.is_empty:
+            raise CliError(f"gls error: target {spec.label} yields an empty filter")
+        for query_id, query in zip(workload.query_ids.tolist(), workload.queries):
             if index is None:
                 entries.append(gls_mod.gls_exact(
-                    corpus, query, mask, args.k_neighborhood, query_id=qid))
+                    corpus, query, spec.mask, args.k_neighborhood, query_id=query_id))
             else:
                 entries.append(gls_mod.gls_approx(
-                    corpus, index, query, mask, args.k_neighborhood,
+                    corpus, index, query, spec.mask, args.k_neighborhood,
                     sample_size=min(args.sample_size, corpus.n),
-                    seed=args.seed, query_id=qid))
-            qid += 1
+                    seed=args.seed, query_id=query_id))
     gls_mod.write_gls_csv(entries, args.out)
     rho_bar = gls_mod.gls_mean(entries)
     print(f"wrote {len(entries)} entries (rho_bar={rho_bar:+.4f}) -> {args.out}")

@@ -2,9 +2,10 @@
 
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
 iterations, deterministic given the seed) in float64 arithmetic. Every pass
-over the rows reads the float32 vectors one block of about ``ROW_BLOCK`` rows
-at a time (each cluster mean, one cluster at a time, gathered with ``take``)
-and converts only that block: the build makes no float64 copy of the corpus.
+over the rows (norms, seeding, Lloyd steps, the final assignment) runs over
+``row_blocks``, reading the float32 vectors one block at a time and
+converting only that block; each cluster mean is gathered with ``take``, one
+cluster at a time. The build makes no float64 copy of the corpus.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -134,7 +135,8 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     averages its rows in id order, gathered with ``take`` and converted one
     cluster at a time through one stable sort of the assignment. Empty
     clusters are reseeded from the farthest point of the largest cluster. The
-    final row-to-list assignment uses the corpus metric.
+    final row-to-list assignment uses the corpus metric, block by block; a
+    zero centroid of a cosine corpus raises.
     """
     if not 1 <= n_clusters <= corpus.n:
         raise ValueError("n_clusters must be in [1, N]")
@@ -163,21 +165,15 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
         centroids = new_centroids
         if shift < _TOL:
             break
-    # final assignment under the corpus metric, in plain ROW_BLOCK steps (a
-    # one-row tail kept apart): these keys decide the saved lists, and index
-    # files of the same corpus and seed must stay byte-identical. Each step's
-    # rows are converted once; cosine divisors are Corpus.cosine_divisors, so
-    # a zero centroid raises.
     final_assign = np.empty(corpus.n, dtype=np.int64)
-    keys = np.empty((ROW_BLOCK, n_clusters))
-    for start in range(0, corpus.n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, corpus.n)
-        rows = vectors[start:stop].astype(np.float64)
-        step_keys = keys[: stop - start]
+    keys = np.empty((ROW_BLOCK + 1, n_clusters))
+    for block in row_blocks(corpus.n):
+        rows = vectors[block].astype(np.float64)
+        block_keys = keys[: len(rows)]
         for c in range(n_clusters):
-            divisors = corpus.cosine_divisors(centroids[c], slice(start, stop))
-            step_keys[:, c] = ordering_keys(centroids[c], rows, corpus.metric, divisors)
-        final_assign[start:stop] = np.argmin(step_keys, axis=1)
+            divisors = corpus.cosine_divisors(centroids[c], block)
+            block_keys[:, c] = ordering_keys(centroids[c], rows, corpus.metric, divisors)
+        final_assign[block] = np.argmin(block_keys, axis=1)
     lists = [np.flatnonzero(final_assign == c).astype(np.int64) for c in range(n_clusters)]
     return IvfIndex(
         n_clusters=n_clusters,

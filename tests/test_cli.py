@@ -149,14 +149,23 @@ class TestRunAndSummarize:
         self._refused(tmp_path, capsys, bench.RESULTS_HEADER + "\n" + _RESULT_ROW + "\n"
                       + ",".join(_RESULT_ROW.split(",")[:2]) + "\n")
 
+    def test_results_value_not_a_number(self, tmp_path, capsys):
+        bad = _RESULT_ROW.split(",")
+        bad[bench.RESULTS_HEADER.split(",").index("recall")] = "abc"
+        err = self._refused(tmp_path, capsys, bench.RESULTS_HEADER + "\n" + _RESULT_ROW + "\n"
+                            + ",".join(bad) + "\n")
+        assert err.endswith(" line 3: recall 'abc' is not a number\n")
+
     @staticmethod
     def _refused(tmp_path, capsys, text):
         res = tmp_path / "res.csv"
         res.write_text(text)
         code = main(["summarize", "--results", str(res), "--out", str(tmp_path / "s.csv")])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"summarize error: {res} ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"summarize error: {res} ")
         assert not (tmp_path / "s.csv").exists()
+        return err
 
 
 class TestGls:
@@ -179,6 +188,15 @@ class TestGls:
                      "--index", str(idx), "--sample-size", "300", "--out", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 4
+
+    @pytest.mark.parametrize("flag,value", [("--targets", ""), ("--n-queries", "0")])
+    def test_nothing_to_measure_writes_nothing(self, tmp_path, tiny_corpus, capsys, flag, value):
+        out = tmp_path / "g.csv"
+        code = main(["gls", "--corpus", str(tiny_corpus), "--k-neighborhood", "64",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("gls error: ")
+        assert not out.exists()
 
 
 def test_docs_name_every_subcommand():

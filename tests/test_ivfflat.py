@@ -96,6 +96,9 @@ BLOCKED_BUILD_CORPORA = {
     "l2": lambda: _mixture(10001, 12, Metric.L2, seed=4),
     "inner product": lambda: _mixture(2 * ROW_BLOCK + 1, 16, Metric.INNER_PRODUCT, seed=5),
     "duplicate rows": lambda: _duplicate_rows(2 * ROW_BLOCK + 3, 8, seed=6),
+    # one row past a block: row_blocks merges it into the block before
+    "cosine, lone last row": lambda: generate_synthetic(ROW_BLOCK + 1, 12, seed=7),
+    "l2, lone last row": lambda: _mixture(ROW_BLOCK + 1, 16, Metric.L2, seed=8),
 }
 
 
