@@ -16,7 +16,7 @@ from pathlib import Path
 
 from fanns import bench, gls as gls_mod
 from fanns.corpus import generate_synthetic, load_corpus, save_corpus
-from fanns.hnsw import load_hnsw, save_hnsw
+from fanns.hnsw import layer0_unreachable, load_hnsw, save_hnsw
 from fanns.ivfflat import load_ivf, save_ivf
 
 
@@ -123,6 +123,8 @@ def _cmd_build(args) -> int:
     index, _ = bench.build_index(corpus, config)
     (save_hnsw if args.index == "hnsw" else save_ivf)(index, args.out)
     print(f"wrote {args.index} index -> {args.out}")
+    if args.index == "hnsw":
+        print(f"layer 0: {layer0_unreachable(index)} of {index.n} rows unreachable")
     return 0
 
 

@@ -174,12 +174,14 @@ class Corpus:
         return norms
 
     def cosine_divisors(self, query: np.ndarray, ids=slice(None)) -> Optional[np.ndarray]:
-        """Divisors |query|·|row| of the cosine keys from ``query`` to the rows
+        """Divisors −|query|·|row| of the cosine keys from ``query`` to the rows
         ``ids`` (a slice, list or array), or None under the other metrics.
 
-        The float64 query norm times the rows' ``cosine_row_norms``, as
-        :func:`ordering_keys` forms them, so keys stay bit-identical. A zero
-        query, or a zero row anywhere in the corpus, raises ``ValueError``.
+        The negated float64 query norm times the rows' ``cosine_row_norms``,
+        as :func:`ordering_keys` forms them, so keys stay bit-identical; the
+        sign is folded in here so that a cosine key is one GEMV and one
+        divide. Every divisor is negative. A zero query, or a zero row
+        anywhere in the corpus, raises ``ValueError``.
         """
         if self.metric is not Metric.COSINE:
             return None
@@ -188,7 +190,7 @@ class Corpus:
             raise ValueError(_ZERO_VECTOR)
         row_norms = self.cosine_row_norms
         # take() gathers a list of ids faster than indexing with it
-        return query_norm * (row_norms[ids] if isinstance(ids, slice) else row_norms.take(ids))
+        return -query_norm * (row_norms[ids] if isinstance(ids, slice) else row_norms.take(ids))
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def ordering_keys(
     query: np.ndarray,
     rows: np.ndarray,
     metric: Metric,
-    norms: Optional[np.ndarray] = None,
+    divisors: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
@@ -242,9 +244,11 @@ def ordering_keys(
     the matmul dispatch), whose rounding can move a key by an ulp when the
     rows around it change; compare them across calls with a tolerance.
 
-    ``norms`` is a cosine caller's per-row divisors |query|·|row|, from
-    :meth:`Corpus.cosine_divisors`; the keys are bit-identical to the ones
-    computed without it.
+    A cosine key is ``rows.dot(query) / divisors``, one GEMV and one divide,
+    with ``divisors`` the negated products −|query|·|row|: a cosine caller's
+    :meth:`Corpus.cosine_divisors`, or formed here from the rows when None.
+    Since a/(−b) = −(a/b) exactly in IEEE arithmetic, the keys equal
+    ``-(rows @ query) / (|query|·|row|)`` bit for bit.
     """
     query = np.asarray(query, dtype=np.float64)
     rows = np.asarray(rows)
@@ -264,13 +268,13 @@ def ordering_keys(
     if metric is Metric.INNER_PRODUCT:
         return -rows.dot(query)
     if metric is Metric.COSINE:
-        if norms is None:
+        if divisors is None:
             qnorm = np.linalg.norm(query)
             rnorms = np.linalg.norm(rows, axis=1)
             if qnorm == 0.0 or np.any(rnorms == 0.0):
                 raise ValueError(_ZERO_VECTOR)
-            norms = qnorm * rnorms
-        return -rows.dot(query) / norms
+            divisors = -qnorm * rnorms
+        return rows.dot(query) / divisors
     raise ValueError(f"unknown metric {metric!r}")
 
 

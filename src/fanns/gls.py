@@ -175,10 +175,11 @@ def distance_correlation(
     mean over `trials` draws without replacement, so a full mask gives
     C_q = 0 exactly.
 
-    Each subset's keys come from one ``ordering_keys`` call; under cosine its
-    divisors are the subset's ``Corpus.cosine_divisors``, as in the exact
-    scan, so a zero query or a zero row anywhere in the corpus raises
-    ``ValueError``.
+    Each subset's rows are gathered with ``take`` and keyed by one
+    ``ordering_keys`` call; under cosine its divisors are the subset's
+    ``Corpus.cosine_divisors`` (−|q|·|r|, so each key is one GEMV and one
+    divide), as in the exact scan, and a zero query or a zero row anywhere in
+    the corpus raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -193,7 +194,8 @@ def distance_correlation(
 
         def min_key(ids: np.ndarray) -> float:
             divisors = corpus.cosine_divisors(query, ids)
-            return float(np.min(ordering_keys(query, corpus.vectors[ids], corpus.metric, divisors)))
+            rows = corpus.vectors.take(ids, axis=0)
+            return float(np.min(ordering_keys(query, rows, corpus.metric, divisors)))
 
         g_filtered = min_key(mask.valid_ids())
         g_random = 0.0

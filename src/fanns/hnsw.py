@@ -41,11 +41,16 @@ Every key goes through ``corpus.ordering_keys``, with rows gathered by id
 from values built once and kept (``_scorer``): the corpus's float64 copy of
 its vectors, built on first use by a build or search over that corpus, plus
 the query's float64 copy and, for cosine, ``Corpus.cosine_divisors`` of every
-row (n per-row divisors), built once per ``hnsw_search`` call and once per
-inserted node in ``hnsw_build``. A pruned neighbor list is scored by one
-direct ``ordering_keys`` call, with divisors for its links only. The keys are
-bit-identical to uncached ones. Under cosine a zero query, or any zero row in
-the corpus, raises ``ValueError`` before the first key.
+row (n per-row divisors −|q|·|r|), built once per ``hnsw_search`` call and
+once per inserted node in ``hnsw_build``. A pruned neighbor list is scored by
+one direct ``ordering_keys`` call, with divisors for its links only. Each key
+call converts its ids to one index array and gathers rows and divisors with
+it; a cosine key is then one GEMV and one divide. The keys are bit-identical
+to uncached ones. Under cosine a zero query, or any zero row in the corpus,
+raises ``ValueError`` before the first key.
+
+``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
+point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
 
 Neighbor selection at build time takes the M closest candidates from the
 construction queue (no heuristic pruning), which keeps small hand-traced
@@ -117,8 +122,9 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
 
     Rows are gathered from the corpus's cached float64 copy. The query's
     float64 copy is built here, once, and for cosine so is the array of every
-    row's divisor, ``corpus.cosine_divisors(query)`` (n floats); each call
-    gathers its rows' divisors from it. Each key is still computed by
+    row's divisor −|q|·|r|, ``corpus.cosine_divisors(query)`` (n floats); each
+    call converts its ids to one index array and gathers both its rows and
+    their divisors with it. Each key is still computed by
     ``ordering_keys``, with the rows as its second argument, so it is
     bit-identical to ``ordering_keys(query, corpus.vectors[ids], metric)``. A
     cosine query of norm 0, or a cosine corpus with a zero row, raises here.
@@ -128,7 +134,12 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     divisors = corpus.cosine_divisors(query)
     if divisors is None:
         return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric)
-    return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
+
+    def keys(ids):
+        ids = np.array(ids, dtype=np.intp, ndmin=1)
+        return ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
+
+    return keys
 
 
 def _search_layer(
@@ -227,12 +238,12 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
                 links = adjacency[neigh]
                 links.append(node)
                 if len(links) > cap:
-                    query = vectors[neigh]
+                    query, ids = vectors[neigh], np.array(links, dtype=np.intp)
                     link_keys = ordering_keys(
-                        query, vectors.take(links, axis=0), corpus.metric,
-                        corpus.cosine_divisors(query, links),
+                        query, vectors.take(ids, axis=0), corpus.metric,
+                        corpus.cosine_divisors(query, ids),
                     )
-                    order = np.lexsort((links, link_keys))[:cap]
+                    order = np.lexsort((ids, link_keys))[:cap]
                     adjacency[neigh] = [links[i] for i in order]
         if level > index.max_level:
             for _ in range(level - index.max_level):
@@ -242,6 +253,17 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
             index.max_level = level
             index.entry_point = node
     return index
+
+
+def layer0_unreachable(index: HnswIndex) -> int:
+    """How many rows a breadth-first walk along layer-0 links from the entry
+    point never reaches: no search, whatever its ef, can return them."""
+    adjacency = index.adjacency[0]
+    seen, frontier = {index.entry_point}, {index.entry_point}
+    while frontier:
+        frontier = {v for u in frontier for v in adjacency[u]} - seen
+        seen |= frontier
+    return index.n - len(seen)
 
 
 def hnsw_search(

@@ -10,9 +10,10 @@ value-for-value. Ties are broken by ascending row id everywhere.
 The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
 straight from the float32 vectors (gathered by ``take``, faster than fancy
 indexing; a full scan slices them and uses row positions as ids): no float64
-copy of the corpus is made. Cosine scans take their divisors from
-``Corpus.cosine_divisors``, which reads the corpus's cached row norms, so a
-cosine corpus with any zero row fails every exact scan, masked or not.
+copy of the corpus is made. Cosine scans take their divisors −|q|·|r| from
+``Corpus.cosine_divisors``, which reads the corpus's cached row norms, so each
+cosine key is one GEMV and one divide, and a cosine corpus with any zero row
+fails every exact scan, masked or not.
 """
 
 from __future__ import annotations

@@ -80,10 +80,12 @@ def sample_queries(corpus, n, seed):
     return ids, corpus.vectors[ids]
 
 
-def mixed_dtype_keys(query, rows, metric, norms=None):
+def mixed_dtype_keys(query, rows, metric, divisors=None):
     """``ordering_keys`` with the L2 difference formed by one mixed-dtype
     subtract, ``np.subtract(rows, query, dtype=np.float64)``: the reference
-    that the converted-then-subtracted kernel must equal bit for bit."""
+    that the converted-then-subtracted kernel must equal bit for bit. Cosine
+    ``divisors`` are ``ordering_keys``'s −|q|·|r|; the reference negates them
+    back and keeps the negated-quotient form ``-(r·q) / (|q|·|r|)``."""
     query = np.asarray(query, dtype=np.float64)
     rows = np.atleast_2d(rows)
     if metric is Metric.L2:
@@ -92,6 +94,8 @@ def mixed_dtype_keys(query, rows, metric, norms=None):
     rows = np.asarray(rows, dtype=np.float64)
     if metric is Metric.INNER_PRODUCT:
         return -rows.dot(query)
-    if norms is None:
+    if divisors is None:
         norms = np.linalg.norm(query) * np.linalg.norm(rows, axis=1)
+    else:
+        norms = -divisors
     return -rows.dot(query) / norms

@@ -8,6 +8,7 @@ import pytest
 from fanns import bench, cli
 from fanns.cli import main
 from fanns.corpus import load_corpus
+from fanns.hnsw import layer0_unreachable, load_hnsw
 
 
 def _sha(path):
@@ -38,13 +39,17 @@ class TestGen:
 
 
 class TestBuild:
-    def test_hnsw_and_ivf(self, tmp_path, tiny_corpus):
+    def test_hnsw_and_ivf(self, tmp_path, tiny_corpus, capsys):
         h = tmp_path / "h.idx"
         i = tmp_path / "i.idx"
         assert main(["build", "--corpus", str(tiny_corpus), "--index", "hnsw",
                      "--m", "6", "--ef-construction", "30", "--out", str(h)]) == 0
+        # an HNSW build reports the rows its layer 0 cannot reach
+        unreachable = layer0_unreachable(load_hnsw(h))
+        assert f"layer 0: {unreachable} of 600 rows unreachable" in capsys.readouterr().out
         assert main(["build", "--corpus", str(tiny_corpus), "--index", "ivfflat",
                      "--n-clusters", "12", "--out", str(i)]) == 0
+        assert "unreachable" not in capsys.readouterr().out
         assert h.read_bytes()[:4] == b"FHN1"
         assert i.read_bytes()[:4] == b"FIV1"
 

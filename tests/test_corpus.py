@@ -80,7 +80,8 @@ class TestOrderingKeys:
     @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
     @pytest.mark.parametrize("d", [3, 16, 100])
     def test_dot_keys_equal_the_matmul_formulas(self, metric, d):
-        # ordering_keys computes rows.dot(query) with per-row cosine divisors;
+        # ordering_keys computes rows.dot(query) with per-row cosine divisors
+        # -|q|·|r|;
         # on the BLAS running this suite its keys must equal the matmul
         # formulas bit for bit, for sliced and gathered rows of either dtype
         rng = np.random.default_rng(d)
@@ -97,7 +98,7 @@ class TestOrderingKeys:
                     assert np.array_equal(ordering_keys(query, typed, metric), expected)
                     if metric is Metric.COSINE:
                         rows64 = typed.astype(np.float64)
-                        divisors = np.linalg.norm(query) * np.linalg.norm(rows64, axis=1)
+                        divisors = -np.linalg.norm(query) * np.linalg.norm(rows64, axis=1)
                         keys = ordering_keys(query, typed, metric, divisors)
                         assert np.array_equal(keys, expected)
 
@@ -187,8 +188,26 @@ class TestCosineDivisors:
         query_norm = np.linalg.norm(query.astype(np.float64))
         picked = rng.permutation(n)[:40]
         for ids in (slice(None), slice(ROW_BLOCK - 3, ROW_BLOCK + 20), picked.tolist(), picked):
-            assert np.array_equal(corpus.cosine_divisors(query, ids), query_norm * row_norms[ids])
-        assert np.array_equal(corpus.cosine_divisors(query), query_norm * row_norms)
+            assert np.array_equal(corpus.cosine_divisors(query, ids), -query_norm * row_norms[ids])
+        assert np.array_equal(corpus.cosine_divisors(query), -query_norm * row_norms)
+
+    def test_every_divisor_is_negative(self):
+        # the sign of a cosine key is folded into its divisor
+        rng = np.random.default_rng(15)
+        n = ROW_BLOCK + 9
+        vectors = rng.standard_normal((n, 6)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), Metric.COSINE)
+        for query in (rng.standard_normal(6) * 1e-3, rng.standard_normal(6).astype(np.float32)):
+            picked = rng.permutation(n)[:25]
+            for ids in (slice(None), picked.tolist(), picked):
+                assert np.all(corpus.cosine_divisors(query, ids) < 0)
+
+    def test_the_old_norms_keyword_is_refused(self):
+        # a caller of the old positive |q|·|r| contract must not get
+        # sign-flipped keys silently
+        rows = np.eye(3)
+        with pytest.raises(TypeError):
+            ordering_keys(np.ones(3), rows, Metric.COSINE, norms=np.ones(3))
 
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
     def test_none_under_the_other_metrics(self, metric):

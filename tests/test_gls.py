@@ -25,7 +25,7 @@ from fanns.gls import (
 from fanns.hnsw import hnsw_build
 from fanns.ivfflat import ivf_build
 
-from conftest import sample_queries
+from conftest import matmul_keys, sample_queries
 
 
 class TestMoebiusMap:
@@ -196,18 +196,19 @@ class TestReportAndCsv:
         assert lines[1].endswith(",medium")
 
 
-def _reference_distance_correlation(corpus, queries_with_masks, trials, seed):
-    """distance_correlation with every key from an uncached ordering_keys
-    call, which computes its own cosine norms."""
+def _reference_distance_correlation(corpus, queries_with_masks, trials, seed, keys=ordering_keys):
+    """distance_correlation with rows gathered by fancy indexing and every key
+    from an uncached ``keys`` call (by default ``ordering_keys``, which
+    computes its own cosine norms)."""
     rng = np.random.default_rng(seed)
     per_query = np.empty(len(queries_with_masks))
     for i, (query, mask) in enumerate(queries_with_masks):
         valid = mask.valid_ids()
-        g_filtered = float(np.min(ordering_keys(query, corpus.vectors[valid], corpus.metric)))
+        g_filtered = float(np.min(keys(query, corpus.vectors[valid], corpus.metric)))
         g_random = 0.0
         for _ in range(trials):
             sample = rng.choice(corpus.n, size=len(valid), replace=False)
-            g_random += float(np.min(ordering_keys(query, corpus.vectors[sample], corpus.metric)))
+            g_random += float(np.min(keys(query, corpus.vectors[sample], corpus.metric)))
         per_query[i] = g_random / trials - g_filtered
     return float(per_query.mean()), per_query
 
@@ -230,6 +231,22 @@ class TestDistanceCorrelation:
         ]
         value, per_query = distance_correlation(corpus, pairs, trials=10, seed=3)
         ref_value, ref_per_query = _reference_distance_correlation(corpus, pairs, 10, 3)
+        assert np.array_equal(per_query, ref_per_query)
+        assert value == ref_value
+
+    def test_cosine_equals_the_matmul_reference(self):
+        # one divide by the negated divisors against -(rows @ q) / (|q|·|r|)
+        corpus = _varied_norm_corpus(Metric.COSINE)
+        _, queries = sample_queries(corpus, 4, seed=33)
+        pairs = [
+            (query, build_mask(corpus, threshold_for_selectivity(corpus, sigma)))
+            for query in queries
+            for sigma in (0.05, 0.5)
+        ]
+        value, per_query = distance_correlation(corpus, pairs, trials=5, seed=4)
+        ref_value, ref_per_query = _reference_distance_correlation(
+            corpus, pairs, 5, 4, keys=matmul_keys
+        )
         assert np.array_equal(per_query, ref_per_query)
         assert value == ref_value
 

@@ -19,6 +19,7 @@ from fanns.hnsw import (
     HnswIndex,
     hnsw_build,
     hnsw_search,
+    layer0_unreachable,
     load_hnsw,
     save_hnsw,
 )
@@ -27,8 +28,9 @@ from fanns.oracle import exact_knn
 from conftest import ROW_COUNTS, matmul_keys, sample_queries
 
 
-def layer0_reachable_fraction(index: HnswIndex) -> float:
-    """Fraction of nodes reachable from the entry point along layer-0 edges."""
+def layer0_reachable(index: HnswIndex) -> set[int]:
+    """Nodes reachable from the entry point along layer-0 edges, found by a
+    one-node-at-a-time depth-first walk: the slow reference."""
     adjacency = index.adjacency[0]
     seen = {index.entry_point}
     stack = [index.entry_point]
@@ -38,7 +40,12 @@ def layer0_reachable_fraction(index: HnswIndex) -> float:
             if neigh not in seen:
                 seen.add(neigh)
                 stack.append(neigh)
-    return len(seen) / index.n
+    return seen
+
+
+def layer0_reachable_fraction(index: HnswIndex) -> float:
+    """Fraction of nodes reachable from the entry point along layer-0 edges."""
+    return len(layer0_reachable(index)) / index.n
 
 
 def small_graph_index():
@@ -118,6 +125,24 @@ class TestBuild:
 
     def test_layer0_reachability(self, hnsw2k):
         assert layer0_reachable_fraction(hnsw2k) >= 0.99
+
+    def test_unreachable_count_on_a_hand_built_graph(self):
+        # row 11 keeps its own links, but no list points back to it
+        _, index, _ = small_graph_index()
+        for node in (5, 6, 7):
+            index.adjacency[0][node].remove(11)
+        assert layer0_unreachable(index) == 1
+
+    def test_unreachable_count_equals_the_reference_walk(self):
+        # inner-product graphs leave rows unreachable (a row is not its own
+        # nearest neighbor), so the count is not trivially 0
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((1500, 8)) * rng.uniform(0.5, 2, size=(1500, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=1500), Metric.INNER_PRODUCT)
+        index = hnsw_build(corpus, 8, 40, seed=0)
+        unreachable = layer0_unreachable(index)
+        assert unreachable == index.n - len(layer0_reachable(index))
+        assert unreachable > 0
 
 
 class TestGoldenTraversal:
@@ -331,6 +356,23 @@ def _search_answers(corpus, index):
                             t.distance_evaluations, t.nodes_visited,
                             t.predicate_invocations, t.centroid_evaluations))
     return out
+
+
+def _old_formula_keys(query, rows, metric, divisors=None):
+    """Keys recomputed from the rows by the matmul formulas, ignoring the
+    divisors: the negated-quotient cosine form ``-(r·q) / (|q|·|r|)``."""
+    return matmul_keys(query, np.atleast_2d(rows), metric)
+
+
+@pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
+def test_build_bytes_equal_the_old_key_formula(tmp_path, monkeypatch, metric):
+    # every key of the build, the scorer's and the prune step's, swapped for
+    # the formula without folded divisors must leave the graph file unchanged
+    corpus = _varied_norm_corpus(metric, n=600, d=8, seed=9)
+    save_hnsw(hnsw_build(corpus, 6, 24, seed=3), tmp_path / "real.idx")
+    monkeypatch.setattr(hnsw_mod, "ordering_keys", _old_formula_keys)
+    save_hnsw(hnsw_build(corpus, 6, 24, seed=3), tmp_path / "reference.idx")
+    assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 
 class TestReferenceLoop:

@@ -195,7 +195,7 @@ class TestBuild:
                     expected = _mixed_dtype_sq_dists(rows, point)
                     assert np.array_equal(ivfflat._sq_dists(rows, point), expected)
 
-    @pytest.mark.parametrize("name", ["l2", "duplicate rows"])
+    @pytest.mark.parametrize("name", ["l2", "duplicate rows", "cosine"])
     def test_build_bytes_equal_the_mixed_dtype_kernels(self, tmp_path, monkeypatch, name):
         # the seeding, reseeding and final-assignment kernels swapped for the
         # mixed-dtype subtract must leave the index file unchanged

@@ -196,7 +196,7 @@ def _reference_exact_scan(corpus, query, k, ids=None):
         block_ids = block if full else ids[block]
         divisors = None
         if corpus.metric is Metric.COSINE:
-            divisors = np.linalg.norm(query) * corpus.cosine_row_norms[block_ids]
+            divisors = -np.linalg.norm(query) * corpus.cosine_row_norms[block_ids]
         keys[block] = mixed_dtype_keys(query, corpus.vectors[block_ids], corpus.metric, divisors)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
