@@ -44,10 +44,15 @@ the query's float64 copy and, for cosine, ``Corpus.cosine_divisors`` of every
 row (n per-row divisors −|q|·|r|), built once per ``hnsw_search`` call and
 once per inserted node in ``hnsw_build``. A pruned neighbor list is scored by
 one direct ``ordering_keys`` call, with divisors for its links only. Each key
-call converts its ids to one index array and gathers rows and divisors with
-it; a cosine key is then one GEMV and one divide. The keys are bit-identical
-to uncached ones. Under cosine a zero query, or any zero row in the corpus,
-raises ``ValueError`` before the first key.
+call takes a list of ids (the entry point's is a list of one), converts it to
+one index array and gathers rows and divisors with it. So ``ordering_keys``
+always gets a float64 query and a float64 row matrix, which pass its identity
+checks unconverted, and a cosine key call costs its two gathers, one GEMV and
+one divide, plus a few hundred nanoseconds of checks. A beam makes about one
+call per expanded node, each over a few rows (about a thousand calls in a
+2048-wide search), so this fixed cost is a large share of its key time. The
+keys are bit-identical to uncached ones. Under cosine a zero query, or any
+zero row in the corpus, raises ``ValueError`` before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -87,7 +92,7 @@ _HNSW_MAGIC = b"FHN1"
 SEARCH_MODES = ("unfiltered", "prefilter", "dualpool", "raw")
 
 # ordering keys from one query to the rows with the given ids (see _scorer)
-_Keys = Callable[[int | list[int]], np.ndarray]
+_Keys = Callable[[list[int]], np.ndarray]
 
 
 class HnswFormatError(ValueError):
@@ -123,8 +128,8 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     Rows are gathered from the corpus's cached float64 copy. The query's
     float64 copy is built here, once, and for cosine so is the array of every
     row's divisor −|q|·|r|, ``corpus.cosine_divisors(query)`` (n floats); each
-    call converts its ids to one index array and gathers both its rows and
-    their divisors with it. Each key is still computed by
+    call converts its list of ids to one index array and gathers both its
+    rows and their divisors with it. Each key is still computed by
     ``ordering_keys``, with the rows as its second argument, so it is
     bit-identical to ``ordering_keys(query, corpus.vectors[ids], metric)``. A
     cosine query of norm 0, or a cosine corpus with a zero row, raises here.
@@ -136,7 +141,7 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
         return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric)
 
     def keys(ids):
-        ids = np.array(ids, dtype=np.intp, ndmin=1)
+        ids = np.array(ids, dtype=np.intp)
         return ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
 
     return keys
@@ -224,7 +229,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     for node in range(1, corpus.n):
         level = int(levels[node])
         keys = _scorer(corpus, vectors[node])
-        pool = [(float(keys(index.entry_point)[0]), index.entry_point)]
+        pool = [(float(keys([index.entry_point])[0]), index.entry_point)]
         for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
             ef = ef_construction if layer <= level else 1
@@ -300,7 +305,7 @@ def hnsw_search(
 
     keys = _scorer(corpus, query)
     telemetry = SearchTelemetry(distance_evaluations=1, nodes_visited=1)
-    pool = [(float(keys(index.entry_point)[0]), index.entry_point)]
+    pool = [(float(keys([index.entry_point])[0]), index.entry_point)]
     for layer in range(index.max_level, -1, -1):
         pool = _search_layer(
             keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,

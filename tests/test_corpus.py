@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,117 @@ class TestOrderingKeys:
                     assert np.array_equal(ordering_keys(query, rows, Metric.L2), expected)
 
 
+def _reference_ordering_keys(query, rows, metric, divisors=None):
+    """``ordering_keys`` as it was before its checks became identity checks:
+    ``np.asarray`` on every argument and a ``Metric.X`` lookup per branch.
+    The faster body must give the same keys and raise the same errors."""
+    query = np.asarray(query, dtype=np.float64)
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.shape[1] != query.shape[0]:
+        raise ValueError(f"dimension mismatch: {query.shape[0]} vs {rows.shape[1]}")
+    if metric is Metric.L2:
+        if rows.dtype == np.float64:
+            diff = rows - query
+        else:
+            diff = rows.astype(np.float64)
+            diff -= query
+        keys = np.einsum("ij,ij->i", diff, diff)
+        return np.sqrt(keys, out=keys)
+    rows = np.asarray(rows, dtype=np.float64)
+    if metric is Metric.INNER_PRODUCT:
+        return -rows.dot(query)
+    if metric is Metric.COSINE:
+        if divisors is None:
+            qnorm = np.linalg.norm(query)
+            rnorms = np.linalg.norm(rows, axis=1)
+            if qnorm == 0.0 or np.any(rnorms == 0.0):
+                raise ValueError("cosine similarity undefined for zero vectors")
+            divisors = -qnorm * rnorms
+        return rows.dot(query) / divisors
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def _outcome(keys, *args):
+    """The keys ``keys(*args)`` returns, or the type and text of its error."""
+    try:
+        return keys(*args)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(args, case):
+    expected = _outcome(_reference_ordering_keys, *args)
+    got = _outcome(ordering_keys, *args)
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got == expected, (case, got)
+    else:
+        assert isinstance(got, np.ndarray), (case, got)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), case
+        assert np.array_equal(got, expected), case
+
+
+class TestReferenceKeys:
+    """Every argument form the identity checks must convert, or refuse, as
+    ``np.asarray`` did."""
+
+    @staticmethod
+    def _queries(rng, d):
+        query = rng.standard_normal(d) * 3.0
+        return {
+            "list": query.tolist(),
+            "int": 3,
+            "float32": query.astype(np.float32),
+            "float64": query,
+            ">f8": query.astype(">f8"),
+            "(1, d)": query[None, :],
+        }
+
+    @staticmethod
+    def _rows(rng, d):
+        rows = rng.standard_normal((7, d)) * rng.uniform(0.5, 2, size=(7, 1))
+        wide = rng.standard_normal((14, 3 * d))
+        return {
+            "list": rows.tolist(),
+            "1-D": rows[2],
+            "float32": rows.astype(np.float32),
+            "float64": rows,
+            ">f8": rows.astype(">f8"),
+            ">f8 1-D": rows[4].astype(">f8"),
+            "Fortran": np.asfortranarray(rows),
+            "Fortran float32": np.asfortranarray(rows.astype(np.float32)),
+            "strided": wide[::2, ::3],
+            "reversed": rows[::-1, ::-1],
+            "(0, d)": rows[:0],
+            "d + 1 columns": rng.standard_normal((3, d + 1)),
+            "d - 1 columns": rng.standard_normal((3, max(d - 1, 0))),
+        }
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
+    @pytest.mark.parametrize("d", [1, 5, 16])
+    def test_keys_and_errors_equal_the_reference(self, metric, d):
+        rng = np.random.default_rng(90 + d + metric.value)
+        for query_kind, query in self._queries(rng, d).items():
+            for rows_kind, rows in self._rows(rng, d).items():
+                count = len(np.atleast_2d(rows))
+                for divisors in (None, -rng.uniform(0.5, 2, size=count)):
+                    case = (query_kind, rows_kind, divisors is not None)
+                    _assert_same_outcome((query, rows, metric, divisors), case)
+
+    def test_zero_cosine_vectors_raise_as_the_reference(self):
+        rng = np.random.default_rng(95)
+        rows = rng.standard_normal((4, 6))
+        with_zero = rows.copy()
+        with_zero[2] = 0.0
+        zero = np.zeros(6)
+        for query in (zero.tolist(), zero.astype(np.float32), zero, zero.astype(">f8")):
+            for typed in (rows, rows.astype(np.float32), rows.tolist()):
+                _assert_same_outcome((query, typed, Metric.COSINE), ("zero query", type(typed)))
+        for typed in (with_zero, with_zero.astype(np.float32), with_zero.astype(">f8")):
+            _assert_same_outcome((rng.standard_normal(6), typed, Metric.COSINE), "zero row")
+
+
 class TestCorpusValidation:
     def test_attribute_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -215,6 +327,27 @@ class TestCosineDivisors:
         assert corpus.cosine_divisors(np.ones(3)) is None
         assert corpus.cosine_divisors(np.zeros(3), [0, 2]) is None
 
+    @pytest.mark.parametrize("d", [1, 3, 16, 17, 768])
+    def test_equal_numpy_s_query_norm_bit_for_bit(self, d):
+        # the query norm skips np.linalg.norm's dispatch, not its arithmetic
+        rng = np.random.default_rng(16 + d)
+        n = 300
+        vectors = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), Metric.COSINE)
+        picked = rng.permutation(n)[:40]
+        for _ in range(20):
+            query = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            spread = np.zeros(2 * d)
+            spread[::2] = query
+            for typed in (query.tolist(), query.astype(np.float32), query, query[None, :], spread[::2]):
+                query_norm = np.linalg.norm(np.asarray(typed, np.float64))
+                for ids in (slice(None), slice(7, 90), picked.tolist(), picked):
+                    expected = -query_norm * corpus.cosine_row_norms[ids]
+                    assert np.array_equal(corpus.cosine_divisors(typed, ids), expected)
+        for zero in ([0.0] * d, np.zeros(d, np.float32), np.zeros(d)):
+            with pytest.raises(ValueError, match="zero vectors"):
+                corpus.cosine_divisors(zero, picked)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_query_raises(self, dtype):
         corpus = Corpus(np.eye(3, dtype=np.float32), np.zeros(3), Metric.COSINE)
@@ -241,6 +374,12 @@ class TestFilterMask:
         corpus = generate_synthetic(10000, 4, seed=9)
         sigma = build_mask(corpus, 0.9).global_selectivity
         assert abs(sigma - 0.1) < 0.02
+
+    @pytest.mark.parametrize("shape", [(300, 2), (1, 300), ()])
+    def test_bits_must_be_one_dimensional(self, shape):
+        # a (300, 2) mask used to pass as 300 rows with σ_g = 2.0
+        with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+            FilterMask(np.ones(shape, dtype=bool))
 
 
 class TestThresholdForSelectivity:
