@@ -278,11 +278,15 @@ def ordering_keys(
     compared with the module-level ``_L2``, ``_INNER_PRODUCT`` and
     ``_COSINE`` for the same reason: each ``Metric.X`` lookup costs about
     130 ns on CPython 3.11, and each ``np.ndarray`` lookup about 20 ns.
-    What is left beyond the kernel is the dimension check (about 115 ns:
-    two shape tuples) and a few attribute reads.
+    What is left beyond the kernel is the dimension checks (an ``ndim``
+    read, and about 115 ns for two shape tuples) and a few attribute reads. A
+    query that is not one-dimensional raises ``ValueError`` naming its
+    shape: a (1, d) query would broadcast against one-column rows.
     """
     if type(query) is not _NDARRAY or query.dtype is not _F64:
         query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise ValueError(f"query must be one-dimensional, got shape {query.shape}")
     if type(rows) is not _NDARRAY:
         rows = np.asarray(rows)
     if rows.ndim == 1:

@@ -20,8 +20,18 @@ SEARCH-LAYER does in Malkov & Yashunin (arXiv:1603.09320, Algorithms 1 and
 5): from the top layer down, each layer's pool seeds the next. A layer above
 the target is searched at ef=1, the greedy descent; the insertion of a node of
 level l searches layers l..0 at ``ef_construction`` and links the node on
-them. ``hnsw_search`` searches layer 0 at ``ef_search`` and then takes one
-output step, in one of four modes:
+them, taking the M closest of each layer's pool.
+
+The pool keeps the loop's own form from layer to layer: an unranked list of
+``(-key, node)`` entries, taken in as a layer's entry points and handed back
+as its result. While the pool has room nothing reads its order, so entrants
+are appended; it is heapified once, when it fills, and from then on each
+entrant evicts the worst entry with ``heapreplace``. Node ids are unique, so
+the entry evicted, and with it every pool, is the same whatever the heap's
+layout. Nothing ranks a pool between layers: the build sorts an
+``ef_construction`` pool only to pick its M closest, and ``hnsw_search``
+ranks the layer-0 pool once, by (key, id) with ``np.lexsort`` over an id
+array and a key array. It then takes one output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
@@ -150,24 +160,32 @@ def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
 def _search_layer(
     keys: _Keys,
     adjacency: dict[int, list[int]],
-    entry_points: list[tuple[float, int]],
+    pool: list[tuple[float, int]],
     ef: int,
     telemetry: SearchTelemetry,
     bits: Optional[np.ndarray] = None,
 ) -> list[tuple[float, int]]:
     """Best-first search of one layer into a pool of capacity ``ef``.
 
-    A node enters the pool when the pool has room or the node beats its worst
-    entry; given ``bits``, its bit must also be set. Without ``bits`` only
-    pool entrants are queued for expansion (the bounded beam); with ``bits``
-    every visited node is (the dual pool), and each visited node's bit counts
-    as a predicate invocation. ``worst`` holds the full pool's worst key (inf
-    while the pool has room), so each neighbor costs one comparison.
+    The pool, taken over (it may be changed in place) and returned, is an
+    unranked list of ``(-key, node)`` entries: the entry points in, the
+    layer's nearest nodes out. A node
+    enters the pool when the pool has room or the node beats its worst entry;
+    given ``bits``, its bit must also be set. Without ``bits`` only pool
+    entrants are queued for expansion (the bounded beam); with ``bits`` every
+    visited node is (the dual pool), and each visited node's bit counts as a
+    predicate invocation. ``worst`` holds the full pool's worst key (inf
+    while the pool has room), so each neighbor costs one comparison. While
+    the pool has room nothing reads its heap order, so entrants are appended
+    and the pool is heapified once, when it fills; a full pool evicts its
+    worst entry with ``heapreplace``. Entries are unique (a node enters at
+    most once), so the entry evicted is the same whatever the heap's layout.
     """
-    visited = {node for _, node in entry_points}
-    candidates = list(entry_points)
+    visited = {node for _, node in pool}
+    candidates = [(-negkey, node) for negkey, node in pool]
     heapify(candidates)
-    pool = [(-key, node) for key, node in entry_points if bits is None or bits[node]]
+    if bits is not None:
+        pool = [entry for entry in pool if bits[entry[1]]]
     heapify(pool)
     while len(pool) > ef:
         heappop(pool)
@@ -185,8 +203,9 @@ def _search_layer(
         for nkey, neigh in zip(keys(fresh).tolist(), fresh):
             if nkey < worst and (bits is None or bits[neigh]):
                 if len(pool) < ef:
-                    heappush(pool, (-nkey, neigh))
+                    pool.append((-nkey, neigh))
                     if len(pool) == ef:
+                        heapify(pool)
                         worst = -pool[0][0]
                 else:
                     heapreplace(pool, (-nkey, neigh))
@@ -198,7 +217,7 @@ def _search_layer(
     telemetry.nodes_visited += evaluated
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
-    return sorted((-negkey, node) for negkey, node in pool)
+    return pool
 
 
 def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswIndex:
@@ -229,14 +248,15 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     for node in range(1, corpus.n):
         level = int(levels[node])
         keys = _scorer(corpus, vectors[node])
-        pool = [(float(keys([index.entry_point])[0]), index.entry_point)]
+        pool = [(-float(keys([index.entry_point])[0]), index.entry_point)]
         for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
             ef = ef_construction if layer <= level else 1
             pool = _search_layer(keys, adjacency, pool, ef, scratch)
             if layer > level:
                 continue
-            chosen = [cand for _, cand in pool[: index.m]]
+            ranked = sorted((-negkey, cand) for negkey, cand in pool)
+            chosen = [cand for _, cand in ranked[: index.m]]
             cap = 2 * index.m if layer == 0 else index.m
             adjacency[node] = list(chosen)
             for neigh in chosen:
@@ -305,17 +325,16 @@ def hnsw_search(
 
     keys = _scorer(corpus, query)
     telemetry = SearchTelemetry(distance_evaluations=1, nodes_visited=1)
-    pool = [(float(keys([index.entry_point])[0]), index.entry_point)]
+    pool = [(-float(keys([index.entry_point])[0]), index.entry_point)]
     for layer in range(index.max_level, -1, -1):
         pool = _search_layer(
             keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
             bits=mask.bits if mode == "dualpool" and layer == 0 else None,
         )
-    result = SearchResult(
-        ids=np.array([node for _, node in pool], dtype=np.int64),
-        distances=np.array([key for key, _ in pool], dtype=np.float64),
-        telemetry=telemetry,
-    )
+    ids = np.array([node for _, node in pool], dtype=np.int64)
+    dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
+    order = np.lexsort((ids, dists))
+    result = SearchResult(ids=ids[order], distances=dists[order], telemetry=telemetry)
     return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 
 

@@ -53,6 +53,13 @@ class TestOrderingKeys:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 ordering_keys([1.0, 2.0], [[1.0, 2.0, 3.0]], metric)
 
+    def test_query_must_be_one_dimensional(self):
+        # a (1, d) query against one-column rows passes the width check
+        for metric in Metric:
+            for query in (3.0, [[1.0, 2.0, 3.0, 4.0]], np.ones((1, 1))):
+                with pytest.raises(ValueError, match="one-dimensional"):
+                    ordering_keys(query, np.ones((3, 1)), metric)
+
     def test_cosine_zero_vector(self):
         # a zero query, and a zero row among nonzero ones
         for query, rows in (([0.0, 0.0], [[1.0, 0.0]]), ([1.0, 0.0], [[0.6, 0.8], [0.0, 0.0]])):
@@ -126,8 +133,11 @@ class TestOrderingKeys:
 def _reference_ordering_keys(query, rows, metric, divisors=None):
     """``ordering_keys`` as it was before its checks became identity checks:
     ``np.asarray`` on every argument and a ``Metric.X`` lookup per branch.
-    The faster body must give the same keys and raise the same errors."""
+    The faster body must give the same keys and raise the same errors. Both
+    refuse a query that is not one-dimensional."""
     query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise ValueError(f"query must be one-dimensional, got shape {query.shape}")
     rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[None, :]

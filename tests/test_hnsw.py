@@ -15,6 +15,7 @@ from fanns.corpus import (
     threshold_for_selectivity,
 )
 from fanns.hnsw import (
+    SEARCH_MODES,
     HnswFormatError,
     HnswIndex,
     hnsw_build,
@@ -310,10 +311,13 @@ def _reference_expand(keys, adjacency, node, visited, telemetry):
     return list(zip(keys(fresh).tolist(), fresh))
 
 
-def _reference_search_layer(keys, adjacency, entry_points, ef, telemetry, bits=None):
+def _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits=None):
     """The best-first loop with one ``_expand`` call per expanded node, which
     reads the pool's length and worst entry for every neighbor and counts
-    evaluations per expansion."""
+    evaluations per expansion. It takes and returns the pool as
+    ``_search_layer`` does, an unranked list of ``(-key, node)``, but keeps
+    it a heap throughout."""
+    entry_points = [(-negkey, node) for negkey, node in pool]
     visited = {node for _, node in entry_points}
     candidates = list(entry_points)
     heapify(candidates)
@@ -335,22 +339,25 @@ def _reference_search_layer(keys, adjacency, entry_points, ef, telemetry, bits=N
             heappush(candidates, (nkey, neigh))
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
-    return sorted((-negkey, node) for negkey, node in pool)
+    return pool
 
 
 EFS = (10, 100)  # and the corpus size
 MODES = ("unfiltered", "prefilter", "dualpool")
 
 
-def _search_answers(corpus, index):
-    """Ids, keys and all four counters of 50 searches x EFS + (n,) x MODES."""
+def _search_answers(corpus, index, efs=EFS, whole_pool=False, n_queries=50):
+    """Ids, keys and all four counters of ``n_queries`` searches x efs + (n,)
+    x MODES, at k=10 or, with ``whole_pool``, at k = ef, so that every entry
+    the layer-0 pool keeps shows."""
     mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
-    _, queries = sample_queries(corpus, 50, seed=71)
+    _, queries = sample_queries(corpus, n_queries, seed=71)
     out = []
     for query in queries:
-        for ef in EFS + (corpus.n,):
+        for ef in efs + (corpus.n,):
             for mode in MODES:
-                r = hnsw_search(index, corpus, query, 10, ef, mode=mode, mask=mask)
+                k = ef if whole_pool else 10
+                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask)
                 t = r.telemetry
                 out.append((r.ids.tolist(), r.distances.tolist(),
                             t.distance_evaluations, t.nodes_visited,
@@ -388,17 +395,81 @@ class TestReferenceLoop:
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def tied(request):
+    """Every row of ``generate_synthetic(400, 8, 5)`` three times over (ids i,
+    i + 400 and i + 800), so that a pool's worst key is often held by several
+    nodes at once, and its M=6, efC=24 graph."""
+    base = generate_synthetic(400, 8, 5)
+    corpus = Corpus(np.tile(base.vectors, (3, 1)), np.tile(base.attribute, 3), request.param)
+    return corpus, hnsw_build(corpus, 6, 24, seed=0)
+
+
+class TestExactKeyTies:
+    """On a corpus of exact duplicates a full pool often holds its worst key
+    several times; the entry it evicts, and so every answer, must still be
+    the reference loop's."""
+
+    def test_searches_equal_the_reference(self, monkeypatch, tied):
+        corpus, index = tied
+        efs = (10, 100, corpus.n + 5)
+        real = _search_answers(corpus, index, efs, whole_pool=True, n_queries=20)
+        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        assert _search_answers(corpus, index, efs, whole_pool=True, n_queries=20) == real
+
+    def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, tied):
+        corpus, index = tied
+        save_hnsw(index, tmp_path / "real.idx")
+        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        save_hnsw(hnsw_build(corpus, 6, 24, seed=0), tmp_path / "reference.idx")
+        assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
+
+
+class TestRankedResult:
+    """``hnsw_search`` ranks the layer-0 pool once: int64 ids and float64
+    keys in (key, id) order, in every mode, whether the pool was ever
+    heapified or not, and when nothing in it is valid."""
+
+    @staticmethod
+    def _assert_ranked(result):
+        assert result.ids.dtype == np.int64 and result.distances.dtype == np.float64
+        entries = list(zip(result.distances.tolist(), result.ids.tolist()))
+        assert entries == sorted(entries)
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_every_mode_ranks_by_key_then_id(self, tied, mode):
+        corpus, index = tied
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.5))
+        _, queries = sample_queries(corpus, 5, seed=72)
+        for query in queries:
+            # at ef > n the pool never fills, so it is never heapified
+            for ef in (10, 100, corpus.n + 5):
+                result = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
+                                     pool_size=ef)
+                assert len(result) > 0
+                self._assert_ranked(result)
+
+    @pytest.mark.parametrize("mode", ["prefilter", "dualpool"])
+    def test_no_valid_entry_gives_empty_typed_arrays(self, tied, mode):
+        corpus, index = tied
+        empty = FilterMask(np.zeros(corpus.n, dtype=bool))
+        result = hnsw_search(index, corpus, corpus.vectors[0], 10, 50, mode=mode, mask=empty)
+        assert len(result) == 0
+        self._assert_ranked(result)
+
+
 _SEARCH_LAYER = hnsw_mod._search_layer
 
 
-def _reference_greedy_descent(keys, adjacency, entry_points, ef, telemetry, bits=None):
+def _reference_greedy_descent(keys, adjacency, pool, ef, telemetry, bits=None):
     """``_search_layer`` with every ef=1 layer searched by a separate greedy
     walk, the reference for the layers above the target: from the one entry
     point, expand the current node and move to any neighbor with a smaller
     (key, id), until no neighbor improves. Wider searches run the real loop."""
     if ef > 1:
-        return _SEARCH_LAYER(keys, adjacency, entry_points, ef, telemetry, bits)
-    ((cur_key, cur),) = entry_points
+        return _SEARCH_LAYER(keys, adjacency, pool, ef, telemetry, bits)
+    ((negkey, cur),) = pool
+    cur_key = -negkey
     visited = {cur}
     improved = True
     while improved:
@@ -407,7 +478,7 @@ def _reference_greedy_descent(keys, adjacency, entry_points, ef, telemetry, bits
             if (key, node) < (cur_key, cur):
                 cur_key, cur = key, node
                 improved = True
-    return [(cur_key, cur)]
+    return [(-cur_key, cur)]
 
 
 class TestReferenceDescent:
