@@ -108,6 +108,8 @@ def row_blocks(n: int) -> list[slice]:
     differs from the matrix kernels', so a one-row block would move that
     row's key by an ulp against one product over all the rows.
     """
+    if 0 < n <= ROW_BLOCK:
+        return [slice(0, n)]
     starts = list(range(0, n, ROW_BLOCK))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -123,10 +125,12 @@ class Corpus:
     float32 granularity). A vector entry that is NaN or inf raises
     ``ValueError``: no key to such a row orders anything.
 
-    Two derived arrays are built on first use and kept: ``cosine_row_norms``
+    Three derived arrays are built on first use and kept: ``cosine_row_norms``
     (n float64 values, read by :meth:`cosine_divisors`; a normalized cosine
-    corpus builds them at once to check its unit norms) and ``vectors64`` (a
-    float64 copy of the vectors, used only by HNSW).
+    corpus builds them at once to check its unit norms), ``sq_row_norms`` (n
+    float64 squared norms, read by the IVFFlat build and the L2 exact scan's
+    float32 bound) and ``vectors64`` (a float64 copy of the vectors, used only
+    by HNSW).
     """
 
     vectors: np.ndarray
@@ -180,6 +184,21 @@ class Corpus:
         if not norms.all():
             raise ValueError(_ZERO_VECTOR)
         return norms
+
+    @cached_property
+    def sq_row_norms(self) -> np.ndarray:
+        """Float64 squared L2 norm of every row, built on first use and kept.
+
+        Each ``row_blocks`` block of float32 rows is converted, squared in
+        place and summed along the row, so every value is the same float
+        whatever block its row falls in.
+        """
+        sq_norms = np.empty(self.n)
+        for block in row_blocks(self.n):
+            rows = self.vectors[block].astype(np.float64)
+            np.square(rows, out=rows)
+            sq_norms[block] = np.sum(rows, axis=1)
+        return sq_norms
 
     def cosine_divisors(self, query: np.ndarray, ids=slice(None)) -> Optional[np.ndarray]:
         """Divisors −|query|·|row| of the cosine keys from ``query`` to the rows

@@ -5,7 +5,8 @@ iterations, deterministic given the seed) in float64 arithmetic. Every pass
 over the rows (norms, seeding, Lloyd steps, the final assignment) runs over
 ``row_blocks``, reading the float32 vectors one block at a time and
 converting only that block; each cluster mean is gathered with ``take``, one
-cluster at a time. The build makes no float64 copy of the corpus.
+cluster at a time. The squared row norms are the corpus's cached
+``sq_row_norms``. The build makes no float64 copy of the corpus.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -130,8 +131,9 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     k-means runs in plain L2 geometry (on already-normalized rows for cosine
     corpora, a spherical-k-means approximation), in float64 arithmetic on
     float32 rows read one ``row_blocks`` block at a time: no float64 copy of
-    the corpus is made. Row norms are computed once; seeding distances and
-    each Lloyd step's distance matrix block by block. Each cluster mean
+    the corpus is made. Squared row norms are the corpus's cached
+    ``sq_row_norms``; seeding distances and each Lloyd step's distance matrix
+    are computed block by block. Each cluster mean
     averages its rows in id order, gathered with ``take`` and converted one
     cluster at a time through one stable sort of the assignment. Empty
     clusters are reseeded from the farthest point of the largest cluster. The
@@ -142,7 +144,7 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
         raise ValueError("n_clusters must be in [1, N]")
     rng = np.random.default_rng(seed)
     vectors = corpus.vectors
-    sq_norms = np.concatenate([_sq_dists(vectors[block], 0.0) for block in row_blocks(corpus.n)])
+    sq_norms = corpus.sq_row_norms
     centroids = _kmeans_pp_seed(vectors, n_clusters, rng)
     for _ in range(_MAX_ITERS):
         assign = _nearest_centroids(vectors, sq_norms, centroids)

@@ -14,10 +14,19 @@ copy of the corpus is made. Cosine scans take their divisors −|q|·|r| from
 ``Corpus.cosine_divisors``, which reads the corpus's cached row norms, so each
 cosine key is one GEMV and one divide, and a cosine corpus with any zero row
 fails every exact scan, masked or not.
+
+An L2 scan with k below its row count first narrows the rows: one float32
+matrix-vector product against the cached ``Corpus.sq_row_norms`` bounds every
+row's distance, and only the rows that a proven error bound cannot exclude
+from the top k are keyed (see :func:`_l2_candidates`). L2 keys depend on
+their (query, row) pair alone, so the ids and keys are those of keying every
+row. Inner-product and cosine keys come from a GEMV whose last bit depends on
+the row's position in the call, so those scans key every row.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -25,12 +34,23 @@ import numpy as np
 from fanns.corpus import (
     Corpus,
     FilterMask,
+    Metric,
     ordering_keys,
     require_finite,
     require_mask_for,
     row_blocks,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
+
+# unit roundoffs of float32 and float64, and the smallest normal float32
+_U32, _U64, _TINY32 = 2.0**-24, 2.0**-53, 2.0**-126
+# above this ‖x‖max + ‖q‖ a float32 product could overflow: _l2_candidates
+# narrows nothing
+_REACH_LIMIT = 2.0**60
+# An L2 scan of n rows is narrowed only when n >= 4k + _NARROW_MIN_ROWS: the
+# narrowing pass and the rows it keeps cost about as much as keying 400 + 3k
+# rows (k = 10 to 300, d = 32, gathered ids), so a smaller scan keys every row
+_NARROW_MIN_ROWS = 512
 
 
 def exact_scan(
@@ -43,11 +63,31 @@ def exact_scan(
 
     Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
     and gathered by id with ``take`` otherwise, with keys bit-identical to one
-    ``ordering_keys`` call over all of them; every row counts as a distance
-    evaluation. Under cosine each block's divisors are the block's
-    ``Corpus.cosine_divisors``; a zero query, or any zero row in the corpus,
-    raises ``ValueError``. Every row whose key ties the k-th key is ranked
-    before the cut, so ties go to the smaller id whatever order ``ids`` is in.
+    ``ordering_keys`` call over all of them. Under cosine each block's
+    divisors are the block's ``Corpus.cosine_divisors``; a zero query, or any
+    zero row in the corpus, raises ``ValueError``. Every row whose key ties
+    the k-th key is ranked before the cut, so ties go to the smaller id
+    whatever order ``ids`` is in.
+
+    An L2 scan of at least 4k + 512 rows keys only the rows that can still
+    reach the top k (smaller scans cost less keyed whole).
+    :func:`_l2_candidates` gives every scanned row a score r, its float64
+    ‖x‖² plus the float32 product ⟨x, fl32(−2q)⟩, and a bound ``slack`` with
+    |r + ‖q‖² − K²| ≤ slack for each row's computed key K:
+
+        slack = (γ₃₂(d+2) + γ₆₄(4d+32))·R² + 8λ·(d + √d·R),
+
+    with R = ‖x‖max + ‖q‖ over the scanned rows, λ = 2⁻¹²⁶ and Higham's
+    γ(n) = n·u/(1 − n·u) at u₃₂ = 2⁻²⁴ (γ₃₂) or u₆₄ = 2⁻⁵³ (γ₆₄). Rows with
+    r ≤ r₍ₖ₎ + 2·slack are keyed, r₍ₖ₎ the k-th smallest score. Every row i
+    whose key ties or beats the k-th smallest key K* is among them: of the k
+    rows of smallest score, some row j has K_j ≥ K*, since at most k − 1 keys
+    lie below K*; so r_i ≤ K_i² − ‖q‖² + slack ≤ K_j² − ‖q‖² + slack
+    ≤ r_j + 2·slack ≤ r₍ₖ₎ + 2·slack. The kept rows therefore include every
+    row the full ranking puts in the top k or ties at its cut, and an L2 key
+    depends on its (query, row) pair alone, so the ids and keys equal those
+    of keying every row. ``nodes_visited`` counts the scanned rows,
+    ``distance_evaluations`` the keys computed.
     """
     full = ids is None
     ids = None if full else np.asarray(ids, dtype=np.int64)
@@ -56,8 +96,13 @@ def exact_scan(
     if m < 1:
         return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     query = np.asarray(query, dtype=np.float64)
-    keys = np.empty(n)
-    for block in row_blocks(n):
+    scored = n
+    if corpus.metric is Metric.L2 and n >= 4 * m + _NARROW_MIN_ROWS:
+        near = _l2_candidates(corpus, query, m, ids)
+        if near is not None:
+            ids, full, scored = (near if full else ids[near]), False, len(near)
+    keys = np.empty(scored)
+    for block in row_blocks(scored):
         block_ids = block if full else ids[block]
         rows = corpus.vectors[block] if full else corpus.vectors.take(block_ids, axis=0)
         divisors = corpus.cosine_divisors(query, block_ids)
@@ -65,8 +110,62 @@ def exact_scan(
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
     order = pick[np.lexsort((pick if full else ids[pick], keys[pick]))][:m]
-    telemetry = SearchTelemetry(distance_evaluations=n, nodes_visited=n)
+    telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
     return SearchResult(order if full else ids[order], keys[order], telemetry)
+
+
+def _gamma(count: int, unit: float) -> float:
+    """Higham's γ_count = count·u / (1 − count·u), the relative error bound of
+    ``count`` roundings of unit ``u``; infinite where count·u >= 1."""
+    return count * unit / (1.0 - count * unit) if count * unit < 1.0 else math.inf
+
+
+def _l2_candidates(
+    corpus: Corpus, query: np.ndarray, m: int, ids: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """Positions among the scanned rows (row ids for a full scan) of every row
+    whose exact L2 key can tie or beat the m-th smallest, in ascending order:
+    those with r ≤ r₍ₘ₎ + 2·slack (see :func:`exact_scan`). None when that
+    narrows nothing.
+
+    The score r is the cached float64 ``Corpus.sq_row_norms`` plus one
+    float32 matrix-vector product with fl32(−2q), over ``corpus.vectors`` for
+    a full scan and over rows gathered one ``row_blocks`` block at a time
+    otherwise.
+
+    The terms of ``slack``: γ₃₂(d+2)·R² bounds |fl32⟨x, fl32(−2q)⟩ + 2⟨x, q⟩|,
+    since rounding −2q costs 2u₃₂‖x‖‖q‖, the product 2γ₃₂(d)‖x‖‖q‖(1+u₃₂)
+    in any summation order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.1), and 2‖x‖‖q‖ ≤ R²/2. γ₆₄(4d+32)·R² bounds the float64
+    roundings: the exact key (γ₆₄(d+4)·R²), the cached ‖x‖² (γ₆₄(d+1)·R²),
+    the subtraction forming r, the cut, and computing R and slack
+    themselves. 8λ·(d + √d·R) bounds underflow, gradual or flushed to zero,
+    in fl32(−2q) and in the float32 product, and float64 underflow in the
+    key.
+
+    Narrows nothing when R exceeds 2⁶⁰, so that no float32 product, partial
+    sum or fl32(q) can overflow (R² ≤ 2¹²⁰ against a float32 maximum near
+    2¹²⁸), when R or slack is not finite, or when every row survives.
+    """
+    sq_norms = corpus.sq_row_norms if ids is None else corpus.sq_row_norms.take(ids)
+    reach = math.sqrt(sq_norms.max()) + math.sqrt(query.dot(query))
+    d = corpus.dim
+    slack = (_gamma(d + 2, _U32) + _gamma(4 * d + 32, _U64)) * reach * reach + 8.0 * _TINY32 * (
+        d + math.sqrt(d) * reach
+    )
+    if not (reach <= _REACH_LIMIT and math.isfinite(slack)):
+        return None
+    minus_twice = (-2.0 * query).astype(np.float32)
+    if ids is None:
+        dots = corpus.vectors.dot(minus_twice)
+    else:
+        dots = np.empty(len(ids), dtype=np.float32)
+        for block in row_blocks(len(ids)):
+            dots[block] = corpus.vectors.take(ids[block], axis=0).dot(minus_twice)
+    scores = sq_norms + dots
+    cut = np.partition(scores, m - 1)[m - 1] + 2.0 * slack
+    near = np.flatnonzero(scores <= cut)
+    return near if len(near) < len(scores) else None
 
 
 def exact_knn(

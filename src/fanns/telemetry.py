@@ -9,6 +9,16 @@ import numpy as np
 
 @dataclass
 class SearchTelemetry:
+    """Counters of one search call.
+
+    ``distance_evaluations`` counts the exact ordering keys computed, one per
+    row passed through ``ordering_keys``; ``nodes_visited`` counts the rows
+    the search reached: every row an exact scan bounded (an L2 scan keys only
+    the rows its float32 bound keeps, so it can count fewer evaluations than
+    visits), every node an HNSW search scored. Centroid keys are counted
+    apart, in ``centroid_evaluations``.
+    """
+
     distance_evaluations: int = 0
     nodes_visited: int = 0
     centroid_evaluations: int = 0

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanns.corpus import (
     ROW_BLOCK,
@@ -149,6 +153,14 @@ def test_cosine_row_norms_are_blockwise_exact_and_skip_the_float64_copy():
     assert "vectors64" not in corpus.__dict__
 
 
+def test_sq_row_norms_are_blockwise_exact_and_skip_the_float64_copy():
+    corpus = _varied_corpus(2 * ROW_BLOCK + 1, 24, Metric.L2, seed=10)
+    expected = np.sum(corpus.vectors.astype(np.float64) ** 2, axis=1)
+    exact_knn(corpus, corpus.vectors[0], 10)
+    assert np.array_equal(corpus.__dict__["sq_row_norms"], expected)
+    assert "vectors64" not in corpus.__dict__
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("masked", [False, True])
 def test_non_finite_query_is_refused(l2_corpus, bad, masked):
@@ -204,6 +216,24 @@ def _reference_exact_scan(corpus, query, k, ids=None):
     return ids[order], keys[order], SearchTelemetry(len(ids), len(ids))
 
 
+def _assert_equals_reference(result, corpus, query, k, ids=None):
+    """``result`` has the reference scan's ids, keys and counters, except that
+    an L2 scan with k below its scanned count may compute fewer exact keys:
+    at least every row whose key ties or beats the k-th, at most all of them."""
+    ref_ids, ref_keys, telemetry = _reference_exact_scan(corpus, query, k, ids)
+    assert result.ids.dtype == np.int64
+    assert np.array_equal(result.ids, ref_ids)
+    assert np.array_equal(result.distances, ref_keys)
+    scanned, evals = telemetry.nodes_visited, result.telemetry.distance_evaluations
+    assert replace(result.telemetry, distance_evaluations=scanned) == telemetry
+    if corpus.metric is Metric.L2 and k < scanned:
+        rows = np.arange(corpus.n) if ids is None else ids
+        keys = mixed_dtype_keys(query, corpus.vectors[rows], Metric.L2)
+        assert np.count_nonzero(keys <= ref_keys[-1]) <= evals <= scanned
+    else:
+        assert evals == scanned
+
+
 class TestReferenceScan:
     N = 2 * ROW_BLOCK + 1  # two blocks, the second with the one-row tail
 
@@ -222,13 +252,6 @@ class TestReferenceScan:
         return {"float32 row": row, "float64 row": row.astype(np.float64),
                 "float64": rng.standard_normal(corpus.dim)}
 
-    @staticmethod
-    def _assert_equal(result, reference):
-        ids, keys, telemetry = reference
-        assert result.ids.dtype == np.int64
-        assert np.array_equal(result.ids, ids)
-        assert np.array_equal(result.distances, keys)
-        assert result.telemetry == telemetry
 
     @pytest.mark.parametrize("k", [1, 10, ROW_BLOCK + 1, N])
     def test_scans_equal_the_reference(self, tied_corpus, k):
@@ -243,10 +266,7 @@ class TestReferenceScan:
         }
         for query in self._queries(tied_corpus).values():
             for ids in scans.values():
-                self._assert_equal(
-                    exact_scan(tied_corpus, query, k, ids),
-                    _reference_exact_scan(tied_corpus, query, k, ids),
-                )
+                _assert_equals_reference(exact_scan(tied_corpus, query, k, ids), tied_corpus, query, k, ids)
 
     @pytest.mark.parametrize("k", [1, 10, ROW_BLOCK + 1, N])
     def test_exact_knn_equals_the_reference(self, tied_corpus, k):
@@ -255,7 +275,108 @@ class TestReferenceScan:
                 tied_corpus, np.quantile(tied_corpus.attribute, 1.0 - sigma))
             ids = None if mask is None else mask.valid_ids()
             for query in self._queries(tied_corpus).values():
-                self._assert_equal(
-                    exact_knn(tied_corpus, query, k, mask),
-                    _reference_exact_scan(tied_corpus, query, k, ids),
-                )
+                _assert_equals_reference(exact_knn(tied_corpus, query, k, mask), tied_corpus, query, k, ids)
+
+
+def _adversarial_l2_corpus(d, scale, outlier, seed, n=1200):
+    """Clustered L2 rows at one scale, with exact duplicates, a row one
+    float32 ulp from another and, when ``outlier``, one row 1e6 times the
+    scale: the inputs where a float32 bound is easiest to get wrong."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((6, d))
+    vectors = (centres[rng.integers(0, 6, n)] + 0.1 * rng.standard_normal((n, d))) * scale
+    vectors = vectors.astype(np.float32)
+    vectors[n // 2 : n // 2 + 8] = vectors[:8]
+    vectors[n - 2] = vectors[n - 1]
+    vectors[n - 2, 0] = np.nextafter(vectors[n - 1, 0], np.float32(np.inf))
+    if outlier:
+        vectors[n // 3] *= np.float32(1e6)
+    return Corpus(vectors, rng.uniform(0, 1, n), Metric.L2)
+
+
+def _adversarial_queries(corpus, scale):
+    row = corpus.vectors[5]
+    return {
+        "a duplicated row": row,
+        "a row one ulp from another": corpus.vectors[-1],
+        # 1 + 2**-30 needs more bits than a float32 significand holds
+        "a row off the float32 grid": row.astype(np.float64) * (1.0 + 2.0**-30),
+        "near the data": np.random.default_rng(3).standard_normal(corpus.dim) * scale,
+        "far from the data": np.full(corpus.dim, 1e4 * scale),
+    }
+
+
+def _probed_ids(index, query, n_probe):
+    """The ids that ``ivf_search`` scans, in its probe order."""
+    keys = ordering_keys(query, index.centroids, index.metric)
+    return np.concatenate([index.lists[c] for c in np.argsort(keys, kind="stable")[:n_probe]])
+
+
+class TestL2Narrowing:
+    """Narrowed L2 scans against the reference scan, which keys every row.
+    A scan is narrowed from 4k + 512 rows, so the corpora are 1,200 rows and
+    the hypothesis scans mostly 500 to 800."""
+
+    @pytest.mark.parametrize("outlier", [False, True], ids=["", "outlier"])
+    @pytest.mark.parametrize("scale", [1e-30, 1e-8, 1.0, 1e8, 1e18])
+    @pytest.mark.parametrize("d", [1, 3, 16, 32, 768])
+    def test_scans_equal_the_reference(self, d, scale, outlier):
+        corpus = _adversarial_l2_corpus(d, scale, outlier, seed=d)
+        index = ivf_build(corpus, 4, seed=1)
+        shuffled = np.random.default_rng(d).permutation(corpus.n)
+        for query in _adversarial_queries(corpus, scale).values():
+            scans = {"full": (None, None), "shuffled": (shuffled, None),
+                     "shuffled part": (shuffled[: 2 * corpus.n // 3], None),
+                     "two probes": (_probed_ids(index, query, 2), 2),
+                     "every probe": (_probed_ids(index, query, 4), 4)}
+            for ids, n_probe in scans.values():
+                scanned = corpus.n if ids is None else len(ids)
+                # (scanned - 512) // 4 is the largest k that a scan narrows
+                for k in (1, 10, (scanned - 512) // 4, scanned - 1, scanned, scanned + 5):
+                    if k < 1:
+                        continue
+                    if n_probe is None:
+                        result = exact_scan(corpus, query, k, ids)
+                    else:
+                        result = ivf_search(index, corpus, query, k, n_probe)
+                        assert result.telemetry.centroid_evaluations == index.n_clusters
+                        result.telemetry.centroid_evaluations = 0
+                    _assert_equals_reference(result, corpus, query, k, ids)
+
+    def test_the_scan_is_narrowed(self):
+        # the bound must leave few rows on ordinary data; a scan below
+        # 4k + 512 rows, or where float32 could overflow, keys every row
+        corpus = _adversarial_l2_corpus(32, 1.0, False, seed=1)
+        result = exact_knn(corpus, corpus.vectors[5], 10)
+        assert 10 <= result.telemetry.distance_evaluations < corpus.n // 4
+        assert result.telemetry.nodes_visited == corpus.n
+        k = (corpus.n - 512) // 4 + 1
+        assert exact_knn(corpus, corpus.vectors[5], k).telemetry.distance_evaluations == corpus.n
+        huge = _adversarial_l2_corpus(32, 1e18, False, seed=1)
+        assert exact_knn(huge, huge.vectors[5], 10).telemetry.distance_evaluations == huge.n
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 800) | st.integers(500, 800),
+        d=st.integers(1, 12),
+        exponent=st.integers(-30, 18),
+        distinct=st.integers(1, 8),
+        query_kind=st.sampled_from(["row", "off grid", "random"]),
+        k=st.integers(1, 70) | st.integers(1, 810),
+        subset=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_narrowed_scans_equal_the_reference(
+        self, n, d, exponent, distinct, query_kind, k, subset, seed
+    ):
+        # rows drawn from a few distinct vectors, so that many keys tie
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((distinct, d)) * 10.0**exponent
+        vectors = (pool[rng.integers(0, distinct, n)]
+                   + rng.standard_normal((n, d)) * 10.0 ** (exponent - rng.integers(1, 8)))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), Metric.L2)
+        row = corpus.vectors[int(rng.integers(n))]
+        query = {"row": row, "off grid": row.astype(np.float64) * (1.0 + 2.0**-30),
+                 "random": rng.standard_normal(d) * 10.0**exponent}[query_kind]
+        ids = rng.permutation(n)[: int(rng.integers(n // 2, n + 1))] if subset else None
+        _assert_equals_reference(exact_scan(corpus, query, k, ids), corpus, query, k, ids)
