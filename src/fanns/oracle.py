@@ -22,6 +22,10 @@ from the top k are keyed (see :func:`_l2_candidates`). L2 keys depend on
 their (query, row) pair alone, so the ids and keys are those of keying every
 row. Inner-product and cosine keys come from a GEMV whose last bit depends on
 the row's position in the call, so those scans key every row.
+
+That error bound is :func:`l2_slack`, the package's one bound on a float32 L2
+score against its exact float64 distance. The IVFFlat build uses it too, for
+its k-means++ seeding and its final L2 row-to-list assignment.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from fanns.telemetry import SearchResult, SearchTelemetry
 
 # unit roundoffs of float32 and float64, and the smallest normal float32
 _U32, _U64, _TINY32 = 2.0**-24, 2.0**-53, 2.0**-126
-# above this ‖x‖max + ‖q‖ a float32 product could overflow: _l2_candidates
-# narrows nothing
+# above this ‖x‖max + ‖q‖ a float32 product could overflow: l2_slack gives
+# no bound
 _REACH_LIMIT = 2.0**60
 # An L2 scan of n rows is narrowed only when n >= 4k + _NARROW_MIN_ROWS: the
 # narrowing pass and the rows it keeps cost about as much as keying 400 + 3k
@@ -72,13 +76,9 @@ def exact_scan(
     An L2 scan of at least 4k + 512 rows keys only the rows that can still
     reach the top k (smaller scans cost less keyed whole).
     :func:`_l2_candidates` gives every scanned row a score r, its float64
-    ‖x‖² plus the float32 product ⟨x, fl32(−2q)⟩, and a bound ``slack`` with
-    |r + ‖q‖² − K²| ≤ slack for each row's computed key K:
-
-        slack = (γ₃₂(d+2) + γ₆₄(4d+32))·R² + 8λ·(d + √d·R),
-
-    with R = ‖x‖max + ‖q‖ over the scanned rows, λ = 2⁻¹²⁶ and Higham's
-    γ(n) = n·u/(1 − n·u) at u₃₂ = 2⁻²⁴ (γ₃₂) or u₆₄ = 2⁻⁵³ (γ₆₄). Rows with
+    ‖x‖² plus the float32 product ⟨x, fl32(−2q)⟩, and the bound ``slack`` of
+    :func:`l2_slack`, with |r + ‖q‖² − K²| ≤ slack for each row's computed
+    key K and R = ‖x‖max + ‖q‖ over the scanned rows. Rows with
     r ≤ r₍ₖ₎ + 2·slack are keyed, r₍ₖ₎ the k-th smallest score. Every row i
     whose key ties or beats the k-th smallest key K* is among them: of the k
     rows of smallest score, some row j has K_j ≥ K*, since at most k − 1 keys
@@ -120,6 +120,43 @@ def _gamma(count: int, unit: float) -> float:
     return count * unit / (1.0 - count * unit) if count * unit < 1.0 else math.inf
 
 
+def l2_slack(dim: int, reach: float) -> Optional[float]:
+    """Bound on how far a float32 L2 score strays from its float64 key.
+
+    For a row x and a float64 point q of ``dim`` = d coordinates with
+    ‖x‖ + ‖q‖ ≤ ``reach`` = R, let P be the float32 product
+    fl32⟨x, fl32(−2q)⟩ (any summation order) and K² the squared L2 distance
+    as the package computes it. Then a score formed in float64 from P, the
+    cached ‖x‖² and a float64 ‖q‖² differs from K² by at most
+
+        slack = (γ₃₂(d+2) + γ₆₄(4d+32))·R² + 8λ·(d + √d·R),
+
+    with λ = 2⁻¹²⁶ and Higham's γ(n) = n·u/(1 − n·u) at u₃₂ = 2⁻²⁴ (γ₃₂) or
+    u₆₄ = 2⁻⁵³ (γ₆₄), with room left for the additions that cut scores.
+
+    The terms: γ₃₂(d+2)·R² bounds |P + 2⟨x, q⟩|, since rounding −2q costs
+    2u₃₂‖x‖‖q‖, the product 2γ₃₂(d)‖x‖‖q‖(1+u₃₂) in any summation order
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1), and
+    2‖x‖‖q‖ ≤ R²/2. γ₆₄(4d+32)·R² bounds the float64 roundings, each of a
+    value at most about 2R²: K² (γ₆₄(d+4)·R² for the key ``ordering_keys``
+    returns: a rounded difference and square per coordinate, the sum in any
+    order, the square root and its square; γ₆₄(d+2)·R² without the root),
+    the cached ‖x‖² (γ₆₄(d+1)·R²), ‖q‖² (γ₆₄(d)·R²), at most four additions
+    that form and cut a score, and computing R and slack themselves: no
+    caller needs more than 3d + 20 of the 4d + 32 roundings. 8λ·(d + √d·R)
+    bounds underflow, gradual or flushed to zero, in fl32(−2q) and in the
+    float32 product, and float64 underflow in K².
+
+    None, for no bound, when R exceeds 2⁶⁰, so that no float32 product,
+    partial sum or fl32(q) could overflow (R² ≤ 2¹²⁰ against a float32
+    maximum near 2¹²⁸), or when R or slack is not finite.
+    """
+    slack = (_gamma(dim + 2, _U32) + _gamma(4 * dim + 32, _U64)) * reach * reach + 8.0 * _TINY32 * (
+        dim + math.sqrt(dim) * reach
+    )
+    return slack if reach <= _REACH_LIMIT and math.isfinite(slack) else None
+
+
 def _l2_candidates(
     corpus: Corpus, query: np.ndarray, m: int, ids: Optional[np.ndarray]
 ) -> Optional[np.ndarray]:
@@ -131,29 +168,12 @@ def _l2_candidates(
     The score r is the cached float64 ``Corpus.sq_row_norms`` plus one
     float32 matrix-vector product with fl32(−2q), over ``corpus.vectors`` for
     a full scan and over rows gathered one ``row_blocks`` block at a time
-    otherwise.
-
-    The terms of ``slack``: γ₃₂(d+2)·R² bounds |fl32⟨x, fl32(−2q)⟩ + 2⟨x, q⟩|,
-    since rounding −2q costs 2u₃₂‖x‖‖q‖, the product 2γ₃₂(d)‖x‖‖q‖(1+u₃₂)
-    in any summation order (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, §3.1), and 2‖x‖‖q‖ ≤ R²/2. γ₆₄(4d+32)·R² bounds the float64
-    roundings: the exact key (γ₆₄(d+4)·R²), the cached ‖x‖² (γ₆₄(d+1)·R²),
-    the subtraction forming r, the cut, and computing R and slack
-    themselves. 8λ·(d + √d·R) bounds underflow, gradual or flushed to zero,
-    in fl32(−2q) and in the float32 product, and float64 underflow in the
-    key.
-
-    Narrows nothing when R exceeds 2⁶⁰, so that no float32 product, partial
-    sum or fl32(q) can overflow (R² ≤ 2¹²⁰ against a float32 maximum near
-    2¹²⁸), when R or slack is not finite, or when every row survives.
+    otherwise. Narrows nothing when :func:`l2_slack` gives no bound, or when
+    every row survives.
     """
     sq_norms = corpus.sq_row_norms if ids is None else corpus.sq_row_norms.take(ids)
-    reach = math.sqrt(sq_norms.max()) + math.sqrt(query.dot(query))
-    d = corpus.dim
-    slack = (_gamma(d + 2, _U32) + _gamma(4 * d + 32, _U64)) * reach * reach + 8.0 * _TINY32 * (
-        d + math.sqrt(d) * reach
-    )
-    if not (reach <= _REACH_LIMIT and math.isfinite(slack)):
+    slack = l2_slack(corpus.dim, math.sqrt(sq_norms.max()) + math.sqrt(query.dot(query)))
+    if slack is None:
         return None
     minus_twice = (-2.0 * query).astype(np.float32)
     if ids is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fanns.corpus import ROW_BLOCK, Metric, generate_synthetic
+from fanns.corpus import ROW_BLOCK, Corpus, Metric, generate_synthetic
 from fanns.hnsw import hnsw_build
 from fanns.ivfflat import ivf_build
 
@@ -99,3 +99,19 @@ def mixed_dtype_keys(query, rows, metric, divisors=None):
     else:
         norms = -divisors
     return -rows.dot(query) / norms
+
+
+def adversarial_corpus(d, scale, outlier, seed, n=1200, metric=Metric.L2):
+    """Clustered rows at one scale, with exact duplicates, a row one float32
+    ulp from another and, when ``outlier``, one row 1e6 times the scale: the
+    inputs where a float32 bound on L2 distances is easiest to get wrong."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((6, d))
+    vectors = (centres[rng.integers(0, 6, n)] + 0.1 * rng.standard_normal((n, d))) * scale
+    vectors = vectors.astype(np.float32)
+    vectors[n // 2 : n // 2 + 8] = vectors[:8]
+    vectors[n - 2] = vectors[n - 1]
+    vectors[n - 2, 0] = np.nextafter(vectors[n - 1, 0], np.float32(np.inf))
+    if outlier:
+        vectors[n // 3] *= np.float32(1e6)
+    return Corpus(vectors, rng.uniform(0, 1, n), metric)

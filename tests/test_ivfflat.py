@@ -16,7 +16,7 @@ from fanns import ivfflat
 from fanns.ivfflat import IvfFormatError, IvfIndex, ivf_build, ivf_search, load_ivf, save_ivf
 from fanns.oracle import exact_knn, exact_scan
 
-from conftest import ROW_COUNTS, mixed_dtype_keys, sample_queries
+from conftest import ROW_COUNTS, adversarial_corpus, mixed_dtype_keys, sample_queries
 
 
 def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
@@ -211,6 +211,49 @@ class TestBuild:
             ivf_build(corpus2k, 0, seed=0)
         with pytest.raises(ValueError):
             ivf_build(corpus2k, corpus2k.n + 1, seed=0)
+
+
+class TestNarrowedBuild:
+    """Builds whose k-means++ seeding, and under L2 the final assignment,
+    compute only the distances that the float32 bound cannot rule out,
+    against the reference build, which computes all of them."""
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
+    @pytest.mark.parametrize("shape", ["", "outlier", "offset"])
+    @pytest.mark.parametrize("scale", [1e-30, 1e-8, 1.0, 1e8, 1e18])
+    @pytest.mark.parametrize("d", [1, 3, 768])
+    def test_build_equals_the_reference(self, d, scale, shape, metric):
+        # "offset" moves every row 300 times the scale from the origin, so
+        # that float32 rounding is large against the distances between rows;
+        # 16 lists narrow the L2 assignment even at d = 1
+        corpus = adversarial_corpus(d, scale, shape == "outlier", seed=d, metric=metric)
+        if shape == "offset":
+            corpus = Corpus(corpus.vectors + np.float32(300 * scale), corpus.attribute, metric)
+        centroids, lists = _reference_ivf_build(corpus, 16, 3, [])
+        index = ivf_build(corpus, 16, seed=3)
+        assert index.centroids.tobytes() == centroids.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(index.lists, lists))
+
+    def test_an_ivf_l2_sized_build_computes_few_distances(self, monkeypatch):
+        # the ivf-l2 benchmark's shape: 20,000 x 32 rows, 141 lists
+        corpus = _mixture(20000, 32, Metric.L2, seed=9)
+        seeding, keys = [], []
+
+        def sq_dists(rows, point):
+            seeding.append(len(rows))
+            return _mixed_dtype_sq_dists(rows, point)
+
+        def ordering_keys(point, rows, metric, divisors=None):
+            keys.append(len(rows))
+            return mixed_dtype_keys(point, rows, metric, divisors)
+
+        monkeypatch.setattr(ivfflat, "_sq_dists", sq_dists)
+        monkeypatch.setattr(ivfflat, "ordering_keys", ordering_keys)
+        ivf_build(corpus, 141, seed=1)
+        # k-means++ folds every row against its first centroid, and each row
+        # keys at least its own list's centroid
+        assert corpus.n <= sum(seeding) < corpus.n * 141 // 20
+        assert corpus.n <= sum(keys) < 2 * corpus.n
 
 
 class TestSearch:

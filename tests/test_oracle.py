@@ -19,7 +19,7 @@ from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import exact_knn, exact_scan
 from fanns.telemetry import SearchTelemetry
 
-from conftest import mixed_dtype_keys
+from conftest import adversarial_corpus, mixed_dtype_keys
 
 
 def _selection_sort_knn(corpus, query, k, mask=None):
@@ -278,22 +278,6 @@ class TestReferenceScan:
                 _assert_equals_reference(exact_knn(tied_corpus, query, k, mask), tied_corpus, query, k, ids)
 
 
-def _adversarial_l2_corpus(d, scale, outlier, seed, n=1200):
-    """Clustered L2 rows at one scale, with exact duplicates, a row one
-    float32 ulp from another and, when ``outlier``, one row 1e6 times the
-    scale: the inputs where a float32 bound is easiest to get wrong."""
-    rng = np.random.default_rng(seed)
-    centres = rng.standard_normal((6, d))
-    vectors = (centres[rng.integers(0, 6, n)] + 0.1 * rng.standard_normal((n, d))) * scale
-    vectors = vectors.astype(np.float32)
-    vectors[n // 2 : n // 2 + 8] = vectors[:8]
-    vectors[n - 2] = vectors[n - 1]
-    vectors[n - 2, 0] = np.nextafter(vectors[n - 1, 0], np.float32(np.inf))
-    if outlier:
-        vectors[n // 3] *= np.float32(1e6)
-    return Corpus(vectors, rng.uniform(0, 1, n), Metric.L2)
-
-
 def _adversarial_queries(corpus, scale):
     row = corpus.vectors[5]
     return {
@@ -321,7 +305,7 @@ class TestL2Narrowing:
     @pytest.mark.parametrize("scale", [1e-30, 1e-8, 1.0, 1e8, 1e18])
     @pytest.mark.parametrize("d", [1, 3, 16, 32, 768])
     def test_scans_equal_the_reference(self, d, scale, outlier):
-        corpus = _adversarial_l2_corpus(d, scale, outlier, seed=d)
+        corpus = adversarial_corpus(d, scale, outlier, seed=d)
         index = ivf_build(corpus, 4, seed=1)
         shuffled = np.random.default_rng(d).permutation(corpus.n)
         for query in _adversarial_queries(corpus, scale).values():
@@ -346,13 +330,13 @@ class TestL2Narrowing:
     def test_the_scan_is_narrowed(self):
         # the bound must leave few rows on ordinary data; a scan below
         # 4k + 512 rows, or where float32 could overflow, keys every row
-        corpus = _adversarial_l2_corpus(32, 1.0, False, seed=1)
+        corpus = adversarial_corpus(32, 1.0, False, seed=1)
         result = exact_knn(corpus, corpus.vectors[5], 10)
         assert 10 <= result.telemetry.distance_evaluations < corpus.n // 4
         assert result.telemetry.nodes_visited == corpus.n
         k = (corpus.n - 512) // 4 + 1
         assert exact_knn(corpus, corpus.vectors[5], k).telemetry.distance_evaluations == corpus.n
-        huge = _adversarial_l2_corpus(32, 1e18, False, seed=1)
+        huge = adversarial_corpus(32, 1e18, False, seed=1)
         assert exact_knn(huge, huge.vectors[5], 10).telemetry.distance_evaluations == huge.n
 
     @settings(max_examples=150, deadline=None)
