@@ -9,11 +9,11 @@ All search code in this package orders candidates by a single scalar key,
 Euclidean distance itself, inner product and cosine use the negated
 similarity.
 
-Every full pass over the corpus rows (the exact scan, the cosine row norms,
+Every full pass over the corpus rows (the exact scan, the squared row norms,
 the finiteness and unit-norm checks of a new corpus, the whole IVFFlat build)
 converts one :func:`row_blocks` block at a time, so its float64 temporaries
-stay a few megabytes whatever the corpus size; L2 subtracts in place. Only
-HNSW keeps a float64 copy of the vectors (``Corpus.vectors64``).
+stay a few megabytes whatever the corpus size. Only HNSW keeps a float64 copy
+of the vectors (``Corpus.vectors64``).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class Metric(Enum):
     COSINE = 2
 
 
-# bound once: on CPython 3.11 each Enum member lookup costs about 130 ns, as
-# much as a tenth of a small key call (see ordering_keys)
+# bound once: an Enum member lookup is a large share of a small key call
+# (see ordering_keys)
 _L2, _INNER_PRODUCT, _COSINE = Metric.L2, Metric.INNER_PRODUCT, Metric.COSINE
 _F64 = np.dtype(np.float64)
 _NDARRAY = np.ndarray
@@ -125,12 +125,12 @@ class Corpus:
     float32 granularity). A vector entry that is NaN or inf raises
     ``ValueError``: no key to such a row orders anything.
 
-    Three derived arrays are built on first use and kept: ``cosine_row_norms``
-    (n float64 values, read by :meth:`cosine_divisors`; a normalized cosine
-    corpus builds them at once to check its unit norms), ``sq_row_norms`` (n
+    Three derived arrays are built on first use and kept: ``sq_row_norms`` (n
     float64 squared norms, read by the IVFFlat build and the L2 exact scan's
-    float32 bound) and ``vectors64`` (a float64 copy of the vectors, used only
-    by HNSW).
+    float32 bound), ``cosine_row_norms`` (their square roots, read by
+    :meth:`cosine_divisors`; a normalized cosine corpus builds them at once to
+    check its unit norms) and ``vectors64`` (a float64 copy of the vectors,
+    used only by HNSW).
     """
 
     vectors: np.ndarray
@@ -172,15 +172,13 @@ class Corpus:
     def cosine_row_norms(self) -> np.ndarray:
         """Float64 L2 norm of every row, built on first use and kept.
 
-        Each ``row_blocks`` block of float32 rows is converted on its own, so
-        the norms equal ``np.linalg.norm(vectors.astype(np.float64), axis=1)``
-        without building ``vectors64``. Raises the cosine zero-vector
+        The square roots of ``sq_row_norms``: ``np.linalg.norm(rows, axis=1)``
+        takes the same row sums, so the norms are the same floats without a
+        second pass over the rows. Raises the cosine zero-vector
         ``ValueError`` when any row has norm 0: no cosine key to such a row
         exists.
         """
-        norms = np.empty(self.n)
-        for block in row_blocks(self.n):
-            norms[block] = np.linalg.norm(self.vectors[block].astype(np.float64), axis=1)
+        norms = np.sqrt(self.sq_row_norms)
         if not norms.all():
             raise ValueError(_ZERO_VECTOR)
         return norms
@@ -207,12 +205,9 @@ class Corpus:
         The negated float64 query norm times the rows' ``cosine_row_norms``,
         as :func:`ordering_keys` forms them, so keys stay bit-identical; the
         sign is folded in here so that a cosine key is one GEMV and one
-        divide. Every divisor is negative. A zero query, or a zero row
-        anywhere in the corpus, raises ``ValueError``.
-
-        The query norm takes the three steps of ``np.linalg.norm``'s vector
-        path (``ravel(order="K")``, ``dot``, a square root) without its
-        dispatch, so it is the same float at about half the cost.
+        divide. A zero query, or a zero row anywhere in the corpus, raises
+        ``ValueError``. The query norm is ``np.linalg.norm``'s vector path
+        (``ravel(order="K")``, ``dot``, a square root) without its dispatch.
         """
         if self.metric is not _COSINE:
             return None
@@ -271,36 +266,26 @@ def ordering_keys(
     """Vectorized smaller-is-closer ordering keys from `query` to each row.
 
     For L2 the key is the Euclidean distance; for inner product and cosine it
-    is the negated similarity, computed in float64. L2 converts float32 rows
-    once and subtracts the query in place (a mixed-dtype broadcast subtract
-    runs a buffered cast with a d-long inner loop); float64 rows, HNSW's, take
-    one subtract. The other metrics convert the rows first. An L2 key depends
-    only on its (query, row) pair, so it is identical whatever rows share the
-    call. Inner-product and cosine keys go through a BLAS matrix-vector
-    product (``rows.dot(query)``, the same GEMV as ``rows @ query`` without
-    the matmul dispatch), whose rounding can move a key by an ulp when the
+    is the negated similarity, computed in float64. An L2 key depends only on
+    its (query, row) pair, so it is identical whatever rows share the call;
+    float32 rows are converted once and the query subtracted in place, since
+    a mixed-dtype subtract runs a buffered cast with a d-long inner loop.
+    Inner-product and cosine keys go through a BLAS matrix-vector product
+    (``rows.dot(query)``), whose rounding can move a key by an ulp when the
     rows around it change; compare them across calls with a tolerance.
 
-    A cosine key is ``rows.dot(query) / divisors``, one GEMV and one divide,
-    with ``divisors`` the negated products −|query|·|row|: a cosine caller's
-    :meth:`Corpus.cosine_divisors`, or formed here from the rows when None.
-    Since a/(−b) = −(a/b) exactly in IEEE arithmetic, the keys equal
-    ``-(rows @ query) / (|query|·|row|)`` bit for bit.
+    A cosine key is ``rows.dot(query) / divisors``, with ``divisors`` the
+    negated products −|query|·|row| (:meth:`Corpus.cosine_divisors`, or
+    formed here from the rows when None); since a/(−b) = −(a/b) exactly in
+    IEEE arithmetic, the keys equal ``-(rows @ query) / (|query|·|row|)`` bit
+    for bit.
 
-    An HNSW search makes one call per expanded node, each over a few rows
-    (about a thousand per query in a 2048-wide beam), so the fixed cost of a
-    call counts. The argument checks are identity checks (``type(x) is
-    _NDARRAY``, ``x.dtype is _F64``, the native float64 dtype):
-    ``np.asarray``, which costs 90–160 ns even when it returns its argument
-    unchanged, runs only when one fails, so a list, a subclass, another
-    dtype or a byte-swapped float64 is converted as before. The metric is
-    compared with the module-level ``_L2``, ``_INNER_PRODUCT`` and
-    ``_COSINE`` for the same reason: each ``Metric.X`` lookup costs about
-    130 ns on CPython 3.11, and each ``np.ndarray`` lookup about 20 ns.
-    What is left beyond the kernel is the dimension checks (an ``ndim``
-    read, and about 115 ns for two shape tuples) and a few attribute reads. A
-    query that is not one-dimensional raises ``ValueError`` naming its
-    shape: a (1, d) query would broadcast against one-column rows.
+    HNSW makes one call per expanded node, so the arguments are checked by
+    identity (``type(x) is _NDARRAY``, ``x.dtype is _F64``) and the metric
+    against module-level members; only an argument that fails a check goes
+    through ``np.asarray``. A query that is not one-dimensional raises
+    ``ValueError`` naming its shape: a (1, d) query would broadcast against
+    one-column rows.
     """
     if type(query) is not _NDARRAY or query.dtype is not _F64:
         query = np.asarray(query, dtype=np.float64)

@@ -22,16 +22,8 @@ the target is searched at ef=1, the greedy descent; the insertion of a node of
 level l searches layers l..0 at ``ef_construction`` and links the node on
 them, taking the M closest of each layer's pool.
 
-The pool keeps the loop's own form from layer to layer: an unranked list of
-``(-key, node)`` entries, taken in as a layer's entry points and handed back
-as its result. While the pool has room nothing reads its order, so entrants
-are appended; it is heapified once, when it fills, and from then on each
-entrant evicts the worst entry with ``heapreplace``. Node ids are unique, so
-the entry evicted, and with it every pool, is the same whatever the heap's
-layout. Nothing ranks a pool between layers: the build sorts an
-``ef_construction`` pool only to pick its M closest, and ``hnsw_search``
-ranks the layer-0 pool once, by (key, id) with ``np.lexsort`` over an id
-array and a key array. It then takes one output step, in one of four modes:
+``hnsw_search`` ranks the layer-0 pool once, by (key, id), and takes one
+output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
@@ -47,22 +39,12 @@ The filtered modes count the bitset entries they read in
 ``predicate_invocations``: the pool's length for ``prefilter``, every visited
 layer-0 node for ``dualpool``.
 
-Every key goes through ``corpus.ordering_keys``, with rows gathered by id
-from values built once and kept (``_scorer``): the corpus's float64 copy of
-its vectors, built on first use by a build or search over that corpus, plus
-the query's float64 copy and, for cosine, ``Corpus.cosine_divisors`` of every
-row (n per-row divisors −|q|·|r|), built once per ``hnsw_search`` call and
-once per inserted node in ``hnsw_build``. A pruned neighbor list is scored by
-one direct ``ordering_keys`` call, with divisors for its links only. Each key
-call takes a list of ids (the entry point's is a list of one), converts it to
-one index array and gathers rows and divisors with it. So ``ordering_keys``
-always gets a float64 query and a float64 row matrix, which pass its identity
-checks unconverted, and a cosine key call costs its two gathers, one GEMV and
-one divide, plus a few hundred nanoseconds of checks. A beam makes about one
-call per expanded node, each over a few rows (about a thousand calls in a
-2048-wide search), so this fixed cost is a large share of its key time. The
-keys are bit-identical to uncached ones. Under cosine a zero query, or any
-zero row in the corpus, raises ``ValueError`` before the first key.
+Every key goes through ``corpus.ordering_keys``, over rows gathered by id
+from the corpus's float64 ``vectors64`` (:func:`_scorer`), so each call passes
+its identity checks unconverted: a beam makes about one call per expanded
+node, and the fixed cost of a call counts. The keys are bit-identical to
+uncached ones. Under cosine a zero query, or any zero row in the corpus,
+raises ``ValueError`` before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -135,14 +117,13 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
 def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
     """Ordering keys from ``query`` to corpus rows, given their ids.
 
-    Rows are gathered from the corpus's cached float64 copy. The query's
-    float64 copy is built here, once, and for cosine so is the array of every
-    row's divisor −|q|·|r|, ``corpus.cosine_divisors(query)`` (n floats); each
-    call converts its list of ids to one index array and gathers both its
-    rows and their divisors with it. Each key is still computed by
-    ``ordering_keys``, with the rows as its second argument, so it is
-    bit-identical to ``ordering_keys(query, corpus.vectors[ids], metric)``. A
-    cosine query of norm 0, or a cosine corpus with a zero row, raises here.
+    The query's float64 copy and, for cosine, every row's divisor
+    (``corpus.cosine_divisors(query)``) are built once here; each call
+    gathers its rows from ``corpus.vectors64`` and its divisors with one
+    index array. Keys still go through ``ordering_keys``, with the rows as
+    its second argument, so they are bit-identical to
+    ``ordering_keys(query, corpus.vectors[ids], metric)``. A cosine query of
+    norm 0, or a cosine corpus with a zero row, raises here.
     """
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
@@ -169,17 +150,13 @@ def _search_layer(
 
     The pool, taken over (it may be changed in place) and returned, is an
     unranked list of ``(-key, node)`` entries: the entry points in, the
-    layer's nearest nodes out. A node
-    enters the pool when the pool has room or the node beats its worst entry;
-    given ``bits``, its bit must also be set. Without ``bits`` only pool
-    entrants are queued for expansion (the bounded beam); with ``bits`` every
-    visited node is (the dual pool), and each visited node's bit counts as a
-    predicate invocation. ``worst`` holds the full pool's worst key (inf
-    while the pool has room), so each neighbor costs one comparison. While
-    the pool has room nothing reads its heap order, so entrants are appended
-    and the pool is heapified once, when it fills; a full pool evicts its
-    worst entry with ``heapreplace``. Entries are unique (a node enters at
-    most once), so the entry evicted is the same whatever the heap's layout.
+    layer's nearest nodes out. Nodes are admitted by the beam's rule without
+    ``bits`` and the dual pool's with them (see the module docstring); with
+    ``bits`` each visited node's bit counts as a predicate invocation.
+    ``worst`` holds the full pool's worst key (inf while the pool has room),
+    so each neighbor costs one comparison. The pool is heapified once, when
+    it fills; node ids are unique, so the entry each entrant evicts is the
+    same whatever the heap's layout.
     """
     visited = {node for _, node in pool}
     candidates = [(-negkey, node) for negkey, node in pool]

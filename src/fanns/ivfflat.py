@@ -2,22 +2,15 @@
 
 Rows are partitioned by a k-means clustering (k-means++ seeding, Lloyd
 iterations, deterministic given the seed) in float64 arithmetic. Every pass
-over the rows (norms, seeding, Lloyd steps, the final assignment) runs over
-``row_blocks``, reading the float32 vectors one block at a time and
-converting only that block; each cluster mean is gathered with ``take``, one
-cluster at a time. The squared row norms are the corpus's cached
-``sq_row_norms``. The build makes no float64 copy of the corpus, and its
-(block × C) distance products and keys share one scratch matrix.
+over the rows runs over ``row_blocks``, converting one block of float32 rows
+at a time, so the build makes no float64 copy of the corpus; its (block × C)
+distance products and keys share one scratch matrix.
 
-Two passes compute exact float64 distances only where they can matter, using
-the exact L2 scan's certified float32 bound (:func:`fanns.oracle.l2_slack`):
-k-means++ seeding computes a row's distance to each new centroid only when a
-float32 lower bound leaves it below the row's current closest distance, and
-the final L2 assignment keys only the centroids whose float32 score is
-within twice the bound of the row's best. Both give bit-identical centroids
-and lists to computing every distance. Lloyd iterations compare float64
-matrix products, whose last bits may depend on the product's shape, so they
-still score every (row, centroid) pair.
+Seeding and the final L2 assignment compute exact float64 distances only
+where the cut of :func:`fanns.oracle.l2_slack` cannot rule them out, so
+centroids and lists are bit-identical to computing every distance. Lloyd
+iterations compare float64 matrix products, whose last bits may depend on
+the product's shape, so they still score every (row, centroid) pair.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -61,11 +54,6 @@ _IVF_MAGIC = b"FIV1"
 # Lloyd iterations stop after _MAX_ITERS, or once no centroid moves _TOL
 _MAX_ITERS = 25
 _TOL = 1e-4
-# The final L2 assignment is narrowed when C·(d + 8) >= _NARROW_MIN_WORK:
-# below that, keying every (row, centroid) pair of a block costs less than
-# the float32 pass that narrows it (measured at n = 1,000 to 8,000, d = 2 to
-# 128, C = 4 to 16)
-_NARROW_MIN_WORK = 128
 # rows per float32 product widened into the scratch: numpy widens a product
 # through a float32 copy of it, kept small this way
 _PRODUCT_ROWS = ROW_BLOCK // 8
@@ -101,22 +89,17 @@ def _fold_closest_sq(
     vectors: np.ndarray, sq_norms: np.ndarray, point: np.ndarray, closest_sq: np.ndarray
 ) -> None:
     """Lower each entry of ``closest_sq`` to its row's ``_sq_dists`` D from
-    ``point`` where that is smaller, computing D only for the rows whose
-    float32 lower bound is below their ``closest_sq`` (every row when
-    :func:`fanns.oracle.l2_slack` gives no bound), gathered one
-    ``row_blocks`` block at a time.
+    ``point`` where that is smaller, computing D, over rows gathered one
+    ``row_blocks`` block at a time, only where the row's float32 lower bound
+    is below its ``closest_sq`` (everywhere when there is no bound).
 
-    A row's lower bound is fl(r + fl(‖c‖² − slack)), with r = fl(‖x‖² + P)
-    its cached ``sq_row_norms`` plus the float32 product
-    P = fl32⟨x, fl32(−2c)⟩, one matrix-vector product over all rows, and
-    ‖c‖² = c·c in float64 for the point c. By ``l2_slack``, with
-    R = ‖x‖max + ‖c‖, D ≥ r + ‖c‖² − slack up to the float64 roundings that
-    slack leaves room for (D is the pairwise sum without a square root, and
-    forming the bound takes ‖c‖² and three additions), so the computed bound
-    never exceeds D. A row whose bound is at least its ``closest_sq`` has
-    D ≥ ``closest_sq``, and ``np.minimum`` would keep that entry: so
-    ``closest_sq`` ends bit-identical to folding every row. The first fold,
-    against ``closest_sq`` = inf, computes every row.
+    The bound is the one-sided half of the ``l2_slack`` cut: the score is
+    r = fl(‖x‖² + P), the cached ``sq_row_norms`` plus the float32 product
+    P = fl32⟨x, fl32(−2c)⟩ (one matrix-vector product over all rows), the
+    constant is ‖c‖² = c·c, and slack covers ‖c‖² and the three additions of
+    fl(r + fl(‖c‖² − slack)). A row whose bound reaches its ``closest_sq``
+    keeps that entry under ``np.minimum``, so ``closest_sq`` ends
+    bit-identical to folding every row.
     """
     sq_point = point.dot(point)
     slack = l2_slack(vectors.shape[1], math.sqrt(sq_norms.max()) + math.sqrt(sq_point))
@@ -156,10 +139,8 @@ def _nearest_centroids(
     vectors: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Nearest centroid of every row in squared L2, via the expansion
-    ||x||^2 - 2x.c + ||c||^2, scored one ``row_blocks`` block at a time: each
-    block is doubled in float64 (exact) into one buffer reused by every
-    block, and its products with the centroids go into the build's
-    ``scratch``."""
+    ||x||^2 - 2x.c + ||c||^2, one ``row_blocks`` block at a time into the
+    build's ``scratch``; each block is doubled in float64, which is exact."""
     c2 = np.sum(centroids**2, axis=1)
     assign = np.empty(len(sq_norms), dtype=np.int64)
     doubled = np.empty((len(scratch), vectors.shape[1]))
@@ -182,28 +163,19 @@ def _assign_rows(corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray) -> 
     Inner-product and cosine keys come from a GEMV whose last bit depends on
     the call's shape, so those builds key every (row, centroid) pair, one
     call per centroid over the whole block. So does an L2 build for which
-    :func:`fanns.oracle.l2_slack` gives no bound, or with C·(d + 8) below
-    ``_NARROW_MIN_WORK``, where keying every pair costs less.
+    :func:`fanns.oracle.l2_slack` gives no bound.
 
-    An L2 build keys only the pairs that can hold a row's smallest key. For
-    row x the score of centroid c is t = fl(P + ‖c‖²), the float32 product
-    P = fl32⟨x, fl32(−2c)⟩ (one float32 matrix product per block, widened
-    into ``scratch``) plus c·c in float64, and R = ‖x‖max + ‖c‖max over all
-    rows and centroids. This is the exact scan's argument with the row fixed
-    and the centroid varying: ‖x‖² is the same for every centroid of a row,
-    so ``l2_slack`` gives |t + ‖x‖² − K²| ≤ slack for each computed key K,
-    with room for the roundings of ‖c‖², of t and of the cut (no cached ‖x‖²
-    enters t). If centroid c holds the row's smallest key and j has its
-    smallest score, then t_c ≤ K_c² − ‖x‖² + slack ≤ K_j² − ‖x‖² + slack
-    ≤ t_j + 2·slack; so every centroid whose key ties the row's smallest is
-    among those with t ≤ min t + 2·slack. Only those are keyed, grouped per
-    centroid, and the rest stay +inf. An L2 key depends on its (centroid,
-    row) pair alone, so ``argmin`` finds the index it finds over every pair.
+    Any other L2 build keys, for each row, only the centroids inside the
+    ``l2_slack`` cut with m = 1 and the row's ‖x‖² as the constant, so
+    ``argmin`` over +inf elsewhere finds the index it finds over every pair.
+    The scores are t = fl(P + ‖c‖²): the float32 product
+    P = fl32⟨x, fl32(−2c)⟩ (one matrix product per block, widened into
+    ``scratch``) plus c·c in float64, with R = ‖x‖max + ‖c‖max; slack leaves
+    room for the roundings of ‖c‖², t and the cut.
     """
-    n_clusters = len(centroids)
     metric = corpus.metric
     slack = None
-    if metric is Metric.L2 and n_clusters * (corpus.dim + 8) >= _NARROW_MIN_WORK:
+    if metric is Metric.L2:
         sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
         reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
         slack = l2_slack(corpus.dim, reach)
@@ -214,7 +186,7 @@ def _assign_rows(corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray) -> 
         keys = scratch[: len(rows)]
         if slack is None:
             rows = rows.astype(np.float64)
-            for c in range(n_clusters):
+            for c in range(len(centroids)):
                 divisors = corpus.cosine_divisors(centroids[c], block)
                 keys[:, c] = ordering_keys(centroids[c], rows, metric, divisors)
         else:
@@ -240,19 +212,11 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     no centroid moves by ``_TOL`` or more.
 
     k-means runs in plain L2 geometry (on already-normalized rows for cosine
-    corpora, a spherical-k-means approximation), in float64 arithmetic on
-    float32 rows read one ``row_blocks`` block at a time: no float64 copy of
-    the corpus is made. Squared row norms are the corpus's cached
-    ``sq_row_norms``. Seeding computes each new centroid's distances only
-    for the rows a float32 bound cannot rule out (:func:`_fold_closest_sq`).
-    Each Lloyd step's distance matrix is computed block by block into one
-    (block × C) scratch matrix, allocated once per build. Each cluster mean
-    averages its rows in id order, gathered with ``take`` and converted one
-    cluster at a time through one stable sort of the assignment. Empty
-    clusters are reseeded from the farthest point of the largest cluster. The
-    final row-to-list assignment uses the corpus metric, block by block in
-    the same scratch (:func:`_assign_rows`); a zero centroid of a cosine
-    corpus raises.
+    corpora, a spherical-k-means approximation). Each cluster mean averages
+    its rows in id order, gathered through one stable sort of the
+    assignment. Empty clusters are reseeded from the farthest point of the
+    largest cluster. The final row-to-list assignment uses the corpus metric
+    (:func:`_assign_rows`); a zero centroid of a cosine corpus raises.
     """
     if not 1 <= n_clusters <= corpus.n:
         raise ValueError("n_clusters must be in [1, N]")

@@ -7,25 +7,11 @@ probe run it too. Distances reported here are the smaller-is-closer ordering
 keys of :mod:`fanns.corpus`, so approximate results can be compared
 value-for-value. Ties are broken by ascending row id everywhere.
 
-The scan makes one ``ordering_keys`` call per block of ``row_blocks``,
-straight from the float32 vectors (gathered by ``take``, faster than fancy
-indexing; a full scan slices them and uses row positions as ids): no float64
-copy of the corpus is made. Cosine scans take their divisors −|q|·|r| from
-``Corpus.cosine_divisors``, which reads the corpus's cached row norms, so each
-cosine key is one GEMV and one divide, and a cosine corpus with any zero row
-fails every exact scan, masked or not.
-
-An L2 scan with k below its row count first narrows the rows: one float32
-matrix-vector product against the cached ``Corpus.sq_row_norms`` bounds every
-row's distance, and only the rows that a proven error bound cannot exclude
-from the top k are keyed (see :func:`_l2_candidates`). L2 keys depend on
-their (query, row) pair alone, so the ids and keys are those of keying every
-row. Inner-product and cosine keys come from a GEMV whose last bit depends on
-the row's position in the call, so those scans key every row.
-
-That error bound is :func:`l2_slack`, the package's one bound on a float32 L2
-score against its exact float64 distance. The IVFFlat build uses it too, for
-its k-means++ seeding and its final L2 row-to-list assignment.
+An L2 scan of enough rows keys only those that the cut of :func:`l2_slack`,
+the package's one bound on a float32 L2 score, cannot exclude from the top k
+(:func:`_l2_candidates`), with the ids and keys of keying every row. Inner-product and cosine keys come from
+a GEMV whose last bit depends on the row's position in the call, so those
+scans key every row.
 """
 
 from __future__ import annotations
@@ -73,21 +59,10 @@ def exact_scan(
     the k-th key is ranked before the cut, so ties go to the smaller id
     whatever order ``ids`` is in.
 
-    An L2 scan of at least 4k + 512 rows keys only the rows that can still
-    reach the top k (smaller scans cost less keyed whole).
-    :func:`_l2_candidates` gives every scanned row a score r, its float64
-    ‖x‖² plus the float32 product ⟨x, fl32(−2q)⟩, and the bound ``slack`` of
-    :func:`l2_slack`, with |r + ‖q‖² − K²| ≤ slack for each row's computed
-    key K and R = ‖x‖max + ‖q‖ over the scanned rows. Rows with
-    r ≤ r₍ₖ₎ + 2·slack are keyed, r₍ₖ₎ the k-th smallest score. Every row i
-    whose key ties or beats the k-th smallest key K* is among them: of the k
-    rows of smallest score, some row j has K_j ≥ K*, since at most k − 1 keys
-    lie below K*; so r_i ≤ K_i² − ‖q‖² + slack ≤ K_j² − ‖q‖² + slack
-    ≤ r_j + 2·slack ≤ r₍ₖ₎ + 2·slack. The kept rows therefore include every
-    row the full ranking puts in the top k or ties at its cut, and an L2 key
-    depends on its (query, row) pair alone, so the ids and keys equal those
-    of keying every row. ``nodes_visited`` counts the scanned rows,
-    ``distance_evaluations`` the keys computed.
+    An L2 scan of at least 4k + 512 rows keys only the rows inside the
+    :func:`l2_slack` cut with m = k (smaller scans cost less keyed whole), so
+    its ids and keys equal those of keying every row. ``nodes_visited``
+    counts the scanned rows, ``distance_evaluations`` the keys computed.
     """
     full = ids is None
     ids = None if full else np.asarray(ids, dtype=np.int64)
@@ -150,6 +125,19 @@ def l2_slack(dim: int, reach: float) -> Optional[float]:
     None, for no bound, when R exceeds 2⁶⁰, so that no float32 product,
     partial sum or fl32(q) could overflow (R² ≤ 2¹²⁰ against a float32
     maximum near 2¹²⁸), or when R or slack is not finite.
+
+    The cut, which every caller applies. Let each candidate i have a score
+    s_i with |s_i + a − K_i²| ≤ slack, K_i its computed key and a a constant
+    of the pass (‖q‖² for the rows of one query, ‖x‖² for the centroids of
+    one row). Then K_i² ≥ s_i + a − slack, a lower bound on each key. The
+    cut keeps the candidates with s_i ≤ s₍ₘ₎ + 2·slack, s₍ₘ₎ the m-th
+    smallest score, and so keeps every candidate whose key ties or beats the
+    m-th smallest key K*: at most m − 1 keys lie below K*, so one of the m
+    candidates of smallest score, j, has K_j ≥ K*, and then
+    s_i ≤ K_i² − a + slack ≤ K_j² − a + slack ≤ s_j + 2·slack
+    ≤ s₍ₘ₎ + 2·slack. An L2 key depends on its pair of points alone, so
+    keying the kept candidates only gives the same keys, top m and ties at
+    the m-th key as keying them all.
     """
     slack = (_gamma(dim + 2, _U32) + _gamma(4 * dim + 32, _U64)) * reach * reach + 8.0 * _TINY32 * (
         dim + math.sqrt(dim) * reach
@@ -161,15 +149,13 @@ def _l2_candidates(
     corpus: Corpus, query: np.ndarray, m: int, ids: Optional[np.ndarray]
 ) -> Optional[np.ndarray]:
     """Positions among the scanned rows (row ids for a full scan) of every row
-    whose exact L2 key can tie or beat the m-th smallest, in ascending order:
-    those with r ≤ r₍ₘ₎ + 2·slack (see :func:`exact_scan`). None when that
-    narrows nothing.
+    inside the :func:`l2_slack` cut with m and the constant ‖q‖², in
+    ascending order; None when there is no bound or every row survives.
 
-    The score r is the cached float64 ``Corpus.sq_row_norms`` plus one
-    float32 matrix-vector product with fl32(−2q), over ``corpus.vectors`` for
-    a full scan and over rows gathered one ``row_blocks`` block at a time
-    otherwise. Narrows nothing when :func:`l2_slack` gives no bound, or when
-    every row survives.
+    The score r is the cached ``Corpus.sq_row_norms`` plus one float32
+    matrix-vector product with fl32(−2q), over rows gathered one
+    ``row_blocks`` block at a time for a subset, and R = ‖x‖max + ‖q‖ over
+    the scanned rows.
     """
     sq_norms = corpus.sq_row_norms if ids is None else corpus.sq_row_norms.take(ids)
     slack = l2_slack(corpus.dim, math.sqrt(sq_norms.max()) + math.sqrt(query.dot(query)))

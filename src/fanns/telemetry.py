@@ -30,8 +30,7 @@ class SearchTelemetry:
 class SearchResult:
     """Ranked ids with their smaller-is-closer ordering keys.
 
-    Every search path and the exact oracle return one; ground-truth rows
-    read from a file carry zero telemetry.
+    Every search path and the exact oracle return one.
     """
 
     ids: np.ndarray

@@ -221,16 +221,20 @@ class TestNarrowedBuild:
     @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
     @pytest.mark.parametrize("shape", ["", "outlier", "offset"])
     @pytest.mark.parametrize("scale", [1e-30, 1e-8, 1.0, 1e8, 1e18])
-    @pytest.mark.parametrize("d", [1, 3, 768])
-    def test_build_equals_the_reference(self, d, scale, shape, metric):
+    @pytest.mark.parametrize(
+        "d, n_lists",
+        [(1, 16), (3, 16), (768, 16), (1, 4), (8, 5)],
+        ids=["1", "3", "768", "1-C4", "8-C5"],
+    )
+    def test_build_equals_the_reference(self, d, n_lists, scale, shape, metric):
         # "offset" moves every row 300 times the scale from the origin, so
         # that float32 rounding is large against the distances between rows;
-        # 16 lists narrow the L2 assignment even at d = 1
+        # the L2 assignment is narrowed at every shape, down to d = 1, C = 4
         corpus = adversarial_corpus(d, scale, shape == "outlier", seed=d, metric=metric)
         if shape == "offset":
             corpus = Corpus(corpus.vectors + np.float32(300 * scale), corpus.attribute, metric)
-        centroids, lists = _reference_ivf_build(corpus, 16, 3, [])
-        index = ivf_build(corpus, 16, seed=3)
+        centroids, lists = _reference_ivf_build(corpus, n_lists, 3, [])
+        index = ivf_build(corpus, n_lists, seed=3)
         assert index.centroids.tobytes() == centroids.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(index.lists, lists))
 

@@ -8,6 +8,7 @@ name that no longer exists.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,23 @@ def _rows_by_module(monkeypatch) -> dict[str, int]:
     return rows
 
 
+def _l2_pairs_keyed(corpus, centroids):
+    """The final L2 assignment's candidate rule, written out for a corpus of
+    one ``row_blocks`` block: each row keys the centroids whose float32 score
+    is within 2·slack of its smallest, scored with ``_assign_rows``'s
+    product shapes."""
+    sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
+    reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
+    slack = oracle.l2_slack(corpus.dim, reach)
+    minus_twice = (-2.0 * centroids).astype(np.float32)
+    scores = np.empty((corpus.n, len(centroids)))
+    for start in range(0, corpus.n, ivfflat._PRODUCT_ROWS):
+        part = slice(start, start + ivfflat._PRODUCT_ROWS)
+        np.matmul(corpus.vectors[part], minus_twice.T, out=scores[part])
+    scores += sq_centroids
+    return int(np.sum(scores <= scores.min(axis=1, keepdims=True) + 2.0 * slack))
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
     # A key scored through another module's name, or through corpus's own,
@@ -97,8 +115,16 @@ def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
     result = oracle.exact_knn(corpus, query, 10, mask)
     assert rows == {"fanns.oracle": result.telemetry.distance_evaluations}
     rows.clear()
+    assigned, assign_rows = [], ivfflat._assign_rows
+
+    def recording(built_from, centroids, scratch):
+        assigned.append(centroids)
+        return assign_rows(built_from, centroids, scratch)
+
+    monkeypatch.setattr(ivfflat, "_assign_rows", recording)
     index = ivfflat.ivf_build(corpus, n_lists, seed=1)
-    assert rows == {"fanns.ivfflat": n * n_lists}
+    pairs = _l2_pairs_keyed(corpus, *assigned) if metric is Metric.L2 else n * n_lists
+    assert rows == {"fanns.ivfflat": pairs}
     rows.clear()
     result = ivfflat.ivf_search(index, corpus, query, 10, 2, mask)
     assert rows == {"fanns.ivfflat": n_lists, "fanns.oracle": result.telemetry.distance_evaluations}
