@@ -29,6 +29,7 @@ from fanns.corpus import (
     ordering_keys,
     require_finite,
     require_mask_for,
+    row_blocks,
 )
 from fanns.hnsw import HnswIndex, hnsw_search
 from fanns.ivfflat import IvfIndex, ivf_search
@@ -129,8 +130,11 @@ def gls_approx(
     """Cheap estimate: ANN neighborhood for sigma_l, uniform sample for sigma_g.
 
     The neighborhood is an HNSW beam of width ``k_neighborhood``, or an
-    IVFFlat scan of every list. The sample is drawn without replacement, so
-    sample_size = N recovers the exact global selectivity. A
+    IVFFlat scan of every list. A beam at least a quarter of the corpus wide
+    keys every row once, in the exact scan's blocks, and its walk reads the
+    keys from a list (see :mod:`fanns.hnsw`), so the search computes n keys.
+    The sample is drawn without replacement, so sample_size = N recovers the
+    exact global selectivity. A
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood
     would be the whole corpus and rho would read 0 whatever the filter.
     """
@@ -175,11 +179,12 @@ def distance_correlation(
     mean over `trials` draws without replacement, so a full mask gives
     C_q = 0 exactly.
 
-    Each subset's rows are gathered with ``take`` and keyed by one
-    ``ordering_keys`` call; under cosine its divisors are the subset's
-    ``Corpus.cosine_divisors`` (−|q|·|r|, so each key is one GEMV and one
-    divide), as in the exact scan, and a zero query or a zero row anywhere in
-    the corpus raises ``ValueError``.
+    Each subset is keyed one ``row_blocks`` block at a time, as the exact
+    scan keys it, so a subset of any size costs a few megabytes of
+    temporaries: a block's rows are gathered with ``take``, under cosine with
+    the block's ``Corpus.cosine_divisors`` (−|q|·|r|, so each key is one GEMV
+    and one divide), and g is the least of the blocks' minima. A zero query
+    or a zero row anywhere in the corpus raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -193,9 +198,13 @@ def distance_correlation(
         query = np.asarray(query, dtype=np.float64)
 
         def min_key(ids: np.ndarray) -> float:
-            divisors = corpus.cosine_divisors(query, ids)
-            rows = corpus.vectors.take(ids, axis=0)
-            return float(np.min(ordering_keys(query, rows, corpus.metric, divisors)))
+            return min(
+                float(np.min(ordering_keys(
+                    query, corpus.vectors.take(ids[block], axis=0), corpus.metric,
+                    corpus.cosine_divisors(query, ids[block]),
+                )))
+                for block in row_blocks(len(ids))
+            )
 
         g_filtered = min_key(mask.valid_ids())
         g_random = 0.0

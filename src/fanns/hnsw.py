@@ -39,12 +39,18 @@ The filtered modes count the bitset entries they read in
 ``predicate_invocations``: the pool's length for ``prefilter``, every visited
 layer-0 node for ``dualpool``.
 
-Every key goes through ``corpus.ordering_keys``, over rows gathered by id
-from the corpus's float64 ``vectors64`` (:func:`_scorer`), so each call passes
-its identity checks unconverted: a beam makes about one call per expanded
-node, and the fixed cost of a call counts. The keys are bit-identical to
-uncached ones. Under cosine a zero query, or any zero row in the corpus,
-raises ``ValueError`` before the first key.
+Every key goes through ``corpus.ordering_keys``, over rows of the corpus's
+float64 ``vectors64`` (:func:`_scorer`), so each call passes its identity
+checks unconverted. The build, and a search whose layer-0 width is below a
+quarter of the corpus, key lazily: one call per expanded node, over the rows
+gathered by id, with keys bit-identical to uncached ones. A search of width
+``4 * ef >= n`` would key at least n/4 rows anyway, so it keys every row
+once, one ``row_blocks`` block at a time, as the unmasked exact scan does,
+and reads each key from a list; such a search counts n distance evaluations.
+Its ids and ``nodes_visited`` are the lazy search's, but an inner-product or
+cosine key can differ from the lazy one in the last bits, since a GEMV's
+rounding depends on the rows that share the call. Under cosine a zero query,
+or any zero row in the corpus, raises ``ValueError`` before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -76,6 +82,7 @@ from fanns.corpus import (
     require_built_from,
     require_finite,
     require_mask_for,
+    row_blocks,
 )
 from fanns.telemetry import SearchResult, SearchTelemetry
 
@@ -84,7 +91,7 @@ _HNSW_MAGIC = b"FHN1"
 SEARCH_MODES = ("unfiltered", "prefilter", "dualpool", "raw")
 
 # ordering keys from one query to the rows with the given ids (see _scorer)
-_Keys = Callable[[list[int]], np.ndarray]
+_Keys = Callable[[list[int]], list[float]]
 
 
 class HnswFormatError(ValueError):
@@ -114,26 +121,37 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
     return int(math.floor(-math.log(u) * inv_log_m))
 
 
-def _scorer(corpus: Corpus, query: np.ndarray) -> _Keys:
-    """Ordering keys from ``query`` to corpus rows, given their ids.
+def _scorer(corpus: Corpus, query: np.ndarray, every_row: bool = False) -> _Keys:
+    """Ordering keys from ``query`` to corpus rows, given their ids, as a list.
 
     The query's float64 copy and, for cosine, every row's divisor
-    (``corpus.cosine_divisors(query)``) are built once here; each call
-    gathers its rows from ``corpus.vectors64`` and its divisors with one
-    index array. Keys still go through ``ordering_keys``, with the rows as
+    (``corpus.cosine_divisors(query)``) are built once here. A lazy scorer
+    gathers each call's rows from ``corpus.vectors64`` and its divisors with
+    one index array and keys them through ``ordering_keys``, with the rows as
     its second argument, so they are bit-identical to
-    ``ordering_keys(query, corpus.vectors[ids], metric)``. A cosine query of
-    norm 0, or a cosine corpus with a zero row, raises here.
+    ``ordering_keys(query, corpus.vectors[ids], metric)``. With
+    ``every_row`` the rows are keyed here, one ``row_blocks`` block at a
+    time, so every key is bit-identical to the unmasked exact scan's, and
+    each call reads its keys from a list. A cosine query of norm 0, or a
+    cosine corpus with a zero row, raises here.
     """
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
     divisors = corpus.cosine_divisors(query)
+    if every_row:
+        table = np.empty(corpus.n)
+        for block in row_blocks(corpus.n):
+            table[block] = ordering_keys(
+                query, rows[block], metric, None if divisors is None else divisors[block]
+            )
+        table = table.tolist()
+        return lambda ids: [table[i] for i in ids]
     if divisors is None:
-        return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric)
+        return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric).tolist()
 
     def keys(ids):
         ids = np.array(ids, dtype=np.intp)
-        return ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids))
+        return ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids)).tolist()
 
     return keys
 
@@ -151,8 +169,9 @@ def _search_layer(
     The pool, taken over (it may be changed in place) and returned, is an
     unranked list of ``(-key, node)`` entries: the entry points in, the
     layer's nearest nodes out. Nodes are admitted by the beam's rule without
-    ``bits`` and the dual pool's with them (see the module docstring); with
-    ``bits`` each visited node's bit counts as a predicate invocation.
+    ``bits`` and the dual pool's with them (see the module docstring). Each
+    newly visited node counts in ``nodes_visited``; with ``bits`` each
+    visited node's bit counts as a predicate invocation.
     ``worst`` holds the full pool's worst key (inf while the pool has room),
     so each neighbor costs one comparison. The pool is heapified once, when
     it fills; node ids are unique, so the entry each entrant evicts is the
@@ -177,7 +196,7 @@ def _search_layer(
             continue
         visited.update(fresh)
         evaluated += len(fresh)
-        for nkey, neigh in zip(keys(fresh).tolist(), fresh):
+        for nkey, neigh in zip(keys(fresh), fresh):
             if nkey < worst and (bits is None or bits[neigh]):
                 if len(pool) < ef:
                     pool.append((-nkey, neigh))
@@ -190,7 +209,6 @@ def _search_layer(
             elif bits is None:
                 continue  # the beam queues only pool entrants
             heappush(candidates, (nkey, neigh))
-    telemetry.distance_evaluations += evaluated
     telemetry.nodes_visited += evaluated
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
@@ -225,7 +243,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     for node in range(1, corpus.n):
         level = int(levels[node])
         keys = _scorer(corpus, vectors[node])
-        pool = [(-float(keys([index.entry_point])[0]), index.entry_point)]
+        pool = [(-keys([index.entry_point])[0], index.entry_point)]
         for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
             ef = ef_construction if layer <= level else 1
@@ -300,14 +318,16 @@ def hnsw_search(
     require_mask_for(corpus, mask)
     require_finite(query)
 
-    keys = _scorer(corpus, query)
-    telemetry = SearchTelemetry(distance_evaluations=1, nodes_visited=1)
-    pool = [(-float(keys([index.entry_point])[0]), index.entry_point)]
+    every_row = 4 * ef_search >= corpus.n
+    keys = _scorer(corpus, query, every_row)
+    telemetry = SearchTelemetry(nodes_visited=1)
+    pool = [(-keys([index.entry_point])[0], index.entry_point)]
     for layer in range(index.max_level, -1, -1):
         pool = _search_layer(
             keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
             bits=mask.bits if mode == "dualpool" and layer == 0 else None,
         )
+    telemetry.distance_evaluations = corpus.n if every_row else telemetry.nodes_visited
     ids = np.array([node for _, node in pool], dtype=np.int64)
     dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
     order = np.lexsort((ids, dists))

@@ -15,8 +15,11 @@ class SearchTelemetry:
     row passed through ``ordering_keys``; ``nodes_visited`` counts the rows
     the search reached: every row an exact scan bounded (an L2 scan keys only
     the rows its float32 bound keeps, so it can count fewer evaluations than
-    visits), every node an HNSW search scored. Centroid keys are counted
-    apart, in ``centroid_evaluations``.
+    visits), every node an HNSW search read a key for. A lazily keyed HNSW
+    search counts each visited node once in both; one whose layer-0 width is
+    at least a quarter of the corpus keys every row up front and counts n
+    evaluations, more than its visits. Centroid keys are counted apart, in
+    ``centroid_evaluations``.
     """
 
     distance_evaluations: int = 0

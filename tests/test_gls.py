@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanns import gls as gls_mod
 from fanns.corpus import (
+    ROW_BLOCK,
     Corpus,
     FilterMask,
     Metric,
     build_mask,
     generate_synthetic,
     ordering_keys,
+    row_blocks,
     threshold_for_selectivity,
 )
 from fanns.gls import (
@@ -246,6 +249,38 @@ class TestDistanceCorrelation:
         value, per_query = distance_correlation(corpus, pairs, trials=5, seed=4)
         ref_value, ref_per_query = _reference_distance_correlation(
             corpus, pairs, 5, 4, keys=matmul_keys
+        )
+        assert np.array_equal(per_query, ref_per_query)
+        assert value == ref_value
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_subsets_past_one_block_are_keyed_block_by_block(self, monkeypatch, metric):
+        # no key call sees more than one row_blocks block, and each subset's
+        # g is the least key over its blocks, as a reference keying the same
+        # blocks finds it
+        rng = np.random.default_rng(35)
+        n = 2 * ROW_BLOCK + 300
+        vectors = rng.standard_normal((n, 6)) * rng.uniform(0.5, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), metric)
+        pairs = [(rng.standard_normal(6), build_mask(corpus, 0.3)) for _ in range(2)]
+        original, rows_seen = gls_mod.ordering_keys, []
+
+        def counting(query, rows, *args):
+            rows_seen.append(len(rows))
+            return original(query, rows, *args)
+
+        monkeypatch.setattr(gls_mod, "ordering_keys", counting)
+        value, per_query = distance_correlation(corpus, pairs, trials=3, seed=6)
+        valid = pairs[0][1].valid_count
+        assert valid > ROW_BLOCK + 1 and max(rows_seen) == ROW_BLOCK
+        assert sum(rows_seen) == 2 * valid * (1 + 3)
+
+        def blocked_keys(query, rows, metric):
+            return np.concatenate(
+                [ordering_keys(query, rows[block], metric) for block in row_blocks(len(rows))])
+
+        ref_value, ref_per_query = _reference_distance_correlation(
+            corpus, pairs, 3, 6, keys=blocked_keys
         )
         assert np.array_equal(per_query, ref_per_query)
         assert value == ref_value

@@ -308,7 +308,7 @@ def _reference_expand(keys, adjacency, node, visited, telemetry):
     visited.update(fresh)
     telemetry.distance_evaluations += len(fresh)
     telemetry.nodes_visited += len(fresh)
-    return list(zip(keys(fresh).tolist(), fresh))
+    return list(zip(keys(fresh), fresh))
 
 
 def _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits=None):
@@ -571,3 +571,211 @@ class TestPersistence:
         path.write_bytes(b"ZZZZ" + b"\x00" * 40)
         with pytest.raises(HnswFormatError):
             load_hnsw(path)
+
+
+def _counting_keys(monkeypatch):
+    """Record the row count of every call through ``hnsw.ordering_keys``."""
+    original, rows_seen = hnsw_mod.ordering_keys, []
+
+    def counting(query, rows, *args):
+        rows_seen.append(1 if np.ndim(rows) == 1 else len(rows))
+        return original(query, rows, *args)
+
+    monkeypatch.setattr(hnsw_mod, "ordering_keys", counting)
+    return rows_seen
+
+
+def _key_scale(corpus, query, ids):
+    """The Cauchy-Schwarz bound on the keys to rows ``ids``: |q|·|row| under
+    inner product, 1 under cosine. A key's rounding error is a few ulp of it,
+    however close to 0 the key itself is."""
+    if corpus.metric is Metric.COSINE:
+        return np.ones(len(ids))
+    return np.linalg.norm(query) * corpus.cosine_row_norms[ids]
+
+
+@pytest.fixture(scope="module")
+def quarter_graph():
+    """A 601-row cosine corpus, so that a quarter of it is not a whole row
+    count, and its M=8, efC=40 graph."""
+    corpus = generate_synthetic(601, 8, 12)
+    return corpus, hnsw_build(corpus, 8, 40, seed=0)
+
+
+class TestSinglePassRule:
+    """A search whose layer-0 width is at least n/4 keys every row once, one
+    ``row_blocks`` block at a time; a narrower one and the build key lazily."""
+
+    def test_a_quarter_of_the_corpus_keys_every_row_once(self, monkeypatch, quarter_graph):
+        corpus, index = quarter_graph
+        rows_seen = _counting_keys(monkeypatch)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 151)  # ceil(601 / 4)
+        assert rows_seen == [corpus.n]
+        assert result.telemetry.distance_evaluations == corpus.n
+        assert result.telemetry.nodes_visited < corpus.n
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_one_less_keys_per_expanded_node(self, monkeypatch, quarter_graph, mode):
+        corpus, index = quarter_graph
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        rows_seen = _counting_keys(monkeypatch)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 150, mode=mode, mask=mask,
+                             pool_size=150)
+        t = result.telemetry
+        assert len(rows_seen) > 1 and max(rows_seen) <= 2 * index.m
+        assert sum(rows_seen) == t.distance_evaluations == t.nodes_visited
+
+    def test_the_raw_pool_sets_the_width(self, monkeypatch, quarter_graph):
+        corpus, index = quarter_graph
+        rows_seen = _counting_keys(monkeypatch)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 10, mode="raw",
+                             pool_size=151)
+        assert rows_seen == [corpus.n]
+        assert result.telemetry.distance_evaluations == corpus.n
+
+    def test_the_build_never_keys_every_row(self, monkeypatch):
+        # 4 * ef_construction >= n, yet every insertion keys lazily
+        corpus = generate_synthetic(120, 8, 13)
+        rows_seen = _counting_keys(monkeypatch)
+        hnsw_build(corpus, 6, 40, seed=0)
+        assert rows_seen and max(rows_seen) <= 2 * 6 + 1
+
+    @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
+    def test_the_pass_keys_in_the_exact_scans_blocks(self, monkeypatch, metric):
+        # past one block, each key is still the unmasked exact scan's, bit for bit
+        rng = np.random.default_rng(80 + metric.value)
+        n = 2 * ROW_BLOCK + 1
+        vectors = rng.standard_normal((n, 16)) * rng.uniform(0.5, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
+        query = rng.standard_normal(16)
+        rows_seen = _counting_keys(monkeypatch)
+        keys = hnsw_mod._scorer(corpus, query, every_row=True)
+        assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
+        exact = exact_knn(corpus, query, n)
+        assert np.array_equal(keys(exact.ids.tolist()), exact.distances)
+
+
+def _graph(metric, spread):
+    """600 Gaussian rows, unit-norm or with norms spread over 0.5..2, under
+    ``metric``, and their M=8, efC=40 graph."""
+    rng = np.random.default_rng(14)
+    vectors = rng.standard_normal((600, 8))
+    if spread:
+        vectors *= rng.uniform(0.5, 2, size=(600, 1))
+    else:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=600), metric)
+    return corpus, hnsw_build(corpus, 8, 40, seed=0)
+
+
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def spread_graph(request):
+    """The spread-norm graph under each metric; the inner-product one leaves
+    rows that layer 0 does not reach."""
+    return _graph(request.param, spread=True)
+
+
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def unit_graph(request):
+    return _graph(request.param, spread=False)
+
+
+class TestSinglePassEqualsLazy:
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_ids_and_visits_equal_the_lazy_search(self, monkeypatch, spread_graph, mode):
+        corpus, index = spread_graph
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        _, queries = sample_queries(corpus, 15, seed=73)
+        queries = queries + np.random.default_rng(74).normal(0, 0.05, queries.shape)
+
+        def answers():
+            out = []
+            for query in queries:
+                for ef in (150, 300, corpus.n):
+                    r = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
+                                    pool_size=ef)
+                    t = r.telemetry
+                    assert t.distance_evaluations == corpus.n
+                    out.append((query, r.ids, r.distances,
+                                (t.nodes_visited, t.predicate_invocations)))
+            return out
+
+        single = answers()
+        # the reference: every search keyed lazily, whatever its width
+        scorer = hnsw_mod._scorer
+        monkeypatch.setattr(hnsw_mod, "_scorer",
+                            lambda corpus, query, every_row: scorer(corpus, query))
+        for (query, ids, keys, counts), (_, lazy_ids, lazy_keys, lazy_counts) in zip(
+                single, answers()):
+            assert np.array_equal(ids, lazy_ids) and counts == lazy_counts
+            if corpus.metric is Metric.L2:
+                assert np.array_equal(keys, lazy_keys)
+            else:
+                ulp = np.spacing(_key_scale(corpus, query, ids))
+                assert np.all(np.abs(keys - lazy_keys) <= 4 * ulp)
+
+
+class TestFullBudgetDifferential:
+    """At ef = n the beam and the dual pool never fill their pools, so layer 0
+    returns every row it reaches from where the descent lands (the valid ones
+    for the dual pool): the oracle's top k over those rows. The search keys
+    them in the unmasked exact scan's blocks, so the keys are the oracle's bit
+    for bit."""
+
+    @staticmethod
+    def _landing(monkeypatch, index):
+        """Record the layer-0 entry node of each search."""
+        search_layer, landed = hnsw_mod._search_layer, []
+
+        def recording(keys, adjacency, pool, ef, telemetry, bits=None):
+            if adjacency is index.adjacency[0]:
+                ((_, node),) = pool
+                landed.append(node)
+            return search_layer(keys, adjacency, pool, ef, telemetry, bits)
+
+        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        return landed
+
+    @staticmethod
+    def _reached(index, start):
+        adjacency, seen, frontier = index.adjacency[0], {start}, {start}
+        while frontier:
+            frontier = {v for u in frontier for v in adjacency[u]} - seen
+            seen |= frontier
+        return seen
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_unit_norm_graphs_equal_the_oracle(self, monkeypatch, unit_graph, mode):
+        assert layer0_unreachable(unit_graph[1]) == 0
+        self._check(monkeypatch, unit_graph, mode)
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_spread_norm_graphs_equal_the_oracle_over_reached_rows(
+            self, monkeypatch, spread_graph, mode):
+        if spread_graph[0].metric is Metric.INNER_PRODUCT:
+            # the rows the differential must step round (60 of 600)
+            assert layer0_unreachable(spread_graph[1]) > 0
+        self._check(monkeypatch, spread_graph, mode)
+
+    def _check(self, monkeypatch, graph, mode):
+        corpus, index = graph
+        unreachable = layer0_unreachable(index)
+        report = f"{unreachable} of {corpus.n} rows unreachable on layer 0"
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        valid = mask.bits if mode in ("prefilter", "dualpool") else np.ones(corpus.n, bool)
+        k = corpus.n if mode == "raw" else 10
+        landed = self._landing(monkeypatch, index)
+        rng = np.random.default_rng(75)
+        for query in rng.standard_normal((20, corpus.dim)):
+            result = hnsw_search(index, corpus, query, k, corpus.n, mode=mode, mask=mask,
+                                 pool_size=corpus.n)
+            ranked = exact_knn(corpus, query, corpus.n)
+            reached = np.zeros(corpus.n, bool)
+            reached[list(self._reached(index, landed[-1]))] = True
+            keep = (reached & valid)[ranked.ids]
+            assert np.array_equal(result.ids, ranked.ids[keep][:k]), report
+            assert np.array_equal(result.distances, ranked.distances[keep][:k]), report
+            if unreachable == 0:
+                oracle = exact_knn(corpus, query, k, mask if valid is mask.bits else None)
+                assert np.array_equal(result.ids, oracle.ids), report
+                assert np.array_equal(result.distances, oracle.distances), report
