@@ -9,8 +9,10 @@ value-for-value. Ties are broken by ascending row id everywhere.
 
 An L2 scan of enough rows keys only those that the cut of :func:`l2_slack`,
 the package's one bound on a float32 L2 score, cannot exclude from the top k
-(:func:`_l2_candidates`), with the ids and keys of keying every row. Inner-product and cosine keys come from
-a GEMV whose last bit depends on the row's position in the call, so those
+(:func:`_l2_candidates`), with the ids and keys of keying every row. That
+score against one point is formed in one place, :func:`l2_scores`, which the
+IVFFlat build's seeding calls too. Inner-product and cosine keys come from a
+GEMV whose last bit depends on the row's position in the call, so those
 scans key every row.
 """
 
@@ -145,30 +147,44 @@ def l2_slack(dim: int, reach: float) -> Optional[float]:
     return slack if reach <= _REACH_LIMIT and math.isfinite(slack) else None
 
 
-def _l2_candidates(
-    corpus: Corpus, query: np.ndarray, m: int, ids: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """Positions among the scanned rows (row ids for a full scan) of every row
-    inside the :func:`l2_slack` cut with m and the constant ‖q‖², in
-    ascending order; None when there is no bound or every row survives.
+def l2_scores(
+    corpus: Corpus, point: np.ndarray, ids: Optional[np.ndarray] = None
+) -> Optional[tuple[np.ndarray, float]]:
+    """The float32 L2 score against the float64 ``point`` of each row in
+    ``ids`` (every row when None), and the :func:`l2_slack` that bounds it;
+    None when there is no bound.
 
-    The score r is the cached ``Corpus.sq_row_norms`` plus one float32
-    matrix-vector product with fl32(−2q), over rows gathered one
-    ``row_blocks`` block at a time for a subset, and R = ‖x‖max + ‖q‖ over
-    the scanned rows.
+    The score is the cached ``Corpus.sq_row_norms`` plus the float32
+    matrix-vector product fl32⟨x, fl32(−2p)⟩, over rows gathered one
+    ``row_blocks`` block at a time for a subset, and R = ‖x‖max + ‖p‖ over
+    those rows.
     """
     sq_norms = corpus.sq_row_norms if ids is None else corpus.sq_row_norms.take(ids)
-    slack = l2_slack(corpus.dim, math.sqrt(sq_norms.max()) + math.sqrt(query.dot(query)))
+    slack = l2_slack(corpus.dim, math.sqrt(sq_norms.max()) + math.sqrt(point.dot(point)))
     if slack is None:
         return None
-    minus_twice = (-2.0 * query).astype(np.float32)
+    minus_twice = (-2.0 * point).astype(np.float32)
     if ids is None:
         dots = corpus.vectors.dot(minus_twice)
     else:
         dots = np.empty(len(ids), dtype=np.float32)
         for block in row_blocks(len(ids)):
             dots[block] = corpus.vectors.take(ids[block], axis=0).dot(minus_twice)
-    scores = sq_norms + dots
+    return sq_norms + dots, slack
+
+
+def _l2_candidates(
+    corpus: Corpus, query: np.ndarray, m: int, ids: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """Positions among the scanned rows (row ids for a full scan) of every row
+    whose :func:`l2_scores` score lies inside the :func:`l2_slack` cut with m
+    and the constant ‖q‖², in ascending order; None when there is no bound or
+    every row survives.
+    """
+    scored = l2_scores(corpus, query, ids)
+    if scored is None:
+        return None
+    scores, slack = scored
     cut = np.partition(scores, m - 1)[m - 1] + 2.0 * slack
     near = np.flatnonzero(scores <= cut)
     return near if len(near) < len(scores) else None

@@ -1,6 +1,7 @@
 """Every binary format fails closed with its own error on a bad file, and an
 index refuses a corpus it was not built from."""
 
+import numpy as np
 import pytest
 
 from fanns.corpus import (
@@ -83,6 +84,17 @@ def test_ivf_lists_must_partition_the_rows(tmp_path, fault):
     path = tmp_path / "bad.idx"
     save_ivf(index, path)
     with pytest.raises(IvfFormatError):
+        load_ivf(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ivf_centroids_must_be_finite(tmp_path, bad):
+    # a NaN centroid would rank its list last for every query
+    index = ivf_build(generate_synthetic(300, 3, seed=5), 6, seed=1)
+    index.centroids[2, 1] = bad
+    path = tmp_path / "bad.idx"
+    save_ivf(index, path)
+    with pytest.raises(IvfFormatError, match="finite"):
         load_ivf(path)
 
 

@@ -21,8 +21,8 @@ from conftest import ROW_COUNTS, adversarial_corpus, mixed_dtype_keys, sample_qu
 
 def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
     """The unblocked k-means: whole-matrix distance products, per-cluster
-    boolean masks, 25 iterations, tol 1e-4. Appends one entry to ``reseeds``
-    per empty cluster reseeded."""
+    boolean masks, 25 iterations. Appends one entry to ``reseeds`` per empty
+    cluster reseeded."""
     rng = np.random.default_rng(seed)
     rows = corpus.vectors.astype(np.float64)
     n = rows.shape[0]
@@ -58,10 +58,7 @@ def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
             new_centroids[c] = rows[stray]
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < 1e-4:
-            break
     final_assign = np.empty(n, dtype=np.int64)
     for start in range(0, n, 4096):
         stop = min(start + 4096, n)
@@ -205,6 +202,29 @@ class TestBuild:
         monkeypatch.setattr(ivfflat, "ordering_keys", mixed_dtype_keys)
         save_ivf(ivf_build(corpus, 50, seed=12), tmp_path / "reference.idx")
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
+    def test_rescaled_rows_give_the_same_lists(self, metric):
+        # a power-of-two rescale scales every float64 step exactly, so only a
+        # rule tied to the data's units could change the clustering
+        corpus = _mixture(3000, 12, metric, seed=13)
+        index = ivf_build(corpus, 40, seed=2)
+        for exponent in (-30, -12, 20):
+            rescaled = Corpus(np.ldexp(corpus.vectors, exponent), corpus.attribute, metric)
+            other = ivf_build(rescaled, 40, seed=2)
+            assert all(np.array_equal(a, b) for a, b in zip(other.lists, index.lists))
+            assert other.centroids.tobytes() == np.ldexp(index.centroids, exponent).tobytes()
+
+    def test_every_build_makes_every_lloyd_pass(self, monkeypatch):
+        passes, nearest_centroids = [], ivfflat._nearest_centroids
+
+        def counting(*args):
+            passes.append(1)
+            return nearest_centroids(*args)
+
+        monkeypatch.setattr(ivfflat, "_nearest_centroids", counting)
+        ivf_build(generate_synthetic(3000, 16, 1, "cluster_correlated"), 55, seed=0)
+        assert len(passes) == ivfflat._MAX_ITERS
 
     def test_cluster_count_validation(self, corpus2k):
         with pytest.raises(ValueError):
