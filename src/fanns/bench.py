@@ -67,7 +67,8 @@ class Workload:
 
 @dataclass(frozen=True)
 class IndexConfig:
-    """One index build: kind 'hnsw' (m, ef_construction) or 'ivfflat' (n_clusters)."""
+    """One index build: kind 'hnsw' (m, ef_construction) or 'ivfflat' (n_clusters),
+    refusing the other kind's fields."""
 
     kind: str
     m: Optional[int] = None
@@ -81,6 +82,10 @@ class IndexConfig:
             raise ValueError(f"unknown index kind {self.kind!r}")
         if self.kind == "hnsw" and (self.m is None or self.ef_construction is None):
             raise ValueError("hnsw config requires m and ef_construction")
+        foreign = ("n_clusters",) if self.kind == "hnsw" else ("m", "ef_construction")
+        given = [name for name in foreign if getattr(self, name) is not None]
+        if given:
+            raise ValueError(f"{self.kind} config takes no {' or '.join(given)}")
 
     @classmethod
     def of(cls, index, search_params: Sequence[int] = ()) -> "IndexConfig":

@@ -116,10 +116,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     corpus = load_corpus(_require_file(args.corpus, "build error"))
-    config = bench.IndexConfig(
-        kind=args.index, m=args.m, ef_construction=args.ef_construction,
-        n_clusters=args.n_clusters, seed=args.seed,
-    )
+    # only the chosen kind's flags: IndexConfig refuses the other kind's
+    family = (dict(m=args.m, ef_construction=args.ef_construction) if args.index == "hnsw"
+              else dict(n_clusters=args.n_clusters))
+    config = bench.IndexConfig(kind=args.index, seed=args.seed, **family)
     index, _ = bench.build_index(corpus, config)
     (save_hnsw if args.index == "hnsw" else save_ivf)(index, args.out)
     print(f"wrote {args.index} index -> {args.out}")

@@ -10,13 +10,15 @@ Every pass over the rows runs over ``row_blocks``, converting one block of
 float32 rows at a time, so the build makes no float64 copy of the corpus;
 its (block × C) distance products and keys share one scratch matrix.
 
-Seeding and the final L2 assignment compute exact float64 distances only
-where the cut of :func:`fanns.oracle.l2_slack` cannot rule them out, so
-centroids and lists are bit-identical to computing every distance. Seeding
-takes its scores from :func:`fanns.oracle.l2_scores`; the assignment scores
-each row against every centroid with one float32 matrix product per block.
-Lloyd passes compare float64 matrix products, whose last bits may depend on
-the product's shape, so they score every (row, centroid) pair.
+Each row's nearest centroid, in every Lloyd pass (under L2) and in the
+final assignment (under the corpus metric), follows one rule: the centroid
+of smallest ``ordering_keys`` key, the first on ties (:func:`_assign_rows`).
+Seeding and every L2 assignment compute exact float64 distances only where
+the cut of :func:`fanns.oracle.l2_slack` cannot rule them out, so centroids
+and lists are bit-identical to computing every distance. Seeding takes its
+scores from :func:`fanns.oracle.l2_scores`; an L2 assignment scores each row
+against every centroid with one float32 matrix product per block, and keys
+only the rows whose cut keeps more than one centroid.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -134,43 +136,29 @@ def _kmeans_pp_seed(corpus: Corpus, n_clusters: int, rng: np.random.Generator) -
     return centroids
 
 
-def _nearest_centroids(corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Nearest centroid of every row in squared L2, via the expansion
-    ||x||^2 - 2x.c + ||c||^2, one ``row_blocks`` block at a time into the
-    build's ``scratch``; each block is doubled in float64, which is exact."""
-    c2 = np.sum(centroids**2, axis=1)
-    assign = np.empty(corpus.n, dtype=np.int64)
-    doubled = np.empty((len(scratch), corpus.dim))
-    for block in row_blocks(corpus.n):
-        twice = doubled[: block.stop - block.start]
-        np.multiply(corpus.vectors[block], 2.0, out=twice, dtype=np.float64)
-        d2 = scratch[: len(twice)]
-        np.matmul(twice, centroids.T, out=d2)
-        np.subtract(corpus.sq_row_norms[block, None], d2, out=d2)
-        d2 += c2
-        assign[block] = np.argmin(d2, axis=1)
-    return assign
-
-
-def _assign_rows(corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Each row's list: the centroid of smallest ``ordering_keys`` key under
-    the corpus metric, the first on ties, scored one ``row_blocks`` block at a
-    time into ``scratch``.
+def _assign_rows(
+    corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray, metric: Metric
+) -> np.ndarray:
+    """Each row's nearest centroid: the one of smallest ``ordering_keys`` key
+    under ``metric``, the first on ties, scored one ``row_blocks`` block at a
+    time into ``scratch``. Every Lloyd pass calls it under L2, the final
+    assignment under the corpus metric.
 
     Inner-product and cosine keys come from a GEMV whose last bit depends on
-    the call's shape, so those builds key every (row, centroid) pair, one
-    call per centroid over the whole block. So does an L2 build for which
+    the call's shape, so those key every (row, centroid) pair, one call per
+    centroid over the whole block. So does L2 when
     :func:`fanns.oracle.l2_slack` gives no bound.
 
-    Any other L2 build keys, for each row, only the centroids inside the
-    ``l2_slack`` cut with m = 1 and the row's ‖x‖² as the constant, so
-    ``argmin`` over +inf elsewhere finds the index it finds over every pair.
-    The scores are t = fl(P + ‖c‖²): the float32 product
-    P = fl32⟨x, fl32(−2c)⟩ (one matrix product per block, widened into
-    ``scratch``) plus c·c in float64, with R = ‖x‖max + ‖c‖max; slack leaves
-    room for the roundings of ‖c‖², t and the cut.
+    Otherwise each row keeps the centroids inside the ``l2_slack`` cut with
+    m = 1 and the row's ‖x‖² as the constant. The scores are
+    t = fl(P + ‖c‖²): the float32 product P = fl32⟨x, fl32(−2c)⟩ (one matrix
+    product per block, widened into ``scratch``) plus c·c in float64, with
+    R = ‖x‖max + ‖c‖max; slack leaves room for the roundings of ‖c‖², t and
+    the cut. The cut keeps every centroid whose key ties or beats the
+    smallest, so a lone survivor is the argmin with no key computed, and a
+    row with several keys only those, in one call with the row as the
+    point: an L2 key is the same bit for bit either way round.
     """
-    metric = corpus.metric
     slack = None
     if metric is Metric.L2:
         sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
@@ -183,30 +171,30 @@ def _assign_rows(corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray) -> 
         keys = scratch[: len(rows)]
         if slack is None:
             rows = rows.astype(np.float64)
-            for c in range(len(centroids)):
-                divisors = corpus.cosine_divisors(centroids[c], block)
-                keys[:, c] = ordering_keys(centroids[c], rows, metric, divisors)
+            for c, centroid in enumerate(centroids):
+                divisors = None if metric is Metric.L2 else corpus.cosine_divisors(centroid, block)
+                keys[:, c] = ordering_keys(centroid, rows, metric, divisors)
+            assign[block] = np.argmin(keys, axis=1)
         else:
             for start in range(0, len(rows), _PRODUCT_ROWS):
                 part = slice(start, start + _PRODUCT_ROWS)
                 np.matmul(rows[part], minus_twice.T, out=keys[part])
             keys += sq_centroids
-            cut = keys.min(axis=1)
-            cut += 2.0 * slack
+            best = np.argmin(keys, axis=1)
+            cut = keys[np.arange(len(rows)), best] + 2.0 * slack
             near = keys <= cut[:, None]
-            keys.fill(np.inf)
-            # column-major, so each centroid's rows are contiguous and ascending
-            cols, ids = np.nonzero(near.T)
-            splits = np.flatnonzero(np.diff(cols)) + 1
-            for c, members in zip(cols[np.r_[0, splits]], np.split(ids, splits)):
-                keys[members, c] = ordering_keys(centroids[c], rows.take(members, axis=0), metric)
-        assign[block] = np.argmin(keys, axis=1)
+            for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+                kept = np.flatnonzero(near[i])
+                kept_keys = ordering_keys(rows[i], centroids.take(kept, axis=0), metric)
+                best[i] = kept[np.argmin(kept_keys)]
+            assign[block] = best
     return assign
 
 
 def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
-    """k-means++ seeding plus ``_MAX_ITERS`` Lloyd passes, then the final
-    row-to-list assignment under the corpus metric (:func:`_assign_rows`).
+    """k-means++ seeding plus ``_MAX_ITERS`` Lloyd passes, each assigning
+    every row its nearest centroid under L2, then the final row-to-list
+    assignment under the corpus metric, both by :func:`_assign_rows`.
 
     k-means runs in plain L2 geometry over the stored rows. For a cosine
     corpus built with ``normalized`` True those are unit rows, which makes
@@ -231,7 +219,7 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     centroids = _kmeans_pp_seed(corpus, n_clusters, rng)
     scratch = np.empty((min(corpus.n, ROW_BLOCK + 1), n_clusters))
     for _ in range(_MAX_ITERS):
-        assign = _nearest_centroids(corpus, centroids, scratch)
+        assign = _assign_rows(corpus, centroids, scratch, Metric.L2)
         counts = np.bincount(assign, minlength=n_clusters)
         order = np.argsort(assign, kind="stable")
         starts = np.cumsum(counts) - counts
@@ -246,7 +234,7 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             centroids[c] = vectors[stray]
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
-    final_assign = _assign_rows(corpus, centroids, scratch)
+    final_assign = _assign_rows(corpus, centroids, scratch, corpus.metric)
     lists = [np.flatnonzero(final_assign == c).astype(np.int64) for c in range(n_clusters)]
     return IvfIndex(
         n_clusters=n_clusters,
@@ -302,8 +290,8 @@ def load_ivf(path: str | Path) -> IvfIndex:
     reader = BinaryReader(path, _IVF_MAGIC, IvfFormatError)
     n_clusters, d, seed, metric_kind = reader.unpack("<IIqB")
     metric = reader.metric(metric_kind)
-    if n_clusters < 1:
-        reader.fail("no inverted lists")
+    if n_clusters < 1 or d < 1:
+        reader.fail(f"implausible dimensions C={n_clusters} d={d}")
     centroids = reader.array("<f4", n_clusters * d).reshape(n_clusters, d).copy()
     if not np.isfinite(centroids).all():
         reader.fail("centroids must be finite: one holds NaN or inf")

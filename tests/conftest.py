@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from fanns.corpus import ROW_BLOCK, Corpus, Metric, generate_synthetic
+from fanns import ivfflat
+from fanns.corpus import ROW_BLOCK, Corpus, Metric, generate_synthetic, row_blocks
 from fanns.hnsw import hnsw_build
 from fanns.ivfflat import ivf_build
+from fanns.oracle import l2_slack
 
 # One pass/fail line per acceptance criterion, echoed after the run so the
 # lines survive pytest's output capture.
@@ -99,6 +103,28 @@ def mixed_dtype_keys(query, rows, metric, divisors=None):
     else:
         norms = -divisors
     return -rows.dot(query) / norms
+
+
+def l2_pairs_keyed(corpus, centroids):
+    """The (row, centroid) pairs that one L2 call of ``ivfflat._assign_rows``
+    keys, written out: a row keys the centroids whose float32 score is within
+    2·slack of its smallest when there are several of them, and none when its
+    own is the only one. Scored with ``_assign_rows``'s product shapes."""
+    sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
+    reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
+    slack = l2_slack(corpus.dim, reach)
+    minus_twice = (-2.0 * centroids).astype(np.float32)
+    pairs = 0
+    for block in row_blocks(corpus.n):
+        rows = corpus.vectors[block]
+        scores = np.empty((len(rows), len(centroids)))
+        for start in range(0, len(rows), ivfflat._PRODUCT_ROWS):
+            part = slice(start, start + ivfflat._PRODUCT_ROWS)
+            np.matmul(rows[part], minus_twice.T, out=scores[part])
+        scores += sq_centroids
+        kept = np.sum(scores <= scores.min(axis=1, keepdims=True) + 2.0 * slack, axis=1)
+        pairs += int(kept[kept > 1].sum())
+    return pairs
 
 
 def adversarial_corpus(d, scale, outlier, seed, n=1200, metric=Metric.L2):

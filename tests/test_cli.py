@@ -122,6 +122,24 @@ class TestRunAndSummarize:
         assert code == 2
         assert capsys.readouterr().err.startswith("run error: ")
 
+    @pytest.mark.parametrize("entry, refused", [
+        ('{"kind": "ivfflat", "n_clusters": 8, "m": 16, "ef_construction": 200}',
+         "ivfflat config takes no m or ef_construction"),
+        ('{"kind": "hnsw", "m": 16, "ef_construction": 200, "n_clusters": 8}',
+         "hnsw config takes no n_clusters"),
+    ])
+    def test_grid_entry_with_the_other_familys_fields(self, tmp_path, tiny_corpus, capsys,
+                                                      entry, refused):
+        # a setting the built index would not use is refused, not dropped
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"n_queries": 2, "targets": [0.5], "ks": [5], "strategies": ["PreExact"],'
+                       f' "index_grid": [{entry}]}}')
+        res = tmp_path / "r.csv"
+        code = main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg), "--out", str(res)])
+        assert code == 2
+        assert capsys.readouterr().err == f"run error: {refused}\n"
+        assert not res.exists()
+
     def test_grid_entry_without_n_clusters_builds_sqrt_n_lists(self, tmp_path):
         corpus, cfg, res = tmp_path / "c.fvc", tmp_path / "run.json", tmp_path / "res.csv"
         assert main(["gen", "--n", "300", "--d", "8", "--seed", "3", "--out", str(corpus)]) == 0

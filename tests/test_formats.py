@@ -13,7 +13,7 @@ from fanns.corpus import (
     save_corpus,
 )
 from fanns.hnsw import HnswFormatError, hnsw_build, hnsw_search, load_hnsw, save_hnsw
-from fanns.ivfflat import IvfFormatError, ivf_build, ivf_search, load_ivf, save_ivf
+from fanns.ivfflat import IvfFormatError, IvfIndex, ivf_build, ivf_search, load_ivf, save_ivf
 
 
 FORMATS = {
@@ -95,6 +95,18 @@ def test_ivf_centroids_must_be_finite(tmp_path, bad):
     path = tmp_path / "bad.idx"
     save_ivf(index, path)
     with pytest.raises(IvfFormatError, match="finite"):
+        load_ivf(path)
+
+
+@pytest.mark.parametrize("n_clusters, d", [(0, 3), (3, 0)])
+def test_ivf_dimensions_must_be_positive(tmp_path, n_clusters, d):
+    # no lists, or lists over 6 rows whose centroids have no coordinates:
+    # no query could rank them
+    centroids = np.zeros((n_clusters, d), dtype=np.float32)
+    lists = np.array_split(np.arange(6), 3)[:n_clusters]
+    path = tmp_path / "bad.idx"
+    save_ivf(IvfIndex(n_clusters, 1, Metric.L2, centroids, lists), path)
+    with pytest.raises(IvfFormatError, match="implausible dimensions"):
         load_ivf(path)
 
 

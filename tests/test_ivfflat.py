@@ -16,13 +16,30 @@ from fanns import ivfflat
 from fanns.ivfflat import IvfFormatError, IvfIndex, ivf_build, ivf_search, load_ivf, save_ivf
 from fanns.oracle import exact_knn, exact_scan
 
-from conftest import ROW_COUNTS, adversarial_corpus, mixed_dtype_keys, sample_queries
+from conftest import (
+    ROW_COUNTS,
+    adversarial_corpus,
+    l2_pairs_keyed,
+    mixed_dtype_keys,
+    sample_queries,
+)
+
+
+def _nearest_by_key(rows, centroids, metric):
+    """Each row's centroid of smallest ``ordering_keys`` key, the first on
+    ties, keyed in 4096-row blocks: the build's one nearest-centroid rule."""
+    nearest = np.empty(len(rows), dtype=np.int64)
+    for start in range(0, len(rows), 4096):
+        stop = min(start + 4096, len(rows))
+        keys = [ordering_keys(c, rows[start:stop], metric) for c in centroids]
+        nearest[start:stop] = np.argmin(np.stack(keys, axis=1), axis=1)
+    return nearest
 
 
 def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
-    """The unblocked k-means: whole-matrix distance products, per-cluster
-    boolean masks, 25 iterations. Appends one entry to ``reseeds`` per empty
-    cluster reseeded."""
+    """The unblocked k-means: whole-matrix seeding distances, per-cluster
+    boolean masks, 25 iterations, every (row, centroid) pair keyed. Appends
+    one entry to ``reseeds`` per empty cluster reseeded."""
     rng = np.random.default_rng(seed)
     rows = corpus.vectors.astype(np.float64)
     n = rows.shape[0]
@@ -38,12 +55,7 @@ def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
         centroids[i] = rows[pick]
         closest_sq = np.minimum(closest_sq, np.sum((rows - centroids[i]) ** 2, axis=1))
     for _ in range(25):
-        d2 = (
-            np.sum(rows**2, axis=1)[:, None]
-            - 2.0 * rows @ centroids.T
-            + np.sum(centroids**2, axis=1)[None, :]
-        )
-        assign = np.argmin(d2, axis=1)
+        assign = _nearest_by_key(rows, centroids, Metric.L2)
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=n_clusters)
         for c in range(n_clusters):
@@ -59,11 +71,7 @@ def _reference_ivf_build(corpus, n_clusters, seed, reseeds):
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
         centroids = new_centroids
-    final_assign = np.empty(n, dtype=np.int64)
-    for start in range(0, n, 4096):
-        stop = min(start + 4096, n)
-        keys = [ordering_keys(c, rows[start:stop], corpus.metric) for c in centroids]
-        final_assign[start:stop] = np.argmin(np.stack(keys, axis=1), axis=1)
+    final_assign = _nearest_by_key(rows, centroids, corpus.metric)
     lists = [np.flatnonzero(final_assign == c) for c in range(n_clusters)]
     return centroids.astype(np.float32), lists
 
@@ -216,15 +224,16 @@ class TestBuild:
             assert other.centroids.tobytes() == np.ldexp(index.centroids, exponent).tobytes()
 
     def test_every_build_makes_every_lloyd_pass(self, monkeypatch):
-        passes, nearest_centroids = [], ivfflat._nearest_centroids
+        metrics, assign_rows = [], ivfflat._assign_rows
 
-        def counting(*args):
-            passes.append(1)
-            return nearest_centroids(*args)
+        def counting(corpus, centroids, scratch, metric):
+            metrics.append(metric)
+            return assign_rows(corpus, centroids, scratch, metric)
 
-        monkeypatch.setattr(ivfflat, "_nearest_centroids", counting)
+        monkeypatch.setattr(ivfflat, "_assign_rows", counting)
         ivf_build(generate_synthetic(3000, 16, 1, "cluster_correlated"), 55, seed=0)
-        assert len(passes) == ivfflat._MAX_ITERS
+        # every Lloyd pass assigns under L2, then the final one under cosine
+        assert metrics == [Metric.L2] * ivfflat._MAX_ITERS + [Metric.COSINE]
 
     def test_cluster_count_validation(self, corpus2k):
         with pytest.raises(ValueError):
@@ -271,13 +280,43 @@ class TestNarrowedBuild:
             keys.append(len(rows))
             return mixed_dtype_keys(point, rows, metric, divisors)
 
+        def assign_rows(built_from, centroids, scratch, metric):
+            pairs.append(l2_pairs_keyed(built_from, centroids))
+            return real_assign_rows(built_from, centroids, scratch, metric)
+
+        pairs, real_assign_rows = [], ivfflat._assign_rows
         monkeypatch.setattr(ivfflat, "_sq_dists", sq_dists)
         monkeypatch.setattr(ivfflat, "ordering_keys", ordering_keys)
+        monkeypatch.setattr(ivfflat, "_assign_rows", assign_rows)
         ivf_build(corpus, 141, seed=1)
-        # k-means++ folds every row against its first centroid, and each row
-        # keys at least its own list's centroid
+        # k-means++ folds every row against its first centroid; each of the
+        # 25 Lloyd passes and the final assignment keys only the rows whose
+        # cut keeps more than one centroid, fewer than one row in ten
         assert corpus.n <= sum(seeding) < corpus.n * 141 // 20
-        assert corpus.n <= sum(keys) < 2 * corpus.n
+        assert len(pairs) == ivfflat._MAX_ITERS + 1
+        assert sum(keys) == sum(pairs) < corpus.n // 10
+
+    def test_lloyd_passes_take_the_exact_key_argmin(self):
+        # Rows near 1e6, each between its own two centroids about 0.25 away:
+        # the squared distances differ by about 1e-4, the rounding error of
+        # the expansion |x|^2 - 2x.c + |c|^2 at this magnitude, while the
+        # float64 key subtracts exactly and keeps the difference.
+        rng = np.random.default_rng(23)
+        rows = (1e6 + 16.0 * np.arange(400)).astype(np.float32)[:, None]
+        offsets = 0.25 + rng.uniform(-1e-4, 1e-4, (400, 2))
+        centroids = np.concatenate([rows - offsets[:, :1], rows + offsets[:, 1:]])
+        corpus = Corpus(rows, rng.uniform(size=400), Metric.L2)
+        scratch = np.empty((400, 800))
+        nearest = ivfflat._assign_rows(corpus, centroids, scratch, Metric.L2)
+        exact = _nearest_by_key(rows, centroids, Metric.L2)
+        assert np.array_equal(nearest, exact)
+        assert np.array_equal(nearest % 400, np.arange(400))
+        expansion = (
+            corpus.sq_row_norms[:, None]
+            - 2.0 * rows.astype(np.float64) @ centroids.T
+            + np.sum(centroids**2, axis=1)
+        )
+        assert not np.array_equal(np.argmin(expansion, axis=1), exact)
 
 
 class TestSearch:

@@ -8,7 +8,6 @@ name that no longer exists.
 """
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,6 +17,8 @@ import pytest
 from fanns import corpus as corpus_mod
 from fanns import gls, hnsw, ivfflat, oracle
 from fanns.corpus import Corpus, Metric, build_mask
+
+from conftest import l2_pairs_keyed
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -84,23 +85,6 @@ def _rows_by_module(monkeypatch) -> dict[str, int]:
     return rows
 
 
-def _l2_pairs_keyed(corpus, centroids):
-    """The final L2 assignment's candidate rule, written out for a corpus of
-    one ``row_blocks`` block: each row keys the centroids whose float32 score
-    is within 2·slack of its smallest, scored with ``_assign_rows``'s
-    product shapes."""
-    sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
-    reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
-    slack = oracle.l2_slack(corpus.dim, reach)
-    minus_twice = (-2.0 * centroids).astype(np.float32)
-    scores = np.empty((corpus.n, len(centroids)))
-    for start in range(0, corpus.n, ivfflat._PRODUCT_ROWS):
-        part = slice(start, start + ivfflat._PRODUCT_ROWS)
-        np.matmul(corpus.vectors[part], minus_twice.T, out=scores[part])
-    scores += sq_centroids
-    return int(np.sum(scores <= scores.min(axis=1, keepdims=True) + 2.0 * slack))
-
-
 @pytest.mark.parametrize("metric", list(Metric))
 def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
     # A key scored through another module's name, or through corpus's own,
@@ -115,16 +99,22 @@ def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
     result = oracle.exact_knn(corpus, query, 10, mask)
     assert rows == {"fanns.oracle": result.telemetry.distance_evaluations}
     rows.clear()
-    assigned, assign_rows = [], ivfflat._assign_rows
+    pairs, assign_rows = [], ivfflat._assign_rows
 
-    def recording(built_from, centroids, scratch):
-        assigned.append(centroids)
-        return assign_rows(built_from, centroids, scratch)
+    def recording(built_from, centroids, scratch, assigned_under):
+        # every Lloyd pass keys under L2 with the cut, and so does an L2
+        # corpus's final assignment; any other metric keys every pair
+        if assigned_under is Metric.L2:
+            pairs.append(l2_pairs_keyed(built_from, centroids))
+        else:
+            pairs.append(n * n_lists)
+        return assign_rows(built_from, centroids, scratch, assigned_under)
 
     monkeypatch.setattr(ivfflat, "_assign_rows", recording)
     index = ivfflat.ivf_build(corpus, n_lists, seed=1)
-    pairs = _l2_pairs_keyed(corpus, *assigned) if metric is Metric.L2 else n * n_lists
-    assert rows == {"fanns.ivfflat": pairs}
+    assert len(pairs) == ivfflat._MAX_ITERS + 1
+    # an L2 build whose cuts keep one centroid per row keys nothing
+    assert rows == ({"fanns.ivfflat": sum(pairs)} if sum(pairs) else {})
     rows.clear()
     result = ivfflat.ivf_search(index, corpus, query, 10, 2, mask)
     assert rows == {"fanns.ivfflat": n_lists, "fanns.oracle": result.telemetry.distance_evaluations}
