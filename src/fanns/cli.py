@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index over a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", choices=["hnsw", "ivfflat"], required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--ef-construction", type=int, default=50)
+    p.add_argument("--m", type=int, default=None, help="hnsw only (default 10)")
+    p.add_argument("--ef-construction", type=int, default=None, help="hnsw only (default 50)")
     p.add_argument("--n-clusters", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -116,14 +116,17 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     corpus = load_corpus(_require_file(args.corpus, "build error"))
-    # only the chosen kind's flags: IndexConfig refuses the other kind's
-    family = (dict(m=args.m, ef_construction=args.ef_construction) if args.index == "hnsw"
-              else dict(n_clusters=args.n_clusters))
-    config = bench.IndexConfig(kind=args.index, seed=args.seed, **family)
+    # every flag given, so that IndexConfig refuses the other kind's
+    hnsw = args.index == "hnsw"
+    config = bench.IndexConfig(
+        kind=args.index, seed=args.seed, n_clusters=args.n_clusters,
+        m=10 if hnsw and args.m is None else args.m,
+        ef_construction=50 if hnsw and args.ef_construction is None else args.ef_construction,
+    )
     index, _ = bench.build_index(corpus, config)
-    (save_hnsw if args.index == "hnsw" else save_ivf)(index, args.out)
+    (save_hnsw if hnsw else save_ivf)(index, args.out)
     print(f"wrote {args.index} index -> {args.out}")
-    if args.index == "hnsw":
+    if hnsw:
         print(f"layer 0: {layer0_unreachable(index)} of {index.n} rows unreachable")
     return 0
 

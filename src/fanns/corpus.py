@@ -123,7 +123,9 @@ class Corpus:
     Row ids are implicit 0..N-1. Vectors are float32, the attribute column
     float64 (quantile computations on the attribute should not suffer from
     float32 granularity). A vector entry that is NaN or inf raises
-    ``ValueError``: no key to such a row orders anything.
+    ``ValueError``: no key to such a row orders anything. So does a NaN
+    attribute, which no threshold orders; an infinite attribute orders, and
+    is kept.
 
     Three derived arrays are built on first use and kept: ``sq_row_norms`` (n
     float64 squared norms, read by the IVFFlat build and the L2 exact scan's
@@ -145,6 +147,8 @@ class Corpus:
             raise ValueError("vectors must be a non-empty N x d matrix")
         if attribute.shape != (vectors.shape[0],):
             raise ValueError("attribute column length must equal the number of rows")
+        if np.isnan(attribute).any():
+            raise ValueError("attribute must not be NaN: a NaN value orders nothing")
         for block in row_blocks(vectors.shape[0]):
             if not np.isfinite(vectors[block]).all():
                 raise ValueError("vectors must be finite: a row holds NaN or inf")

@@ -147,16 +147,13 @@ def gls_approx(
         result = ivf_search(index, corpus, query, k_neighborhood, index.n_clusters)
     else:
         raise TypeError(f"unsupported index type {type(index).__name__}")
-    neighborhood = result.ids
-    if len(neighborhood) == 0:
-        raise ValueError("index returned an empty neighborhood")
     rng = np.random.default_rng(seed)
     sample = rng.choice(corpus.n, size=sample_size, replace=False)
     sigma_g = float(np.count_nonzero(mask.bits[sample])) / sample_size
     if sigma_g == 0.0:
         # degenerate sample; fall back to the known mask selectivity
         sigma_g = mask.global_selectivity
-    return _entry(query_id, mask, neighborhood, sigma_g)
+    return _entry(query_id, mask, result.ids, sigma_g)
 
 
 def gls_mean(entries: Sequence[GlsEntry]) -> float:

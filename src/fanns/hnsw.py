@@ -125,10 +125,12 @@ def _scorer(corpus: Corpus, query: np.ndarray, every_row: bool = False) -> _Keys
     """Ordering keys from ``query`` to corpus rows, given their ids, as a list.
 
     The query's float64 copy and, for cosine, every row's divisor
-    (``corpus.cosine_divisors(query)``) are built once here. A lazy scorer
-    gathers each call's rows from ``corpus.vectors64`` and its divisors with
-    one index array and keys them through ``ordering_keys``, with the rows as
-    its second argument, so they are bit-identical to
+    (``corpus.cosine_divisors(query)``; None under L2 and inner product) are
+    built once here. The lazy scorer, one closure for every metric, turns
+    each call's ids into one index array, gathers the rows from
+    ``corpus.vectors64`` and, for cosine, their divisors with it, and keys
+    them through ``ordering_keys``, with the rows as its second argument, so
+    they are bit-identical to
     ``ordering_keys(query, corpus.vectors[ids], metric)``. With
     ``every_row`` the rows are keyed here, one ``row_blocks`` block at a
     time, so every key is bit-identical to the unmasked exact scan's, and
@@ -146,12 +148,11 @@ def _scorer(corpus: Corpus, query: np.ndarray, every_row: bool = False) -> _Keys
             )
         table = table.tolist()
         return lambda ids: [table[i] for i in ids]
-    if divisors is None:
-        return lambda ids: ordering_keys(query, rows.take(ids, axis=0), metric).tolist()
 
     def keys(ids):
         ids = np.array(ids, dtype=np.intp)
-        return ordering_keys(query, rows.take(ids, axis=0), metric, divisors.take(ids)).tolist()
+        row_divisors = None if divisors is None else divisors.take(ids)
+        return ordering_keys(query, rows.take(ids, axis=0), metric, row_divisors).tolist()
 
     return keys
 
@@ -168,7 +169,10 @@ def _search_layer(
 
     The pool, taken over (it may be changed in place) and returned, is an
     unranked list of ``(-key, node)`` entries: the entry points in, the
-    layer's nearest nodes out. Nodes are admitted by the beam's rule without
+    layer's nearest nodes out. It must come in with at most ``ef`` entries,
+    as every caller's does: one entry point into each ef = 1 layer and into
+    layer 0, and a build layer's pool, at ``ef_construction``, into the next
+    layer at the same width. Nodes are admitted by the beam's rule without
     ``bits`` and the dual pool's with them (see the module docstring). Each
     newly visited node counts in ``nodes_visited``; with ``bits`` each
     visited node's bit counts as a predicate invocation.
@@ -183,8 +187,6 @@ def _search_layer(
     if bits is not None:
         pool = [entry for entry in pool if bits[entry[1]]]
     heapify(pool)
-    while len(pool) > ef:
-        heappop(pool)
     worst = -pool[0][0] if len(pool) == ef else math.inf
     evaluated = 0
     while candidates:

@@ -7,6 +7,9 @@ exact scan when the filtered-out ratio exceeds ``FALLBACK_RATIO_THRESHOLD``
 and reruns exactly whenever the approximate pass comes back short (safety
 net). Exact answers are the oracle's ``exact_knn`` results, returned as is.
 
+Post's raw pool holds min(n, k * ceil(1 / sigma_g)) rows under a mask of
+global selectivity sigma_g, and min(n, k) rows unfiltered.
+
 Runtime is the single-queue prefilter with its predicate tested lazily: the
 traversal never reads the bitset, only the rows the executor must classify
 are tested, and their count is the index's ``predicate_invocations``. Post
@@ -50,11 +53,6 @@ class PlanKind(Enum):
 @dataclass(frozen=True)
 class StrategyPlan:
     kind: PlanKind
-    expansion: Optional[float] = None  # Post: candidate pool multiplier (>= 1)
-
-    def __post_init__(self):
-        if self.expansion is not None and self.expansion < 1:
-            raise ConfigurationError("expansion multiplier must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,6 @@ def _search(index, corpus, query, k, params, mode, mask=None) -> SearchResult:
     raise ConfigurationError(f"unsupported index type {type(index).__name__}")
 
 
-def default_expansion(mask: Optional[FilterMask], k: int, n: int) -> float:
-    """ceil(1 / selectivity), capped at N / k."""
-    if mask is None or mask.global_selectivity == 0.0:
-        return 1.0
-    return min(math.ceil(1.0 / mask.global_selectivity), max(n / k, 1.0))
-
-
 def execute(
     index,
     corpus: Corpus,
@@ -136,11 +127,8 @@ def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, Se
         return kind, _search(index, corpus, query, k, params, mode, mask)
 
     if kind is PlanKind.POST:
-        expansion = plan.expansion
-        if expansion is None:
-            expansion = default_expansion(mask, k, corpus.n)
-        pool_size = min(max(int(math.ceil(expansion * k)), k), corpus.n)
-        result = _search(index, corpus, query, pool_size, params, "raw")
+        pool = min(corpus.n, k if mask is None else k * math.ceil(1.0 / mask.global_selectivity))
+        result = _search(index, corpus, query, pool, params, "raw")
         return kind, result.top(k) if mask is None else result.masked(mask.bits, k)
 
     if kind is PlanKind.ADAPTIVE_AUTO:

@@ -59,6 +59,25 @@ class TestBuild:
         assert code != 0
         assert "build error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, refused", [
+        (["--index", "ivfflat", "--m", "99", "--ef-construction", "7"],
+         "ivfflat config takes no m or ef_construction"),
+        (["--index", "hnsw", "--n-clusters", "5"], "hnsw config takes no n_clusters"),
+    ])
+    def test_the_other_familys_flags_are_refused(self, tmp_path, tiny_corpus, capsys,
+                                                 flags, refused):
+        out = tmp_path / "x.idx"
+        assert main(["build", "--corpus", str(tiny_corpus), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"build error: {refused}\n"
+        assert not out.exists()
+
+    def test_hnsw_flags_default_to_m10_efc50(self, tmp_path, tiny_corpus):
+        out = tmp_path / "h.idx"
+        assert main(["build", "--corpus", str(tiny_corpus), "--index", "hnsw",
+                     "--out", str(out)]) == 0
+        index = load_hnsw(out)
+        assert (index.m, index.ef_construction) == (10, 50)
+
     def test_unknown_index_flag(self, tmp_path, tiny_corpus):
         with pytest.raises(SystemExit):
             main(["build", "--corpus", str(tiny_corpus), "--index", "kdtree",

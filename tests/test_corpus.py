@@ -297,6 +297,20 @@ class TestCorpusValidation:
             with pytest.raises(ValueError, match="finite"):
                 Corpus(vectors=vectors, attribute=np.zeros(len(vectors)), metric=metric)
 
+    def test_nan_attribute_rejected(self):
+        # no threshold orders a NaN: its 5%-selectivity mask would hold no row
+        attribute = np.arange(100.0)
+        attribute[::20] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            Corpus(vectors=np.ones((100, 2), dtype=np.float32), attribute=attribute)
+
+    def test_infinite_attributes_order(self):
+        attribute = np.arange(100.0)
+        attribute[::20] = np.inf
+        corpus = Corpus(vectors=np.ones((100, 2), dtype=np.float32), attribute=attribute)
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.05))
+        assert mask.valid_ids().tolist() == [0, 20, 40, 60, 80]
+
 
 class TestCosineDivisors:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -486,6 +500,17 @@ class TestFileIO:
         data[offset : offset + 4] = np.float32(bad).tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(CorpusFormatError, match="finite"):
+            load_corpus(path)
+
+    def test_nan_attribute_is_a_format_error(self, tmp_path):
+        corpus = generate_synthetic(50, 4, seed=9)
+        path = tmp_path / "c.fvc"
+        save_corpus(corpus, path)
+        data = bytearray(path.read_bytes())
+        offset = 16 + 4 * corpus.n * corpus.dim + 8 * 7  # row 7's attribute
+        data[offset : offset + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorpusFormatError, match="NaN"):
             load_corpus(path)
 
     def test_bad_magic(self, tmp_path):

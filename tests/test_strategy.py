@@ -46,10 +46,6 @@ def mask005(corpus2k):
 
 
 class TestPlanValidation:
-    def test_expansion_below_one(self):
-        with pytest.raises(ConfigurationError):
-            StrategyPlan(PlanKind.POST, expansion=0.5)
-
     @pytest.mark.parametrize("kind", APPROXIMATE, ids=lambda kind: kind.value)
     @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
     def test_missing_search_param(self, request, corpus2k, mask02, family, kind):
@@ -123,32 +119,26 @@ class TestAdaptiveAuto:
 
 
 class TestPost:
-    def test_recall_below_preanns_at_unit_expansion(self, corpus2k, hnsw2k):
-        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
-        _, queries = sample_queries(corpus2k, 100, seed=91)
-        post = pre = 0.0
-        for query in queries:
-            gt = exact_knn(corpus2k, query, 10, mask)
-            post += _recall(
-                execute(hnsw2k, corpus2k, query, 10, mask,
-                        StrategyPlan(PlanKind.POST, expansion=1.0), PARAMS), gt)
-            pre += _recall(
-                execute(hnsw2k, corpus2k, query, 10, mask,
-                        StrategyPlan(PlanKind.PRE_ANNS), PARAMS), gt)
-        assert post < pre
+    # (0.01, 100) asks for 10,000 of the 2,000 rows
+    @pytest.mark.parametrize("sigma, k", [(0.01, 10), (0.1, 10), (0.5, 10), (None, 10), (0.01, 100)])
+    @pytest.mark.parametrize("family", sorted(SEARCH_FOR))
+    def test_pool_width(self, request, monkeypatch, corpus2k, family, sigma, k):
+        # the raw search is asked for min(n, k * ceil(1 / sigma_g)) rows, min(n, k) unfiltered
+        widths = []
+        name = SEARCH_FOR[family]
 
-    def test_recall_nondecreasing_in_expansion(self, corpus2k, hnsw2k, mask02):
-        _, queries = sample_queries(corpus2k, 50, seed=92)
-        means = []
-        for expansion in (1.0, 2.0, 8.0):
-            total = 0.0
-            for query in queries:
-                gt = exact_knn(corpus2k, query, 10, mask02)
-                total += _recall(
-                    execute(hnsw2k, corpus2k, query, 10, mask02,
-                            StrategyPlan(PlanKind.POST, expansion=expansion), PARAMS), gt)
-            means.append(total / len(queries))
-        assert means[0] <= means[1] + 0.02 <= means[2] + 0.04
+        def recording(index, corpus, query, width, *args, _search=getattr(strategy, name),
+                      **kwargs):
+            widths.append(width)
+            return _search(index, corpus, query, width, *args, **kwargs)
+
+        mask = None if sigma is None else build_mask(
+            corpus2k, threshold_for_selectivity(corpus2k, sigma))
+        widen = 1 if mask is None else -(-corpus2k.n // mask.valid_count)
+        monkeypatch.setattr(strategy, name, recording)
+        execute(request.getfixturevalue(family), corpus2k, corpus2k.vectors[7], k, mask,
+                StrategyPlan(PlanKind.POST), PARAMS)
+        assert widths == [min(corpus2k.n, k * widen)]
 
     def test_only_valid_ids(self, corpus2k, ivf2k, mask02):
         record = execute(ivf2k, corpus2k, corpus2k.vectors[7], 10, mask02,
