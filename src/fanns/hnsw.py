@@ -41,16 +41,20 @@ layer-0 node for ``dualpool``.
 
 Every key goes through ``corpus.ordering_keys``, over rows of the corpus's
 float64 ``vectors64`` (:func:`_scorer`), so each call passes its identity
-checks unconverted. The build, and a search whose layer-0 width is below a
-quarter of the corpus, key lazily: one call per expanded node, over the rows
-gathered by id, with keys bit-identical to uncached ones. A search of width
-``4 * ef >= n`` would key at least n/4 rows anyway, so it keys every row
-once, one ``row_blocks`` block at a time, as the unmasked exact scan does,
-and reads each key from a list; such a search counts n distance evaluations.
-Its ids and ``nodes_visited`` are the lazy search's, but an inner-product or
-cosine key can differ from the lazy one in the last bits, since a GEMV's
-rounding depends on the rows that share the call. Under cosine a zero query,
-or any zero row in the corpus, raises ``ValueError`` before the first key.
+checks unconverted. Where a search's keys come from depends on the work it
+has done. It keys lazily, one call per expanded node over the rows gathered
+by id, with keys bit-identical to uncached ones, until those calls have
+keyed ceil(n/4) rows. It then keys every row once, one ``row_blocks`` block
+at a time, as the unmasked exact scan does, and its walk reads every later
+key from that list, one list read per neighbor. A search of width
+``4 * ef >= n`` would key n/4 rows anyway, so it keys every row before its
+first key. A search counts each row it keyed as a distance evaluation: its
+lazy rows, plus n once it keyed every row. The build keys lazily throughout.
+The ids and ``nodes_visited`` are the lazy search's, but an inner-product or
+cosine key read from the list can differ from the lazy one in the last bits,
+since a GEMV's rounding depends on the rows that share the call. Under
+cosine a zero query, or any zero row in the corpus, raises ``ValueError``
+before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from pathlib import Path
@@ -121,39 +126,48 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
     return int(math.floor(-math.log(u) * inv_log_m))
 
 
-def _scorer(corpus: Corpus, query: np.ndarray, every_row: bool = False) -> _Keys:
+def _scorer(corpus: Corpus, query: np.ndarray, lazy_budget: int = sys.maxsize) -> _Keys:
     """Ordering keys from ``query`` to corpus rows, given their ids, as a list.
 
     The query's float64 copy and, for cosine, every row's divisor
     (``corpus.cosine_divisors(query)``; None under L2 and inner product) are
-    built once here. The lazy scorer, one closure for every metric, turns
-    each call's ids into one index array, gathers the rows from
-    ``corpus.vectors64`` and, for cosine, their divisors with it, and keys
-    them through ``ordering_keys``, with the rows as its second argument, so
-    they are bit-identical to
-    ``ordering_keys(query, corpus.vectors[ids], metric)``. With
-    ``every_row`` the rows are keyed here, one ``row_blocks`` block at a
-    time, so every key is bit-identical to the unmasked exact scan's, and
-    each call reads its keys from a list. A cosine query of norm 0, or a
-    cosine corpus with a zero row, raises here.
+    built once here. While its calls have keyed fewer than ``lazy_budget``
+    rows, a call keys lazily: it turns its ids into one index array, gathers
+    the rows from ``corpus.vectors64`` and, for cosine, their divisors with
+    it, and keys them through ``ordering_keys``, with the rows as its second
+    argument, so they are bit-identical to
+    ``ordering_keys(query, corpus.vectors[ids], metric)``. The first call
+    after that keys every row once, one ``row_blocks`` block at a time, so
+    each key is bit-identical to the unmasked exact scan's, into the list
+    ``keys.table``, and every call from then on reads its keys from it.
+    ``keys.lazy_rows`` holds, in its one entry, the rows keyed lazily. The
+    default budget never builds the table; a budget of 0 builds it on the
+    first call. A cosine query of norm 0, or a cosine corpus with a zero row,
+    raises here.
     """
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
     divisors = corpus.cosine_divisors(query)
-    if every_row:
-        table = np.empty(corpus.n)
-        for block in row_blocks(corpus.n):
-            table[block] = ordering_keys(
-                query, rows[block], metric, None if divisors is None else divisors[block]
-            )
-        table = table.tolist()
-        return lambda ids: [table[i] for i in ids]
+    lazy_rows, table = [0], []
 
     def keys(ids):
-        ids = np.array(ids, dtype=np.intp)
-        row_divisors = None if divisors is None else divisors.take(ids)
-        return ordering_keys(query, rows.take(ids, axis=0), metric, row_divisors).tolist()
+        if lazy_rows[0] < lazy_budget:
+            ids = np.array(ids, dtype=np.intp)
+            lazy_rows[0] += ids.size
+            row_divisors = None if divisors is None else divisors.take(ids)
+            return ordering_keys(query, rows.take(ids, axis=0), metric, row_divisors).tolist()
+        if not table:
+            every_key = np.empty(corpus.n)
+            for block in row_blocks(corpus.n):
+                every_key[block] = ordering_keys(
+                    query, rows[block], metric, None if divisors is None else divisors[block]
+                )
+            table.extend(every_key.tolist())
+        return [table[i] for i in ids]
 
+    # neither list refers back to ``keys``: a cycle would hold each search's
+    # table until the cyclic garbage collector ran
+    keys.lazy_rows, keys.table = lazy_rows, table
     return keys
 
 
@@ -180,16 +194,23 @@ def _search_layer(
     so each neighbor costs one comparison. The pool is heapified once, when
     it fills; node ids are unique, so the entry each entrant evicts is the
     same whatever the heap's layout.
+
+    While the scorer's ``keys.table`` is empty, each expanded node's
+    unvisited neighbors are keyed by one ``keys`` call. Once a call has built
+    the table (see :func:`_scorer`), the walk goes on from the same state
+    and reads each neighbor's key from the table, one list read per
+    neighbor; the visits, and so the ids, are the same either way.
     """
+    table = keys.table
     visited = {node for _, node in pool}
+    entered = len(visited)
     candidates = [(-negkey, node) for negkey, node in pool]
     heapify(candidates)
     if bits is not None:
         pool = [entry for entry in pool if bits[entry[1]]]
     heapify(pool)
     worst = -pool[0][0] if len(pool) == ef else math.inf
-    evaluated = 0
-    while candidates:
+    while candidates and not table:
         key, node = heappop(candidates)
         if key > worst:
             break
@@ -197,7 +218,6 @@ def _search_layer(
         if not fresh:
             continue
         visited.update(fresh)
-        evaluated += len(fresh)
         for nkey, neigh in zip(keys(fresh), fresh):
             if nkey < worst and (bits is None or bits[neigh]):
                 if len(pool) < ef:
@@ -211,7 +231,32 @@ def _search_layer(
             elif bits is None:
                 continue  # the beam queues only pool entrants
             heappush(candidates, (nkey, neigh))
-    telemetry.nodes_visited += evaluated
+    else:
+        # The table is built (or nothing is left to expand). The admission
+        # rule above is repeated here, per neighbor: sharing it through a
+        # per-expansion generator made this loop 14-18% slower.
+        while candidates:
+            key, node = heappop(candidates)
+            if key > worst:
+                break
+            for neigh in adjacency.get(node, ()):
+                if neigh in visited:
+                    continue
+                visited.add(neigh)
+                nkey = table[neigh]
+                if nkey < worst and (bits is None or bits[neigh]):
+                    if len(pool) < ef:
+                        pool.append((-nkey, neigh))
+                        if len(pool) == ef:
+                            heapify(pool)
+                            worst = -pool[0][0]
+                    else:
+                        heapreplace(pool, (-nkey, neigh))
+                        worst = -pool[0][0]
+                elif bits is None:
+                    continue
+                heappush(candidates, (nkey, neigh))
+    telemetry.nodes_visited += len(visited) - entered
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
     return pool
@@ -320,8 +365,8 @@ def hnsw_search(
     require_mask_for(corpus, mask)
     require_finite(query)
 
-    every_row = 4 * ef_search >= corpus.n
-    keys = _scorer(corpus, query, every_row)
+    quarter = -(-corpus.n // 4)  # ceil(n / 4)
+    keys = _scorer(corpus, query, 0 if ef_search >= quarter else quarter)
     telemetry = SearchTelemetry(nodes_visited=1)
     pool = [(-keys([index.entry_point])[0], index.entry_point)]
     for layer in range(index.max_level, -1, -1):
@@ -329,7 +374,7 @@ def hnsw_search(
             keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
             bits=mask.bits if mode == "dualpool" and layer == 0 else None,
         )
-    telemetry.distance_evaluations = corpus.n if every_row else telemetry.nodes_visited
+    telemetry.distance_evaluations = keys.lazy_rows[0] + (corpus.n if keys.table else 0)
     ids = np.array([node for _, node in pool], dtype=np.int64)
     dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
     order = np.lexsort((ids, dists))

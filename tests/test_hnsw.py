@@ -1,3 +1,5 @@
+import gc
+import itertools
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -12,6 +14,7 @@ from fanns.corpus import (
     build_mask,
     generate_synthetic,
     ordering_keys,
+    row_blocks,
     threshold_for_selectivity,
 )
 from fanns.hnsw import (
@@ -604,7 +607,9 @@ def quarter_graph():
 
 class TestSinglePassRule:
     """A search whose layer-0 width is at least n/4 keys every row once, one
-    ``row_blocks`` block at a time; a narrower one and the build key lazily."""
+    ``row_blocks`` block at a time, before its first key; a narrower one keys
+    lazily until its calls have keyed n/4 rows, then keys every row once. The
+    build keys lazily throughout."""
 
     def test_a_quarter_of_the_corpus_keys_every_row_once(self, monkeypatch, quarter_graph):
         corpus, index = quarter_graph
@@ -614,16 +619,36 @@ class TestSinglePassRule:
         assert result.telemetry.distance_evaluations == corpus.n
         assert result.telemetry.nodes_visited < corpus.n
 
+    @staticmethod
+    def _assert_switched_at_a_quarter(corpus, index, rows_seen, telemetry):
+        """Lazy calls of at most 2M rows that stop once they total ceil(n/4)
+        rows, then one pass over every row in ``row_blocks`` blocks, and the
+        walk going on past it."""
+        lazy = list(itertools.takewhile(lambda rows: rows <= 2 * index.m, rows_seen))
+        assert sum(lazy[:-1]) < -(-corpus.n // 4) <= sum(lazy)
+        assert rows_seen[len(lazy):] == [b.stop - b.start for b in row_blocks(corpus.n)]
+        assert telemetry.distance_evaluations == sum(lazy) + corpus.n
+        assert telemetry.nodes_visited > sum(lazy)
+
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     def test_one_less_keys_per_expanded_node(self, monkeypatch, quarter_graph, mode):
+        # one key call per expanded node until a quarter of the corpus is keyed
         corpus, index = quarter_graph
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
         rows_seen = _counting_keys(monkeypatch)
         result = hnsw_search(index, corpus, corpus.vectors[3], 10, 150, mode=mode, mask=mask,
                              pool_size=150)
-        t = result.telemetry
-        assert len(rows_seen) > 1 and max(rows_seen) <= 2 * index.m
-        assert sum(rows_seen) == t.distance_evaluations == t.nodes_visited
+        self._assert_switched_at_a_quarter(corpus, index, rows_seen, result.telemetry)
+
+    def test_the_dual_pool_switches_mid_walk(self, monkeypatch, quarter_graph):
+        # an ef=10 dual pool at sigma = 0.1 walks on well past its n/4 lazy
+        # rows: filtered-out nodes keep it from filling its pool
+        corpus, index = quarter_graph
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
+        rows_seen = _counting_keys(monkeypatch)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 10, mode="dualpool",
+                             mask=mask)
+        self._assert_switched_at_a_quarter(corpus, index, rows_seen, result.telemetry)
 
     def test_the_raw_pool_sets_the_width(self, monkeypatch, quarter_graph):
         corpus, index = quarter_graph
@@ -640,6 +665,20 @@ class TestSinglePassRule:
         hnsw_build(corpus, 6, 40, seed=0)
         assert rows_seen and max(rows_seen) <= 2 * 6 + 1
 
+    def test_a_search_leaves_no_reference_cycle(self, quarter_graph):
+        # a cycle through the scorer would hold each search's key table until
+        # the cyclic garbage collector ran
+        corpus, index = quarter_graph
+        gc.collect()
+        gc.disable()
+        try:
+            result = hnsw_search(index, corpus, corpus.vectors[3], 10, 150)
+            del result
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
     @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
     def test_the_pass_keys_in_the_exact_scans_blocks(self, monkeypatch, metric):
         # past one block, each key is still the unmasked exact scan's, bit for bit
@@ -649,10 +688,10 @@ class TestSinglePassRule:
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
         query = rng.standard_normal(16)
         rows_seen = _counting_keys(monkeypatch)
-        keys = hnsw_mod._scorer(corpus, query, every_row=True)
-        assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
+        keys = hnsw_mod._scorer(corpus, query, 0)
         exact = exact_knn(corpus, query, n)
         assert np.array_equal(keys(exact.ids.tolist()), exact.distances)
+        assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
 
 
 def _graph(metric, spread):
@@ -681,6 +720,9 @@ def unit_graph(request):
 
 
 class TestSinglePassEqualsLazy:
+    """Searches that build the key table, before their first key or mid-walk,
+    against the same searches keyed lazily throughout."""
+
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     def test_ids_and_visits_equal_the_lazy_search(self, monkeypatch, spread_graph, mode):
         corpus, index = spread_graph
@@ -691,20 +733,28 @@ class TestSinglePassEqualsLazy:
         def answers():
             out = []
             for query in queries:
-                for ef in (150, 300, corpus.n):
+                for ef in (20, 60, 150, 300, corpus.n):  # n/4 = 150
                     r = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
                                     pool_size=ef)
                     t = r.telemetry
-                    assert t.distance_evaluations == corpus.n
                     out.append((query, r.ids, r.distances,
                                 (t.nodes_visited, t.predicate_invocations)))
             return out
 
+        scorer, switched_mid_walk = hnsw_mod._scorer, []
+
+        def recording(corpus, query, lazy_budget):
+            keys = scorer(corpus, query, lazy_budget)
+            if lazy_budget > 0:
+                switched_mid_walk.append(keys.table)
+            return keys
+
+        monkeypatch.setattr(hnsw_mod, "_scorer", recording)
         single = answers()
+        assert any(switched_mid_walk)
         # the reference: every search keyed lazily, whatever its width
-        scorer = hnsw_mod._scorer
         monkeypatch.setattr(hnsw_mod, "_scorer",
-                            lambda corpus, query, every_row: scorer(corpus, query))
+                            lambda corpus, query, lazy_budget: scorer(corpus, query))
         for (query, ids, keys, counts), (_, lazy_ids, lazy_keys, lazy_counts) in zip(
                 single, answers()):
             assert np.array_equal(ids, lazy_ids) and counts == lazy_counts
