@@ -130,9 +130,10 @@ def gls_approx(
     """Cheap estimate: ANN neighborhood for sigma_l, uniform sample for sigma_g.
 
     The neighborhood is an HNSW beam of width ``k_neighborhood``, or an
-    IVFFlat scan of every list. A beam at least a quarter of the corpus wide
-    keys every row once, in the exact scan's blocks, and its walk reads the
-    keys from a list (see :mod:`fanns.hnsw`), so the search computes n keys.
+    IVFFlat scan of every list. A beam at least ``hnsw.table_budget(n, d)``
+    wide keys every row once, in the exact scan's blocks, and its walk reads
+    the keys from that table (see :mod:`fanns.hnsw`), so the search computes
+    n keys.
     The sample is drawn without replacement, so sample_size = N recovers the
     exact global selectivity. A
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood

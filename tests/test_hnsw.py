@@ -282,8 +282,10 @@ class TestCachedKeys:
 
         monkeypatch.setattr(hnsw_mod, "ordering_keys", counting)
         mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
-        result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 50, mode=mode, mask=mask)
-        assert len(rows_seen) > 1
+        # a width under the key-table budget: lazy calls, then the every-row pass
+        assert 10 < hnsw_mod.table_budget(corpus2k.n, corpus2k.dim)
+        result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 10, mode=mode, mask=mask)
+        assert len(rows_seen) > 2 and rows_seen[-1] == corpus2k.n
         assert sum(rows_seen) == result.telemetry.distance_evaluations
 
 
@@ -598,81 +600,93 @@ def _key_scale(corpus, query, ids):
 
 
 @pytest.fixture(scope="module")
-def quarter_graph():
-    """A 601-row cosine corpus, so that a quarter of it is not a whole row
-    count, and its M=8, efC=40 graph."""
-    corpus = generate_synthetic(601, 8, 12)
+def budget_graph():
+    """A 601-row, 200-wide cosine corpus, whose key-table budget of
+    601 * 206 / 2600 = 47.6 rows rounds up to 48, and its M=8, efC=40
+    graph."""
+    corpus = generate_synthetic(601, 200, 12)
     return corpus, hnsw_build(corpus, 8, 40, seed=0)
 
 
 class TestSinglePassRule:
-    """A search whose layer-0 width is at least n/4 keys every row once, one
-    ``row_blocks`` block at a time, before its first key; a narrower one keys
-    lazily until its calls have keyed n/4 rows, then keys every row once. The
-    build keys lazily throughout."""
+    """A search whose layer-0 width is at least ``table_budget(n, d)`` keys
+    every row once, one ``row_blocks`` block at a time, before its first key;
+    a narrower one keys lazily until its calls have keyed that many rows,
+    then keys every row once. The build keys lazily throughout."""
 
-    def test_a_quarter_of_the_corpus_keys_every_row_once(self, monkeypatch, quarter_graph):
-        corpus, index = quarter_graph
+    def test_the_budget_grows_with_the_rows_and_the_width(self):
+        budget = hnsw_mod.table_budget
+        assert budget(601, 200) == 48 and budget(3000, 16) == 26
+        assert budget(20000, 16) == 170 and budget(5000, 768) == 1489
+        for n, d in itertools.product((100, 601, 3000, 20000), (1, 8, 16, 200, 768)):
+            assert 1 <= budget(n, d) < budget(n + 1000, d)
+            assert budget(n, d) <= budget(n, d + 1) and budget(n, d) < budget(n, d + 200)
+
+    def test_a_width_of_the_budget_keys_every_row_once(self, monkeypatch, budget_graph):
+        corpus, index = budget_graph
         rows_seen = _counting_keys(monkeypatch)
-        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 151)  # ceil(601 / 4)
+        budget = hnsw_mod.table_budget(corpus.n, corpus.dim)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, budget)
         assert rows_seen == [corpus.n]
         assert result.telemetry.distance_evaluations == corpus.n
         assert result.telemetry.nodes_visited < corpus.n
 
     @staticmethod
-    def _assert_switched_at_a_quarter(corpus, index, rows_seen, telemetry):
-        """Lazy calls of at most 2M rows that stop once they total ceil(n/4)
-        rows, then one pass over every row in ``row_blocks`` blocks, and the
+    def _assert_switched_at_the_budget(corpus, index, rows_seen, telemetry):
+        """Lazy calls of at most 2M rows that stop once they total the
+        budget, then one pass over every row in ``row_blocks`` blocks, and the
         walk going on past it."""
         lazy = list(itertools.takewhile(lambda rows: rows <= 2 * index.m, rows_seen))
-        assert sum(lazy[:-1]) < -(-corpus.n // 4) <= sum(lazy)
+        assert sum(lazy[:-1]) < hnsw_mod.table_budget(corpus.n, corpus.dim) <= sum(lazy)
         assert rows_seen[len(lazy):] == [b.stop - b.start for b in row_blocks(corpus.n)]
         assert telemetry.distance_evaluations == sum(lazy) + corpus.n
         assert telemetry.nodes_visited > sum(lazy)
 
     @pytest.mark.parametrize("mode", SEARCH_MODES)
-    def test_one_less_keys_per_expanded_node(self, monkeypatch, quarter_graph, mode):
-        # one key call per expanded node until a quarter of the corpus is keyed
-        corpus, index = quarter_graph
+    def test_one_less_keys_per_expanded_node(self, monkeypatch, budget_graph, mode):
+        # one key call per expanded node until the budget is keyed
+        corpus, index = budget_graph
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        width = hnsw_mod.table_budget(corpus.n, corpus.dim) - 1
         rows_seen = _counting_keys(monkeypatch)
-        result = hnsw_search(index, corpus, corpus.vectors[3], 10, 150, mode=mode, mask=mask,
-                             pool_size=150)
-        self._assert_switched_at_a_quarter(corpus, index, rows_seen, result.telemetry)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, width, mode=mode, mask=mask,
+                             pool_size=width)
+        self._assert_switched_at_the_budget(corpus, index, rows_seen, result.telemetry)
 
-    def test_the_dual_pool_switches_mid_walk(self, monkeypatch, quarter_graph):
-        # an ef=10 dual pool at sigma = 0.1 walks on well past its n/4 lazy
-        # rows: filtered-out nodes keep it from filling its pool
-        corpus, index = quarter_graph
+    def test_the_dual_pool_switches_mid_walk(self, monkeypatch, budget_graph):
+        # an ef=10 dual pool at sigma = 0.1 walks on well past its budget:
+        # filtered-out nodes keep it from filling its pool
+        corpus, index = budget_graph
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
         rows_seen = _counting_keys(monkeypatch)
         result = hnsw_search(index, corpus, corpus.vectors[3], 10, 10, mode="dualpool",
                              mask=mask)
-        self._assert_switched_at_a_quarter(corpus, index, rows_seen, result.telemetry)
+        self._assert_switched_at_the_budget(corpus, index, rows_seen, result.telemetry)
 
-    def test_the_raw_pool_sets_the_width(self, monkeypatch, quarter_graph):
-        corpus, index = quarter_graph
+    def test_the_raw_pool_sets_the_width(self, monkeypatch, budget_graph):
+        corpus, index = budget_graph
         rows_seen = _counting_keys(monkeypatch)
         result = hnsw_search(index, corpus, corpus.vectors[3], 10, 10, mode="raw",
-                             pool_size=151)
+                             pool_size=hnsw_mod.table_budget(corpus.n, corpus.dim))
         assert rows_seen == [corpus.n]
         assert result.telemetry.distance_evaluations == corpus.n
 
     def test_the_build_never_keys_every_row(self, monkeypatch):
-        # 4 * ef_construction >= n, yet every insertion keys lazily
+        # ef_construction is past the budget, yet every insertion keys lazily
         corpus = generate_synthetic(120, 8, 13)
         rows_seen = _counting_keys(monkeypatch)
         hnsw_build(corpus, 6, 40, seed=0)
         assert rows_seen and max(rows_seen) <= 2 * 6 + 1
 
-    def test_a_search_leaves_no_reference_cycle(self, quarter_graph):
+    def test_a_search_leaves_no_reference_cycle(self, budget_graph):
         # a cycle through the scorer would hold each search's key table until
         # the cyclic garbage collector ran
-        corpus, index = quarter_graph
+        corpus, index = budget_graph
         gc.collect()
         gc.disable()
         try:
-            result = hnsw_search(index, corpus, corpus.vectors[3], 10, 150)
+            for ef in (10, 150):  # a mid-walk switch, and a table built first
+                result = hnsw_search(index, corpus, corpus.vectors[3], 10, ef)
             del result
             found = gc.collect()
         finally:
@@ -694,11 +708,11 @@ class TestSinglePassRule:
         assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
 
 
-def _graph(metric, spread):
+def _graph(metric, spread, dim=8):
     """600 Gaussian rows, unit-norm or with norms spread over 0.5..2, under
     ``metric``, and their M=8, efC=40 graph."""
     rng = np.random.default_rng(14)
-    vectors = rng.standard_normal((600, 8))
+    vectors = rng.standard_normal((600, dim))
     if spread:
         vectors *= rng.uniform(0.5, 2, size=(600, 1))
     else:
@@ -719,13 +733,20 @@ def unit_graph(request):
     return _graph(request.param, spread=False)
 
 
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def wide_graph(request):
+    """The spread-norm graph at d = 160, whose key-table budget of
+    ceil(600 * 166 / 2600) = 39 rows a narrow search passes on layer 0."""
+    return _graph(request.param, spread=True, dim=160)
+
+
 class TestSinglePassEqualsLazy:
     """Searches that build the key table, before their first key or mid-walk,
     against the same searches keyed lazily throughout."""
 
     @pytest.mark.parametrize("mode", SEARCH_MODES)
-    def test_ids_and_visits_equal_the_lazy_search(self, monkeypatch, spread_graph, mode):
-        corpus, index = spread_graph
+    def test_ids_and_visits_equal_the_lazy_search(self, monkeypatch, wide_graph, mode):
+        corpus, index = wide_graph
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
         _, queries = sample_queries(corpus, 15, seed=73)
         queries = queries + np.random.default_rng(74).normal(0, 0.05, queries.shape)
@@ -733,7 +754,7 @@ class TestSinglePassEqualsLazy:
         def answers():
             out = []
             for query in queries:
-                for ef in (20, 60, 150, 300, corpus.n):  # n/4 = 150
+                for ef in (3, 10, 20, 60, 150, 300, corpus.n):  # the budget is 39
                     r = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
                                     pool_size=ef)
                     t = r.telemetry
