@@ -41,21 +41,27 @@ layer-0 node for ``dualpool``.
 
 Every key goes through ``corpus.ordering_keys``, over rows of the corpus's
 float64 ``vectors64`` (:func:`_scorer`), so each call passes its identity
-checks unconverted. Where a search's keys come from depends on the work it
-has done. It keys lazily, one call per expanded node over the rows gathered
-by id, with keys bit-identical to uncached ones, until those calls have
-keyed ``table_budget(n, d)`` rows: as many lazy rows as cost one every-row
-pass. It then keys every row once, one ``row_blocks`` block at a time, as the
-unmasked exact scan does, into one float64 array, and its walk reads every
-later key through a ``memoryview`` of it, one read per neighbor. A beam of
-width ef visits at least ef rows, so a search whose layer-0 width is at
-least the budget keys every row before its first key. A search counts each
-row it keyed as a distance evaluation: its lazy rows, plus n once it keyed
-every row. The build keys lazily throughout. The ids and ``nodes_visited``
-are the lazy search's, but an inner-product or cosine key read from the
-table can differ from the lazy one in the last bits, since a GEMV's rounding
-depends on the rows that share the call. Under cosine a zero query, or any
-zero row in the corpus, raises ``ValueError`` before the first key.
+checks unconverted. Where a walk's keys come from follows one rule, which
+depends on its layer-0 width and the work it has done; an insertion is a
+walk of width ``ef_construction``, a search one of width ``ef_search``. A
+walk keys lazily, one call per expanded node over the rows gathered by id,
+with keys bit-identical to uncached ones, until those calls have keyed
+``table_budget(n, d)`` rows: as many lazy rows as cost one every-row pass. It
+then keys every row once, one ``row_blocks`` block at a time, as the
+unmasked exact scan does, into one float64 array, and reads every later key
+through a ``memoryview`` of it, one read per neighbor. A beam of width ef
+visits at least ef rows, so a walk at least the budget wide keys every row
+before its first key. A build's insertions do so up to about
+2600 * ef_construction / (d + 6) rows (5,909 at ef_construction = 50 and
+d = 16); its keys then cost one pass over the corpus per insertion. A search
+counts each row it keyed as a distance evaluation: its lazy rows, plus n
+once it keyed every row. The visits are the lazy walk's unless the last bits
+of a key decide them: an inner-product or cosine key read from the table can
+differ from the lazy one in the last bits, since a GEMV's rounding depends on
+the rows that share the call. On exact duplicate rows the table's keys tie
+where lazy calls of different shapes split them by an ulp, so a build can
+link such rows differently. Under cosine a zero query, or any zero row in
+the corpus, raises ``ValueError`` before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -71,7 +77,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from pathlib import Path
@@ -128,8 +133,9 @@ def _draw_level(rng: np.random.Generator, inv_log_m: float) -> int:
 
 
 def table_budget(n: int, dim: int) -> int:
-    """How many rows an HNSW search over an ``n`` x ``dim`` corpus keys
-    lazily before it keys every row once: ceil(n * (dim + 6) / 2600).
+    """How many rows an HNSW walk, a search or an insertion, over an ``n`` x
+    ``dim`` corpus keys lazily before it keys every row once:
+    ceil(n * (dim + 6) / 2600).
 
     The ski-rental rule: stop paying per lazy row once the lazy rows have
     cost what one every-row pass costs. Measured with one BLAS thread, the
@@ -141,29 +147,31 @@ def table_budget(n: int, dim: int) -> int:
     return -(-n * (dim + 6) // 2600)
 
 
-def _scorer(corpus: Corpus, query: np.ndarray, lazy_budget: int = sys.maxsize) -> _Keys:
-    """Ordering keys from ``query`` to corpus rows, given their ids, as a list.
+def _scorer(corpus: Corpus, query: np.ndarray, width: int) -> _Keys:
+    """Ordering keys from ``query`` to corpus rows, given their ids, as a list,
+    for a walk whose layer-0 width is ``width``.
 
     The query's float64 copy and, for cosine, every row's divisor
     (``corpus.cosine_divisors(query)``; None under L2 and inner product) are
-    built once here. While its calls have keyed fewer than ``lazy_budget``
-    rows, a call keys lazily: it turns its ids into one index array, gathers
-    the rows from ``corpus.vectors64`` and, for cosine, their divisors with
-    it, and keys them through ``ordering_keys``, with the rows as its second
-    argument, so they are bit-identical to
+    built once here. A width under ``table_budget(n, d)`` keys lazily while
+    its calls have keyed fewer rows than the budget: a call turns its ids into
+    one index array, gathers the rows from ``corpus.vectors64`` and, for
+    cosine, their divisors with it, and keys them through ``ordering_keys``,
+    with the rows as its second argument, so they are bit-identical to
     ``ordering_keys(query, corpus.vectors[ids], metric)``. The first call
-    after that keys every row once, one ``row_blocks`` block at a time, so
-    each key is bit-identical to the unmasked exact scan's, into one float64
-    array, and appends a ``memoryview`` of the array to the list
-    ``keys.table``; every call from then on reads its keys through the view.
-    A view read costs about 50 ns against a list read's 25 ns, but no
-    n-element list is built: building one took 73 of the 92 us of a
-    3,000 x 16 pass and 485 of 658 us at 20,000 x 16 (one BLAS thread).
-    ``keys.lazy_rows`` holds, in its one entry, the rows keyed lazily. The
-    default budget never builds the table; a budget of 0 builds it on the
-    first call. A cosine query of norm 0, or a cosine corpus with a zero row,
-    raises here.
+    after that, or the first call of all at a width of at least the budget,
+    keys every row once, one ``row_blocks`` block at a time, so each key is
+    bit-identical to the unmasked exact scan's, into one float64 array, and
+    appends a ``memoryview`` of the array to the list ``keys.table``; every
+    call from then on reads its keys through the view. A view read costs
+    about 50 ns against a list read's 25 ns, but no n-element list is built:
+    building one took 73 of the 92 us of a 3,000 x 16 pass and 485 of 658 us
+    at 20,000 x 16 (one BLAS thread). ``keys.lazy_rows`` holds, in its one
+    entry, the rows keyed lazily. A cosine query of norm 0, or a cosine corpus
+    with a zero row, raises here.
     """
+    budget = table_budget(corpus.n, corpus.dim)
+    lazy_budget = budget if width < budget else 0
     rows, metric = corpus.vectors64, corpus.metric
     query = np.asarray(query, dtype=np.float64)
     divisors = corpus.cosine_divisors(query)
@@ -313,7 +321,7 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     scratch = SearchTelemetry()
     for node in range(1, corpus.n):
         level = int(levels[node])
-        keys = _scorer(corpus, vectors[node])
+        keys = _scorer(corpus, vectors[node], ef_construction)
         pool = [(-keys([index.entry_point])[0], index.entry_point)]
         for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
@@ -389,8 +397,7 @@ def hnsw_search(
     require_mask_for(corpus, mask)
     require_finite(query)
 
-    budget = table_budget(corpus.n, corpus.dim)
-    keys = _scorer(corpus, query, 0 if ef_search >= budget else budget)
+    keys = _scorer(corpus, query, ef_search)
     telemetry = SearchTelemetry(nodes_visited=1)
     pool = [(-keys([index.entry_point])[0], index.entry_point)]
     for layer in range(index.max_level, -1, -1):

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,27 @@ def test_the_benchmark_declares_each_metric_judged():
     metrics = bench_tool.end_to_end_metrics()
     assert metrics["qps"]["better"] == "higher" and metrics["qps"]["bound"] == 0.25
     assert metrics["latency_p50_ms"]["better"] == "lower"
+
+
+def test_edits_under_src_or_perfbench_mark_the_checkout_dirty(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "lib.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("readme\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    assert not bench_tool.source_dirty(tmp_path)
+    (tmp_path / "README.md").write_text("edited\n")
+    (tmp_path / "BENCH_gls-rho.json").write_text("{}\n")
+    assert not bench_tool.source_dirty(tmp_path)
+    (tmp_path / "src" / "lib.py").write_text("x = 2\n")
+    assert bench_tool.source_dirty(tmp_path)
+    git("commit", "-q", "-am", "edit")
+    assert not bench_tool.source_dirty(tmp_path)
+    (tmp_path / "perfbench" / "run.py").write_text("\n")
+    assert bench_tool.source_dirty(tmp_path)

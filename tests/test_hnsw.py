@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -28,6 +29,7 @@ from fanns.hnsw import (
     save_hnsw,
 )
 from fanns.oracle import exact_knn
+from fanns.telemetry import SearchTelemetry
 
 from conftest import ROW_COUNTS, matmul_keys, sample_queries
 
@@ -252,16 +254,22 @@ def _varied_norm_corpus(metric, n=300, d=12, seed=0):
                   metric=metric)
 
 
+def _lazy_throughout(monkeypatch):
+    """Make every HNSW walk, whatever its width, key lazily throughout."""
+    monkeypatch.setattr(hnsw_mod, "table_budget", lambda n, dim: sys.maxsize)
+
+
 class TestCachedKeys:
     @pytest.mark.parametrize("metric", list(Metric))
-    def test_bitwise_equal_to_uncached_keys(self, metric):
+    def test_bitwise_equal_to_uncached_keys(self, monkeypatch, metric):
+        _lazy_throughout(monkeypatch)
         corpus = _varied_norm_corpus(metric, seed=metric.value)
         rng = np.random.default_rng(40 + metric.value)
         for trial in range(700):
             query = rng.standard_normal(corpus.dim) * 10.0 ** rng.uniform(-2, 2)
             if trial % 2:
                 query = query.astype(np.float32)
-            keys = hnsw_mod._scorer(corpus, query)
+            keys = hnsw_mod._scorer(corpus, query, corpus.n)
             ids = rng.choice(corpus.n, size=int(rng.integers(1, 30)), replace=False).tolist()
             expected = ordering_keys(query, corpus.vectors[ids], metric)
             assert np.array_equal(keys(ids), expected)
@@ -290,15 +298,16 @@ class TestCachedKeys:
 
 
     @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
-    def test_keys_equal_the_matmul_formulas(self, metric):
+    def test_keys_equal_the_matmul_formulas(self, monkeypatch, metric):
         # the scorer's keys, with divisors gathered from one per-search array,
         # against the formulas computed per call over the float32 rows
+        _lazy_throughout(monkeypatch)
         rng = np.random.default_rng(70 + metric.value)
         n = 2 * ROW_BLOCK + 1
         vectors = rng.standard_normal((n, 16)) * rng.uniform(0.5, 2, size=(n, 1))
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
         for query in (rng.standard_normal(16), rng.standard_normal(16).astype(np.float32)):
-            keys = hnsw_mod._scorer(corpus, query)
+            keys = hnsw_mod._scorer(corpus, query, corpus.n)
             for m in ROW_COUNTS:
                 start = int(rng.integers(0, n - m + 1))
                 for ids in (list(range(start, start + m)), rng.permutation(n)[:m].tolist()):
@@ -599,6 +608,36 @@ def _key_scale(corpus, query, ids):
     return np.linalg.norm(query) * corpus.cosine_row_norms[ids]
 
 
+def _record_insertions(monkeypatch):
+    """The scorer of each insertion of the next build, carrying the row
+    counts of the ``ordering_keys`` calls its own key calls made, in
+    ``rows_seen`` (the overflow re-ranks' calls are left out), and the
+    insertion's visits, counted as a search counts them, in ``telemetry``."""
+    rows_seen = _counting_keys(monkeypatch)
+    scorer, search_layer, insertions = hnsw_mod._scorer, hnsw_mod._search_layer, []
+
+    def recording_scorer(corpus, query, width):
+        keys = scorer(corpus, query, width)
+
+        def recorded(ids):
+            start = len(rows_seen)
+            out = keys(ids)
+            recorded.rows_seen += rows_seen[start:]
+            return out
+
+        recorded.lazy_rows, recorded.table = keys.lazy_rows, keys.table
+        recorded.rows_seen, recorded.telemetry = [], SearchTelemetry(nodes_visited=1)
+        insertions.append(recorded)
+        return recorded
+
+    def recording_layer(keys, adjacency, pool, ef, telemetry, bits=None):
+        return search_layer(keys, adjacency, pool, ef, keys.telemetry, bits)
+
+    monkeypatch.setattr(hnsw_mod, "_scorer", recording_scorer)
+    monkeypatch.setattr(hnsw_mod, "_search_layer", recording_layer)
+    return insertions
+
+
 @pytest.fixture(scope="module")
 def budget_graph():
     """A 601-row, 200-wide cosine corpus, whose key-table budget of
@@ -612,7 +651,8 @@ class TestSinglePassRule:
     """A search whose layer-0 width is at least ``table_budget(n, d)`` keys
     every row once, one ``row_blocks`` block at a time, before its first key;
     a narrower one keys lazily until its calls have keyed that many rows,
-    then keys every row once. The build keys lazily throughout."""
+    then keys every row once. Each insertion of a build is a walk of width
+    ``ef_construction`` under the same rule."""
 
     def test_the_budget_grows_with_the_rows_and_the_width(self):
         budget = hnsw_mod.table_budget
@@ -671,12 +711,28 @@ class TestSinglePassRule:
         assert rows_seen == [corpus.n]
         assert result.telemetry.distance_evaluations == corpus.n
 
-    def test_the_build_never_keys_every_row(self, monkeypatch):
-        # ef_construction is past the budget, yet every insertion keys lazily
-        corpus = generate_synthetic(120, 8, 13)
-        rows_seen = _counting_keys(monkeypatch)
-        hnsw_build(corpus, 6, 40, seed=0)
-        assert rows_seen and max(rows_seen) <= 2 * 6 + 1
+    def test_an_insertion_at_the_budget_keys_every_row_first(self, monkeypatch, budget_graph):
+        corpus, _ = budget_graph
+        insertions = _record_insertions(monkeypatch)
+        hnsw_build(corpus, 8, hnsw_mod.table_budget(corpus.n, corpus.dim), seed=0)
+        assert len(insertions) == corpus.n - 1
+        for keys in insertions:
+            assert keys.rows_seen == [b.stop - b.start for b in row_blocks(corpus.n)]
+            assert keys.lazy_rows == [0]
+
+    def test_a_narrower_insertion_switches_at_the_budget(self, monkeypatch, budget_graph):
+        # efC = 40, under the budget of 48: the later insertions walk past it
+        corpus, index = budget_graph
+        insertions = _record_insertions(monkeypatch)
+        hnsw_build(corpus, index.m, index.ef_construction, seed=0)
+        assert any(keys.table for keys in insertions)
+        for keys in insertions:
+            if keys.table:
+                keys.telemetry.distance_evaluations = keys.lazy_rows[0] + corpus.n
+                self._assert_switched_at_the_budget(corpus, index, keys.rows_seen, keys.telemetry)
+            else:
+                assert max(keys.rows_seen) <= 2 * index.m
+                assert keys.lazy_rows == [sum(keys.rows_seen)]
 
     def test_a_search_leaves_no_reference_cycle(self, budget_graph):
         # a cycle through the scorer would hold each search's key table until
@@ -702,7 +758,7 @@ class TestSinglePassRule:
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
         query = rng.standard_normal(16)
         rows_seen = _counting_keys(monkeypatch)
-        keys = hnsw_mod._scorer(corpus, query, 0)
+        keys = hnsw_mod._scorer(corpus, query, corpus.n)  # a walk past the budget
         exact = exact_knn(corpus, query, n)
         assert np.array_equal(keys(exact.ids.tolist()), exact.distances)
         assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
@@ -740,6 +796,31 @@ def wide_graph(request):
     return _graph(request.param, spread=True, dim=160)
 
 
+class TestBuildEqualsLazy:
+    """A build under the one key-source rule saves the bytes of the same build
+    keyed lazily throughout."""
+
+    @staticmethod
+    def _check(tmp_path, monkeypatch, corpus, index):
+        save_hnsw(index, tmp_path / "rule.idx")
+        _lazy_throughout(monkeypatch)
+        lazy = hnsw_build(corpus, index.m, index.ef_construction, index.seed)
+        save_hnsw(lazy, tmp_path / "lazy.idx")
+        assert (tmp_path / "rule.idx").read_bytes() == (tmp_path / "lazy.idx").read_bytes()
+
+    @pytest.mark.parametrize("dim", [8, 160])
+    @pytest.mark.parametrize("spread", [False, True], ids=["unit", "spread"])
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
+    def test_the_600_row_graphs(self, tmp_path, monkeypatch, metric, spread, dim):
+        self._check(tmp_path, monkeypatch, *_graph(metric, spread, dim))
+
+    def test_the_budget_graph(self, tmp_path, monkeypatch, budget_graph):
+        self._check(tmp_path, monkeypatch, *budget_graph)
+
+    def test_the_2k_graph(self, tmp_path, monkeypatch, corpus2k, hnsw2k):
+        self._check(tmp_path, monkeypatch, corpus2k, hnsw2k)
+
+
 class TestSinglePassEqualsLazy:
     """Searches that build the key table, before their first key or mid-walk,
     against the same searches keyed lazily throughout."""
@@ -764,9 +845,9 @@ class TestSinglePassEqualsLazy:
 
         scorer, switched_mid_walk = hnsw_mod._scorer, []
 
-        def recording(corpus, query, lazy_budget):
-            keys = scorer(corpus, query, lazy_budget)
-            if lazy_budget > 0:
+        def recording(corpus, query, width):
+            keys = scorer(corpus, query, width)
+            if width < hnsw_mod.table_budget(corpus.n, corpus.dim):
                 switched_mid_walk.append(keys.table)
             return keys
 
@@ -774,8 +855,8 @@ class TestSinglePassEqualsLazy:
         single = answers()
         assert any(switched_mid_walk)
         # the reference: every search keyed lazily, whatever its width
-        monkeypatch.setattr(hnsw_mod, "_scorer",
-                            lambda corpus, query, lazy_budget: scorer(corpus, query))
+        monkeypatch.setattr(hnsw_mod, "_scorer", scorer)
+        _lazy_throughout(monkeypatch)
         for (query, ids, keys, counts), (_, lazy_ids, lazy_keys, lazy_counts) in zip(
                 single, answers()):
             assert np.array_equal(ids, lazy_ids) and counts == lazy_counts

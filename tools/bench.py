@@ -5,7 +5,8 @@ its stdout:
 
 * ``record`` runs each workload once (seed 1, ``--seconds 10``, ``--trace
   0`` by default) and writes ``BENCH_<workload>.json`` at the root of the
-  checkout: the run's result line, its info line, the commit, and the
+  checkout: the run's result line, its info line, the commit, whether
+  ``src/`` or ``perfbench/`` differed from that commit (``dirty``), and the
   package's code-line count from ``tools/src_lines.py`` (the info line's
   ``src_lines`` counts every line).
 * ``pairs`` extracts another commit with ``git archive`` into a temporary
@@ -97,6 +98,15 @@ def head_commit() -> str | None:
     return proc.stdout.strip() or None
 
 
+def source_dirty(root: Path) -> bool:
+    """Whether ``src/`` or ``perfbench/`` under the git checkout ``root`` holds
+    edits or files that its HEAD commit does not: a run there measured code
+    no commit names."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return bool(proc.stdout.strip())
+
+
 def end_to_end_metrics() -> dict[str, dict]:
     """``BENCHMARK.json``'s end-to-end metrics by name: unit, better, bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -148,12 +158,12 @@ def _extract(commit: str, into: Path) -> None:
 
 
 def record(args) -> int:
-    commit, lines = head_commit(), code_lines(ROOT)
+    commit, dirty, lines = head_commit(), source_dirty(ROOT), code_lines(ROOT)
     for workload in args.workload or WORKLOADS:
         result, info = run_perfbench(ROOT, workload, args.seed, args.seconds)
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps({
-            "workload": workload, "commit": commit, "src_code_lines": lines,
+            "workload": workload, "commit": commit, "dirty": dirty, "src_code_lines": lines,
             "result": result, "info": info,
         }, indent=1) + "\n")
         metrics = " ".join(f"{name}={m['value']:.4g}" for name, m in result["metrics"].items())
