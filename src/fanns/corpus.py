@@ -284,10 +284,10 @@ def ordering_keys(
     IEEE arithmetic, the keys equal ``-(rows @ query) / (|query|·|row|)`` bit
     for bit.
 
-    HNSW makes one call per expanded node, so the arguments are checked by
-    identity (``type(x) is _NDARRAY``, ``x.dtype is _F64``) and the metric
-    against module-level members; only an argument that fails a check goes
-    through ``np.asarray``. A query that is not one-dimensional raises
+    An HNSW walk that keys lazily makes one call per expanded node, so the
+    arguments are checked by identity (``type(x) is _NDARRAY``, ``x.dtype
+    is _F64``) and the metric against module-level members; only an argument
+    that fails a check goes through ``np.asarray``. A query that is not one-dimensional raises
     ``ValueError`` naming its shape: a (1, d) query would broadcast against
     one-column rows.
     """

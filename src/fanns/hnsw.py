@@ -39,29 +39,30 @@ The filtered modes count the bitset entries they read in
 ``predicate_invocations``: the pool's length for ``prefilter``, every visited
 layer-0 node for ``dualpool``.
 
-Every key goes through ``corpus.ordering_keys``, over rows of the corpus's
-float64 ``vectors64`` (:func:`_scorer`), so each call passes its identity
-checks unconverted. Where a walk's keys come from follows one rule, which
-depends on its layer-0 width and the work it has done; an insertion is a
-walk of width ``ef_construction``, a search one of width ``ef_search``. A
-walk keys lazily, one call per expanded node over the rows gathered by id,
-with keys bit-identical to uncached ones, until those calls have keyed
-``table_budget(n, d)`` rows: as many lazy rows as cost one every-row pass. It
-then keys every row once, one ``row_blocks`` block at a time, as the
-unmasked exact scan does, into one float64 array, and reads every later key
-through a ``memoryview`` of it, one read per neighbor. A beam of width ef
-visits at least ef rows, so a walk at least the budget wide keys every row
-before its first key. A build's insertions do so up to about
+Each walk holds its keys in one float64 array of n keys (:class:`_Scorer`)
+and reads every neighbor's key from it through a ``memoryview``. Every key
+goes through ``corpus.ordering_keys``, over rows of the corpus's float64
+``vectors64``, so each call passes its identity checks unconverted. What
+fills the array follows one rule, which depends on the walk's layer-0 width
+and the work it has done; an insertion is a walk of width
+``ef_construction``, a search one of width ``ef_search``. A walk keys
+lazily, one call per expanded node over its unvisited neighbors' rows
+gathered by id, with keys bit-identical to uncached ones, until those calls
+have keyed ``table_budget(n, d)`` rows: as many lazy rows as cost one
+every-row pass. It then keys every row once, one ``row_blocks`` block at a
+time, as the unmasked exact scan does, and makes no more calls. A beam of
+width ef visits at least ef rows, so a walk at least the budget wide keys
+every row before its first key. A build's insertions do so up to about
 2600 * ef_construction / (d + 6) rows (5,909 at ef_construction = 50 and
 d = 16); its keys then cost one pass over the corpus per insertion. A search
 counts each row it keyed as a distance evaluation: its lazy rows, plus n
 once it keyed every row. The visits are the lazy walk's unless the last bits
-of a key decide them: an inner-product or cosine key read from the table can
-differ from the lazy one in the last bits, since a GEMV's rounding depends on
-the rows that share the call. On exact duplicate rows the table's keys tie
-where lazy calls of different shapes split them by an ulp, so a build can
-link such rows differently. Under cosine a zero query, or any zero row in
-the corpus, raises ``ValueError`` before the first key.
+of a key decide them: an inner-product or cosine key from the every-row pass
+can differ from the lazy one in the last bits, since a GEMV's rounding
+depends on the rows that share the call. On exact duplicate rows the pass's
+keys tie where lazy calls of different shapes split them by an ulp, so a
+build can link such rows differently. Under cosine a zero query, or any zero
+row in the corpus, raises ``ValueError`` before the first key.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -80,7 +81,7 @@ import struct
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -100,10 +101,6 @@ from fanns.telemetry import SearchResult, SearchTelemetry
 _HNSW_MAGIC = b"FHN1"
 
 SEARCH_MODES = ("unfiltered", "prefilter", "dualpool", "raw")
-
-# ordering keys from one query to the rows with the given ids (see _scorer)
-_Keys = Callable[[list[int]], list[float]]
-
 
 class HnswFormatError(ValueError):
     """Raised when an HNSW index file is malformed."""
@@ -140,67 +137,64 @@ def table_budget(n: int, dim: int) -> int:
     The ski-rental rule: stop paying per lazy row once the lazy rows have
     cost what one every-row pass costs. Measured with one BLAS thread, the
     pass costs about 0.35 * dim + 2 ns per row and a lazily keyed row about
-    0.9 us of walk and key-call work more than a row read from the table,
+    0.9 us of walk and key-call work more than a row keyed by the pass,
     whatever ``dim``; their ratio is (dim + 6) / 2600 lazy rows per corpus
     row. The budget grows with both ``n`` and ``dim``.
     """
     return -(-n * (dim + 6) // 2600)
 
 
-def _scorer(corpus: Corpus, query: np.ndarray, width: int) -> _Keys:
-    """Ordering keys from ``query`` to corpus rows, given their ids, as a list,
-    for a walk whose layer-0 width is ``width``.
+class _Scorer:
+    """The ordering keys from ``query`` to corpus rows, for one walk whose
+    layer-0 width is ``width``: one float64 array of n keys, ``array``, read
+    through its ``memoryview``, ``view``, one read per key.
 
-    The query's float64 copy and, for cosine, every row's divisor
+    ``fill(ids)`` keys the rows with the given ids into ``array``. The
+    query's float64 copy and, for cosine, every row's divisor
     (``corpus.cosine_divisors(query)``; None under L2 and inner product) are
     built once here. A width under ``table_budget(n, d)`` keys lazily while
     its calls have keyed fewer rows than the budget: a call turns its ids into
     one index array, gathers the rows from ``corpus.vectors64`` and, for
     cosine, their divisors with it, and keys them through ``ordering_keys``,
     with the rows as its second argument, so they are bit-identical to
-    ``ordering_keys(query, corpus.vectors[ids], metric)``. The first call
-    after that, or the first call of all at a width of at least the budget,
-    keys every row once, one ``row_blocks`` block at a time, so each key is
-    bit-identical to the unmasked exact scan's, into one float64 array, and
-    appends a ``memoryview`` of the array to the list ``keys.table``; every
-    call from then on reads its keys through the view. A view read costs
-    about 50 ns against a list read's 25 ns, but no n-element list is built:
-    building one took 73 of the 92 us of a 3,000 x 16 pass and 485 of 658 us
-    at 20,000 x 16 (one BLAS thread). ``keys.lazy_rows`` holds, in its one
-    entry, the rows keyed lazily. A cosine query of norm 0, or a cosine corpus
-    with a zero row, raises here.
+    ``ordering_keys(query, corpus.vectors[ids], metric)``. ``lazy_rows``
+    counts those rows. The first call after that, or the first call of all at
+    a width of at least the budget, keys every row once, one ``row_blocks``
+    block at a time, so each key is bit-identical to the unmasked exact
+    scan's, and sets ``complete``: every key is in the array, and a walk
+    makes no more calls. A cosine query of norm 0, or a cosine corpus with a
+    zero row, raises here.
     """
-    budget = table_budget(corpus.n, corpus.dim)
-    lazy_budget = budget if width < budget else 0
-    rows, metric = corpus.vectors64, corpus.metric
-    query = np.asarray(query, dtype=np.float64)
-    divisors = corpus.cosine_divisors(query)
-    lazy_rows, table = [0], []
 
-    def keys(ids):
-        if lazy_rows[0] < lazy_budget:
+    __slots__ = ("query", "rows", "metric", "divisors", "lazy_budget", "array", "view",
+                 "lazy_rows", "complete")
+
+    def __init__(self, corpus: Corpus, query: np.ndarray, width: int):
+        budget = table_budget(corpus.n, corpus.dim)
+        self.lazy_budget = budget if width < budget else 0
+        self.rows, self.metric = corpus.vectors64, corpus.metric
+        self.query = np.asarray(query, dtype=np.float64)
+        self.divisors = corpus.cosine_divisors(self.query)
+        self.array = np.empty(corpus.n)
+        self.view = memoryview(self.array)
+        self.lazy_rows, self.complete = 0, False
+
+    def fill(self, ids) -> None:
+        query, metric, divisors = self.query, self.metric, self.divisors
+        if self.lazy_rows < self.lazy_budget:
             ids = np.array(ids, dtype=np.intp)
-            lazy_rows[0] += ids.size
-            row_divisors = None if divisors is None else divisors.take(ids)
-            return ordering_keys(query, rows.take(ids, axis=0), metric, row_divisors).tolist()
-        if not table:
-            every_key = np.empty(corpus.n)
-            for block in row_blocks(corpus.n):
-                every_key[block] = ordering_keys(
-                    query, rows[block], metric, None if divisors is None else divisors[block]
-                )
-            table.append(memoryview(every_key))
-        view = table[0]
-        return [view[i] for i in ids]
-
-    # neither list refers back to ``keys``: a cycle would hold each search's
-    # table until the cyclic garbage collector ran
-    keys.lazy_rows, keys.table = lazy_rows, table
-    return keys
+            self.lazy_rows += ids.size
+            self.array.put(ids, ordering_keys(query, self.rows.take(ids, axis=0), metric,
+                                              None if divisors is None else divisors.take(ids)))
+            return
+        for block in row_blocks(len(self.array)):
+            self.array[block] = ordering_keys(query, self.rows[block], metric,
+                                              None if divisors is None else divisors[block])
+        self.complete = True
 
 
 def _search_layer(
-    keys: _Keys,
+    keys: _Scorer,
     adjacency: dict[int, list[int]],
     pool: list[tuple[float, int]],
     ef: int,
@@ -225,13 +219,11 @@ def _search_layer(
     it fills; node ids are unique, so the entry each entrant evicts is the
     same whatever the heap's layout.
 
-    While the scorer's ``keys.table`` is empty, each expanded node's
-    unvisited neighbors are keyed by one ``keys`` call. Once a call has built
-    the table (see :func:`_scorer`), the walk goes on from the same state
-    and reads each neighbor's key through the table's view, one read per
-    neighbor; the visits, and so the ids, are the same either way.
+    While the scorer is not ``complete`` (see :class:`_Scorer`), each
+    expanded node's unvisited neighbors are keyed by one ``keys.fill`` call.
+    Every neighbor's key is then read through the scorer's view.
     """
-    table = keys.table
+    view = keys.view
     visited = {node for _, node in pool}
     entered = len(visited)
     candidates = [(-negkey, node) for negkey, node in pool]
@@ -241,15 +233,20 @@ def _search_layer(
         pool = [entry for entry in pool if bits[entry[1]]]
     heapify(pool)
     worst = -pool[0][0] if len(pool) == ef else math.inf
-    while candidates and not table:
+    while candidates:
         key, node = heappop(candidates)
         if key > worst:
             break
-        fresh = [v for v in adjacency.get(node, ()) if v not in visited]
-        if not fresh:
-            continue
-        visited.update(fresh)
-        for nkey, neigh in zip(keys(fresh), fresh):
+        links = adjacency.get(node, ())
+        if not keys.complete:
+            links = [v for v in links if v not in visited]
+            if links:
+                keys.fill(links)
+        for neigh in links:
+            if neigh in visited:
+                continue
+            visited.add(neigh)
+            nkey = view[neigh]
             if nkey < worst and (bits is None or bits[neigh]):
                 if len(pool) < ef:
                     pool.append((-nkey, neigh))
@@ -262,32 +259,6 @@ def _search_layer(
             elif bits is None:
                 continue  # the beam queues only pool entrants
             heappush(candidates, (nkey, neigh))
-    else:
-        # The table is built (or nothing is left to expand). The admission
-        # rule above is repeated here, per neighbor: sharing it through a
-        # per-expansion generator made this loop 14-18% slower.
-        table = table[0] if table else None
-        while candidates:
-            key, node = heappop(candidates)
-            if key > worst:
-                break
-            for neigh in adjacency.get(node, ()):
-                if neigh in visited:
-                    continue
-                visited.add(neigh)
-                nkey = table[neigh]
-                if nkey < worst and (bits is None or bits[neigh]):
-                    if len(pool) < ef:
-                        pool.append((-nkey, neigh))
-                        if len(pool) == ef:
-                            heapify(pool)
-                            worst = -pool[0][0]
-                    else:
-                        heapreplace(pool, (-nkey, neigh))
-                        worst = -pool[0][0]
-                elif bits is None:
-                    continue
-                heappush(candidates, (nkey, neigh))
     telemetry.nodes_visited += len(visited) - entered
     if bits is not None:
         telemetry.predicate_invocations = len(visited)
@@ -321,8 +292,9 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
     scratch = SearchTelemetry()
     for node in range(1, corpus.n):
         level = int(levels[node])
-        keys = _scorer(corpus, vectors[node], ef_construction)
-        pool = [(-keys([index.entry_point])[0], index.entry_point)]
+        keys = _Scorer(corpus, vectors[node], ef_construction)
+        keys.fill([index.entry_point])
+        pool = [(-keys.view[index.entry_point], index.entry_point)]
         for layer in range(index.max_level, -1, -1):
             adjacency = index.adjacency[layer]
             ef = ef_construction if layer <= level else 1
@@ -397,15 +369,16 @@ def hnsw_search(
     require_mask_for(corpus, mask)
     require_finite(query)
 
-    keys = _scorer(corpus, query, ef_search)
+    keys = _Scorer(corpus, query, ef_search)
+    keys.fill([index.entry_point])
     telemetry = SearchTelemetry(nodes_visited=1)
-    pool = [(-keys([index.entry_point])[0], index.entry_point)]
+    pool = [(-keys.view[index.entry_point], index.entry_point)]
     for layer in range(index.max_level, -1, -1):
         pool = _search_layer(
             keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
             bits=mask.bits if mode == "dualpool" and layer == 0 else None,
         )
-    telemetry.distance_evaluations = keys.lazy_rows[0] + (corpus.n if keys.table else 0)
+    telemetry.distance_evaluations = keys.lazy_rows + (corpus.n if keys.complete else 0)
     ids = np.array([node for _, node in pool], dtype=np.int64)
     dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
     order = np.lexsort((ids, dists))

@@ -102,10 +102,14 @@ def test_the_benchmark_declares_each_metric_judged():
     assert metrics["latency_p50_ms"]["better"] == "lower"
 
 
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=repo, check=True, capture_output=True, text=True)
+
+
 def test_edits_under_src_or_perfbench_mark_the_checkout_dirty(tmp_path):
     def git(*args):
-        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
-                        *args], cwd=tmp_path, check=True, capture_output=True)
+        _git(tmp_path, *args)
 
     (tmp_path / "src").mkdir()
     (tmp_path / "perfbench").mkdir()
@@ -124,3 +128,16 @@ def test_edits_under_src_or_perfbench_mark_the_checkout_dirty(tmp_path):
     assert not bench_tool.source_dirty(tmp_path)
     (tmp_path / "perfbench" / "run.py").write_text("\n")
     assert bench_tool.source_dirty(tmp_path)
+
+
+def test_the_pairs_header_says_when_the_checkout_holds_uncommitted_edits(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "lib.py").write_text("x = 1\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    commit = _git(tmp_path, "rev-parse", "HEAD").stdout.strip()
+    assert bench_tool.checkout_label(tmp_path) == f"the working tree at HEAD {commit}"
+    (tmp_path / "src" / "lib.py").write_text("x = 2\n")
+    assert bench_tool.checkout_label(tmp_path) == (
+        f"the working tree at HEAD {commit} with uncommitted edits under src/ or perfbench/")

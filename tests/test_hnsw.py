@@ -269,12 +269,12 @@ class TestCachedKeys:
             query = rng.standard_normal(corpus.dim) * 10.0 ** rng.uniform(-2, 2)
             if trial % 2:
                 query = query.astype(np.float32)
-            keys = hnsw_mod._scorer(corpus, query, corpus.n)
+            keys = hnsw_mod._Scorer(corpus, query, corpus.n)
             ids = rng.choice(corpus.n, size=int(rng.integers(1, 30)), replace=False).tolist()
             expected = ordering_keys(query, corpus.vectors[ids], metric)
-            assert np.array_equal(keys(ids), expected)
+            assert np.array_equal(_keys_of(keys, ids), expected)
             one = ordering_keys(query, corpus.vectors[ids[0]], metric)
-            assert np.array_equal(keys(ids[0]), one)
+            assert np.array_equal(_keys_of(keys, ids[0]), one)
 
     @pytest.mark.parametrize("mode", ["unfiltered", "dualpool"])
     def test_every_key_is_scored_through_the_traced_name(self, monkeypatch, corpus2k, hnsw2k, mode):
@@ -307,12 +307,20 @@ class TestCachedKeys:
         vectors = rng.standard_normal((n, 16)) * rng.uniform(0.5, 2, size=(n, 1))
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
         for query in (rng.standard_normal(16), rng.standard_normal(16).astype(np.float32)):
-            keys = hnsw_mod._scorer(corpus, query, corpus.n)
+            keys = hnsw_mod._Scorer(corpus, query, corpus.n)
             for m in ROW_COUNTS:
                 start = int(rng.integers(0, n - m + 1))
                 for ids in (list(range(start, start + m)), rng.permutation(n)[:m].tolist()):
                     expected = matmul_keys(query, corpus.vectors[ids], metric)
-                    assert np.array_equal(keys(ids), expected)
+                    assert np.array_equal(_keys_of(keys, ids), expected)
+
+
+def _keys_of(keys, ids):
+    """The keys to ``ids`` read through the scorer ``keys``'s view, after one
+    call that keys them unless the scorer is complete, as a walk does."""
+    if not keys.complete:
+        keys.fill(ids)
+    return np.asarray(keys.view)[np.atleast_1d(ids)]
 
 
 def _reference_expand(keys, adjacency, node, visited, telemetry):
@@ -322,7 +330,7 @@ def _reference_expand(keys, adjacency, node, visited, telemetry):
     visited.update(fresh)
     telemetry.distance_evaluations += len(fresh)
     telemetry.nodes_visited += len(fresh)
-    return list(zip(keys(fresh), fresh))
+    return list(zip(_keys_of(keys, fresh).tolist(), fresh))
 
 
 def _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits=None):
@@ -614,26 +622,23 @@ def _record_insertions(monkeypatch):
     ``rows_seen`` (the overflow re-ranks' calls are left out), and the
     insertion's visits, counted as a search counts them, in ``telemetry``."""
     rows_seen = _counting_keys(monkeypatch)
-    scorer, search_layer, insertions = hnsw_mod._scorer, hnsw_mod._search_layer, []
+    search_layer, insertions = hnsw_mod._search_layer, []
 
-    def recording_scorer(corpus, query, width):
-        keys = scorer(corpus, query, width)
+    class Recorded(hnsw_mod._Scorer):
+        def __init__(self, corpus, query, width):
+            super().__init__(corpus, query, width)
+            self.rows_seen, self.telemetry = [], SearchTelemetry(nodes_visited=1)
+            insertions.append(self)
 
-        def recorded(ids):
+        def fill(self, ids):
             start = len(rows_seen)
-            out = keys(ids)
-            recorded.rows_seen += rows_seen[start:]
-            return out
-
-        recorded.lazy_rows, recorded.table = keys.lazy_rows, keys.table
-        recorded.rows_seen, recorded.telemetry = [], SearchTelemetry(nodes_visited=1)
-        insertions.append(recorded)
-        return recorded
+            super().fill(ids)
+            self.rows_seen += rows_seen[start:]
 
     def recording_layer(keys, adjacency, pool, ef, telemetry, bits=None):
         return search_layer(keys, adjacency, pool, ef, keys.telemetry, bits)
 
-    monkeypatch.setattr(hnsw_mod, "_scorer", recording_scorer)
+    monkeypatch.setattr(hnsw_mod, "_Scorer", Recorded)
     monkeypatch.setattr(hnsw_mod, "_search_layer", recording_layer)
     return insertions
 
@@ -718,21 +723,21 @@ class TestSinglePassRule:
         assert len(insertions) == corpus.n - 1
         for keys in insertions:
             assert keys.rows_seen == [b.stop - b.start for b in row_blocks(corpus.n)]
-            assert keys.lazy_rows == [0]
+            assert keys.lazy_rows == 0
 
     def test_a_narrower_insertion_switches_at_the_budget(self, monkeypatch, budget_graph):
         # efC = 40, under the budget of 48: the later insertions walk past it
         corpus, index = budget_graph
         insertions = _record_insertions(monkeypatch)
         hnsw_build(corpus, index.m, index.ef_construction, seed=0)
-        assert any(keys.table for keys in insertions)
+        assert any(keys.complete for keys in insertions)
         for keys in insertions:
-            if keys.table:
-                keys.telemetry.distance_evaluations = keys.lazy_rows[0] + corpus.n
+            if keys.complete:
+                keys.telemetry.distance_evaluations = keys.lazy_rows + corpus.n
                 self._assert_switched_at_the_budget(corpus, index, keys.rows_seen, keys.telemetry)
             else:
                 assert max(keys.rows_seen) <= 2 * index.m
-                assert keys.lazy_rows == [sum(keys.rows_seen)]
+                assert keys.lazy_rows == sum(keys.rows_seen)
 
     def test_a_search_leaves_no_reference_cycle(self, budget_graph):
         # a cycle through the scorer would hold each search's key table until
@@ -758,9 +763,9 @@ class TestSinglePassRule:
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(size=n), metric)
         query = rng.standard_normal(16)
         rows_seen = _counting_keys(monkeypatch)
-        keys = hnsw_mod._scorer(corpus, query, corpus.n)  # a walk past the budget
+        keys = hnsw_mod._Scorer(corpus, query, corpus.n)  # a walk past the budget
         exact = exact_knn(corpus, query, n)
-        assert np.array_equal(keys(exact.ids.tolist()), exact.distances)
+        assert np.array_equal(_keys_of(keys, exact.ids.tolist()), exact.distances)
         assert rows_seen == [ROW_BLOCK, ROW_BLOCK + 1]
 
 
@@ -843,19 +848,19 @@ class TestSinglePassEqualsLazy:
                                 (t.nodes_visited, t.predicate_invocations)))
             return out
 
-        scorer, switched_mid_walk = hnsw_mod._scorer, []
+        scorer, switched_mid_walk = hnsw_mod._Scorer, []
 
         def recording(corpus, query, width):
             keys = scorer(corpus, query, width)
             if width < hnsw_mod.table_budget(corpus.n, corpus.dim):
-                switched_mid_walk.append(keys.table)
+                switched_mid_walk.append(keys)
             return keys
 
-        monkeypatch.setattr(hnsw_mod, "_scorer", recording)
+        monkeypatch.setattr(hnsw_mod, "_Scorer", recording)
         single = answers()
-        assert any(switched_mid_walk)
+        assert any(keys.complete for keys in switched_mid_walk)
         # the reference: every search keyed lazily, whatever its width
-        monkeypatch.setattr(hnsw_mod, "_scorer", scorer)
+        monkeypatch.setattr(hnsw_mod, "_Scorer", scorer)
         _lazy_throughout(monkeypatch)
         for (query, ids, keys, counts), (_, lazy_ids, lazy_keys, lazy_counts) in zip(
                 single, answers()):

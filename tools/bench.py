@@ -11,11 +11,13 @@ its stdout:
   ``src_lines`` counts every line).
 * ``pairs`` extracts another commit with ``git archive`` into a temporary
   directory and runs it and the checkout on the same seed, one pair per
-  seed, the other commit first in odd pairs. For each end-to-end metric of
-  ``BENCHMARK.json`` it prints both sides' medians and quartiles, the pairs
-  the checkout won, and the verdict of the gain rule: at least nine wins in
-  ten pairs (ties count for neither side) and medians further apart than the
-  other commit's interquartile range. It also names each metric whose
+  seed, the other commit first in odd pairs. Its header names the
+  checkout's HEAD commit and says whether ``src/`` or ``perfbench/`` holds
+  uncommitted edits. For each end-to-end metric of ``BENCHMARK.json`` it
+  prints both sides' medians and quartiles, the pairs the checkout won, and
+  the verdict of the gain rule: at least nine wins in ten pairs (ties count
+  for neither side) and medians further apart than the other commit's
+  interquartile range. It also names each metric whose
   median is worse than the other commit's by more than the benchmark's
   bound, and each seed whose output digests or prefix counters differ.
 
@@ -93,8 +95,8 @@ def code_lines(root: Path) -> int:
                for path in sorted((root / "src").rglob("*.py")))
 
 
-def head_commit() -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+def head_commit(root: Path) -> str | None:
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return proc.stdout.strip() or None
 
 
@@ -105,6 +107,13 @@ def source_dirty(root: Path) -> bool:
     proc = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=root,
                           capture_output=True, text=True, check=True)
     return bool(proc.stdout.strip())
+
+
+def checkout_label(root: Path) -> str:
+    """How ``pairs`` names the git checkout ``root``: its HEAD commit, and
+    whether ``src/`` or ``perfbench/`` holds edits that commit does not."""
+    edits = " with uncommitted edits under src/ or perfbench/" if source_dirty(root) else ""
+    return f"the working tree at HEAD {head_commit(root)}{edits}"
 
 
 def end_to_end_metrics() -> dict[str, dict]:
@@ -158,7 +167,7 @@ def _extract(commit: str, into: Path) -> None:
 
 
 def record(args) -> int:
-    commit, dirty, lines = head_commit(), source_dirty(ROOT), code_lines(ROOT)
+    commit, dirty, lines = head_commit(ROOT), source_dirty(ROOT), code_lines(ROOT)
     for workload in args.workload or WORKLOADS:
         result, info = run_perfbench(ROOT, workload, args.seed, args.seconds)
         path = ROOT / f"BENCH_{workload}.json"
@@ -191,7 +200,7 @@ def pairs(args) -> int:
         parent_root = Path(tmp)
         _extract(args.against, parent_root)
         print(f"{args.workload}: {args.against} ({code_lines(parent_root)} code lines) against "
-              f"the working tree at HEAD {head_commit()} ({code_lines(ROOT)} code lines), "
+              f"{checkout_label(ROOT)} ({code_lines(ROOT)} code lines), "
               f"--seconds {args.seconds}")
         for i, seed in enumerate(args.seeds):
             order = (("parent", parent_root), ("change", ROOT))
