@@ -15,12 +15,13 @@ traversals apart:
   walk without taking result slots. With a full mask it walks as the beam
   does, barring exact key ties with the pool's worst entry.
 
-Build and search score the entry point once and then run one layer loop, as
-SEARCH-LAYER does in Malkov & Yashunin (arXiv:1603.09320, Algorithms 1 and
-5): from the top layer down, each layer's pool seeds the next. A layer above
-the target is searched at ef=1, the greedy descent; the insertion of a node of
-level l searches layers l..0 at ``ef_construction`` and links the node on
-them, taking the M closest of each layer's pool.
+Build and search share one descent, ``_walk``, as INSERT and K-NN-SEARCH
+share SEARCH-LAYER in Malkov & Yashunin (arXiv:1603.09320, Algorithms 1, 2
+and 5): it scores the entry point once, then runs ``_search_layer`` from the
+top layer down, each layer's pool seeding the next. A layer above the target
+is searched at ef=1, the greedy descent. A search's target is layer 0; the
+insertion of a node of level l searches layers l..0 at ``ef_construction``
+and links the node on each of them.
 
 ``hnsw_search`` ranks the layer-0 pool once, by (key, id), and takes one
 output step, in one of four modes:
@@ -67,9 +68,12 @@ row in the corpus, raises ``ValueError`` before the first key.
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
 
-Neighbor selection at build time takes the M closest candidates from the
-construction queue (no heuristic pruning), which keeps small hand-traced
-graphs reproducible. Level assignment uses floor(-ln(U) / ln(M)) with U
+Neighbor selection is one rule, ``_closest``: the ids of the ``count``
+smallest (key, id) pairs. An insertion links its node to the M closest of
+each layer's pool, and a neighbor list pushed past its cap (2M on layer 0, M
+above) keeps its cap closest links, keyed from the list's owner. There is no
+heuristic pruning (Algorithm 4), which keeps small hand-traced graphs
+reproducible. Level assignment uses floor(-ln(U) / ln(M)) with U
 drawn from a seeded PCG64 generator, so builds are reproducible across
 platforms.
 """
@@ -206,14 +210,16 @@ def _search_layer(
     The pool, taken over (it may be changed in place) and returned, is an
     unranked list of ``(-key, node)`` entries: the entry points in, the
     layer's nearest nodes out. It must come in with at most ``ef`` entries,
-    as every caller's does: one entry point into each ef = 1 layer and into
+    as ``_walk``'s does: one entry point into each ef = 1 layer and into
     layer 0, and a build layer's pool, at ``ef_construction``, into the next
-    layer at the same width. Nodes are admitted by the beam's rule without
-    ``bits`` and the dual pool's with them (see the module docstring). Each
-    newly visited node counts in ``nodes_visited``; with ``bits`` each
-    visited node's bit counts as a predicate invocation. The bits are read
-    from one ``bytes`` copy taken per call, not from the array one numpy
-    scalar at a time.
+    layer at the same width. Every node it reaches must have a list in
+    ``adjacency``: a build lists each node on every layer up to its level,
+    and ``load_hnsw`` refuses a link to a node below the link's layer. Nodes
+    are admitted by the beam's rule without ``bits`` and the dual pool's
+    with them (see the module docstring). Each newly visited node counts in
+    ``nodes_visited``; with ``bits`` each visited node's bit counts as a
+    predicate invocation. The bits are read from one ``bytes`` copy taken
+    per call, not from the array one numpy scalar at a time.
     ``worst`` holds the full pool's worst key (inf while the pool has room),
     so each neighbor costs one comparison. The pool is heapified once, when
     it fills; node ids are unique, so the entry each entrant evicts is the
@@ -237,7 +243,7 @@ def _search_layer(
         key, node = heappop(candidates)
         if key > worst:
             break
-        links = adjacency.get(node, ())
+        links = adjacency[node]
         if not keys.complete:
             links = [v for v in links if v not in visited]
             if links:
@@ -265,8 +271,34 @@ def _search_layer(
     return pool
 
 
+def _walk(index: HnswIndex, keys: _Scorer, ef: int, level: int, telemetry: SearchTelemetry,
+          bits: Optional[np.ndarray] = None):
+    """The layer loop of every build insertion and search: score the entry
+    point, then run ``_search_layer`` from the top layer down, each layer's
+    pool seeding the next, at ef=1 above ``level`` and at ``ef`` on ``level``
+    and below, with ``bits`` on layer 0 only. Yields ``(layer, pool)`` for
+    each layer at or below ``level``; a caller may read each pool but not
+    change it, since the next layer starts from it."""
+    keys.fill([index.entry_point])
+    pool = [(-keys.view[index.entry_point], index.entry_point)]
+    for layer in range(index.max_level, -1, -1):
+        pool = _search_layer(keys, index.adjacency[layer], pool, ef if layer <= level else 1,
+                             telemetry, bits if layer == 0 else None)
+        if layer <= level:
+            yield layer, pool
+
+
+def _closest(pairs, count: int) -> list[int]:
+    """The neighbor-selection rule, on insertion and on overflow: the ids of
+    the ``count`` smallest ``(key, id)`` pairs, in that order."""
+    return [node for _, node in sorted(pairs)[:count]]
+
+
 def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswIndex:
-    """Sequential insertion in id order; deterministic given the seed."""
+    """Sequential insertion in id order; deterministic given the seed. Each
+    insertion is a ``_walk`` down to the node's level, and links the node on
+    each layer it reaches there to the ``_closest`` M of the layer's pool; a
+    neighbor list pushed past its cap keeps its ``_closest`` cap links."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if ef_construction < m:
@@ -284,43 +316,26 @@ def hnsw_build(corpus: Corpus, m: int, ef_construction: int, seed: int) -> HnswI
         levels=levels,
         entry_point=0,
         max_level=int(levels[0]),
-        adjacency=[{} for _ in range(int(levels[0]) + 1)],
+        adjacency=[{0: []} for _ in range(int(levels[0]) + 1)],
     )
-    for layer in range(int(levels[0]) + 1):
-        index.adjacency[layer][0] = []
-
     scratch = SearchTelemetry()
     for node in range(1, corpus.n):
         level = int(levels[node])
         keys = _Scorer(corpus, vectors[node], ef_construction)
-        keys.fill([index.entry_point])
-        pool = [(-keys.view[index.entry_point], index.entry_point)]
-        for layer in range(index.max_level, -1, -1):
+        for layer, pool in _walk(index, keys, ef_construction, level, scratch):
             adjacency = index.adjacency[layer]
-            ef = ef_construction if layer <= level else 1
-            pool = _search_layer(keys, adjacency, pool, ef, scratch)
-            if layer > level:
-                continue
-            ranked = sorted((-negkey, cand) for negkey, cand in pool)
-            chosen = [cand for _, cand in ranked[: index.m]]
-            cap = 2 * index.m if layer == 0 else index.m
-            adjacency[node] = list(chosen)
-            for neigh in chosen:
+            cap = 2 * m if layer == 0 else m
+            adjacency[node] = _closest([(-negkey, cand) for negkey, cand in pool], m)
+            for neigh in adjacency[node]:
                 links = adjacency[neigh]
                 links.append(node)
                 if len(links) > cap:
                     query, ids = vectors[neigh], np.array(links, dtype=np.intp)
-                    link_keys = ordering_keys(
-                        query, vectors.take(ids, axis=0), corpus.metric,
-                        corpus.cosine_divisors(query, ids),
-                    )
-                    order = np.lexsort((ids, link_keys))[:cap]
-                    adjacency[neigh] = [links[i] for i in order]
+                    link_keys = ordering_keys(query, vectors.take(ids, axis=0), corpus.metric,
+                                              corpus.cosine_divisors(query, ids))
+                    adjacency[neigh] = _closest(zip(link_keys.tolist(), links), cap)
         if level > index.max_level:
-            for _ in range(level - index.max_level):
-                index.adjacency.append({})
-            for layer in range(index.max_level + 1, level + 1):
-                index.adjacency[layer][node] = []
+            index.adjacency += [{node: []} for _ in range(level - index.max_level)]
             index.max_level = level
             index.entry_point = node
     return index
@@ -358,9 +373,8 @@ def hnsw_search(
         raise ValueError("k must be >= 1")
     if ef_search < 1:
         raise ValueError("ef_search must be >= 1")
-    if mode in ("prefilter", "dualpool"):
-        if mask is None:
-            raise ValueError(f"mode {mode!r} requires a mask")
+    if mode in ("prefilter", "dualpool") and mask is None:
+        raise ValueError(f"mode {mode!r} requires a mask")
     if mode == "raw":
         if pool_size is None or pool_size < 1:
             raise ValueError("raw mode requires pool_size >= 1")
@@ -370,14 +384,9 @@ def hnsw_search(
     require_finite(query)
 
     keys = _Scorer(corpus, query, ef_search)
-    keys.fill([index.entry_point])
     telemetry = SearchTelemetry(nodes_visited=1)
-    pool = [(-keys.view[index.entry_point], index.entry_point)]
-    for layer in range(index.max_level, -1, -1):
-        pool = _search_layer(
-            keys, index.adjacency[layer], pool, ef_search if layer == 0 else 1, telemetry,
-            bits=mask.bits if mode == "dualpool" and layer == 0 else None,
-        )
+    bits = mask.bits if mode == "dualpool" else None
+    [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits)
     telemetry.distance_evaluations = keys.lazy_rows + (corpus.n if keys.complete else 0)
     ids = np.array([node for _, node in pool], dtype=np.int64)
     dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
@@ -415,12 +424,16 @@ def save_hnsw(index: HnswIndex, path: str | Path) -> None:
 
 def load_hnsw(path: str | Path) -> HnswIndex:
     """Read an FHN1 file, raising ``HnswFormatError`` unless it holds a graph
-    a build could have made: levels peaking on the entry point, each layer
-    listing exactly the nodes of its level, and neighbor lists of ids inside
-    the graph, at most 2M long on layer 0 and M above, with no repeated id
-    and no node listing itself."""
+    a build could have made: 2 <= M <= ef_construction, levels peaking on the
+    entry point, each layer listing exactly the nodes of its level, and
+    neighbor lists of ids inside the graph, each of a node on the list's
+    layer, at most 2M long on layer 0 and M above, with no repeated id and no
+    node listing itself. So every neighbor a walk reaches has a list of its
+    own on that layer."""
     reader = BinaryReader(path, _HNSW_MAGIC, HnswFormatError)
     n, m, ef_construction, seed, entry_point, max_level, metric_kind = reader.unpack("<IIIqiIB")
+    if not 2 <= m <= ef_construction:
+        reader.fail(f"m={m} and ef_construction={ef_construction} break 2 <= m <= ef_construction")
     metric = reader.metric(metric_kind)
     if not 0 <= entry_point < n:
         reader.fail(f"entry point {entry_point} outside 0..{n - 1}")
@@ -437,6 +450,8 @@ def load_hnsw(path: str | Path) -> HnswIndex:
         flat = reader.array("<u4", int(degrees.sum()))
         if np.any(flat >= n):
             reader.fail(f"layer {level} holds a neighbor id outside 0..{n - 1}")
+        if np.any(levels[flat] < level):
+            reader.fail(f"layer {level} holds a neighbor of level below {level}")
         cap = 2 * m if level == 0 else m
         if degrees.max() > cap:
             reader.fail(f"layer {level} holds a neighbor list longer than {cap}")
@@ -446,12 +461,9 @@ def load_hnsw(path: str | Path) -> HnswIndex:
         links = np.sort(owners.astype(np.uint64) * np.uint64(n) + flat)  # < n**2 <= 2**64
         if np.any(links[1:] == links[:-1]):
             reader.fail(f"layer {level} holds a neighbor list that repeats an id")
-        layer: dict[int, list[int]] = {}
-        pos = 0
-        for node, degree in zip(nodes.tolist(), degrees.tolist()):
-            layer[node] = flat[pos : pos + degree].astype(int).tolist()
-            pos += degree
-        adjacency.append(layer)
+        ends = np.cumsum(degrees).tolist()
+        adjacency.append({node: flat[end - degree : end].tolist()
+                          for node, degree, end in zip(nodes.tolist(), degrees.tolist(), ends)})
     reader.end()
     return HnswIndex(
         m=m,

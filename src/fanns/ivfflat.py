@@ -191,6 +191,14 @@ def _assign_rows(
     return assign
 
 
+def _cluster_members(assign: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """Each cluster's row ids in increasing order, given every row's cluster
+    and each cluster's row count: one stable sort of ``assign``, split. Every
+    Lloyd pass gathers its cluster members this way, and the final
+    assignment its inverted lists."""
+    return np.split(np.argsort(assign, kind="stable"), np.cumsum(counts)[:-1])
+
+
 def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     """k-means++ seeding plus ``_MAX_ITERS`` Lloyd passes, each assigning
     every row its nearest centroid under L2, then the final row-to-list
@@ -200,9 +208,9 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     corpus built with ``normalized`` True those are unit rows, which makes
     it a spherical-k-means approximation; otherwise the rows' norms weigh in.
     Each pass updates the centroids in place: each cluster mean averages its
-    rows in id order, gathered through one stable sort of the assignment,
-    and an empty cluster is reseeded from the farthest point of the largest
-    cluster. A zero centroid of a cosine corpus raises.
+    rows in id order, gathered by :func:`_cluster_members` as the final
+    lists are, and an empty cluster is reseeded from the farthest point of
+    the largest cluster. A zero centroid of a cosine corpus raises.
 
     FAISS seeds at random from the training rows; k-means++ is kept because
     random seeding split well-separated clusters. On 5,000 rows in 4
@@ -221,11 +229,9 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     for _ in range(_MAX_ITERS):
         assign = _assign_rows(corpus, centroids, scratch, Metric.L2)
         counts = np.bincount(assign, minlength=n_clusters)
-        order = np.argsort(assign, kind="stable")
-        starts = np.cumsum(counts) - counts
-        for c in np.flatnonzero(counts):
-            members = order[starts[c] : starts[c] + counts[c]]
-            centroids[c] = vectors.take(members, axis=0).astype(np.float64).mean(axis=0)
+        for c, members in enumerate(_cluster_members(assign, counts)):
+            if len(members):
+                centroids[c] = vectors.take(members, axis=0).astype(np.float64).mean(axis=0)
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
@@ -235,7 +241,7 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
     final_assign = _assign_rows(corpus, centroids, scratch, corpus.metric)
-    lists = [np.flatnonzero(final_assign == c).astype(np.int64) for c in range(n_clusters)]
+    lists = _cluster_members(final_assign, np.bincount(final_assign, minlength=n_clusters))
     return IvfIndex(
         n_clusters=n_clusters,
         seed=seed,

@@ -141,3 +141,44 @@ def test_the_pairs_header_says_when_the_checkout_holds_uncommitted_edits(tmp_pat
     (tmp_path / "src" / "lib.py").write_text("x = 2\n")
     assert bench_tool.checkout_label(tmp_path) == (
         f"the working tree at HEAD {commit} with uncommitted edits under src/ or perfbench/")
+
+
+def test_a_line_that_is_no_json_is_an_error():
+    with pytest.raises(bench_tool.RunError, match="no JSON"):
+        bench_tool.parse_output(STDOUT.replace('{"correct": true', '{"correct": tru'))
+
+
+@pytest.fixture
+def record_into(tmp_path, monkeypatch):
+    """``record`` pointed at an empty git checkout under ``tmp_path``, its
+    perfbench runs replaced by ``STDOUT`` passed through ``edit(workload)``."""
+    (tmp_path / "src").mkdir()
+    _git(tmp_path, "init", "-q")
+    monkeypatch.setattr(bench_tool, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_tool, "code_lines", lambda root: 0)
+
+    def record(edit):
+        monkeypatch.setattr(bench_tool, "run_perfbench", lambda root, workload, seed, seconds:
+                            bench_tool.parse_output(edit(workload)))
+        return bench_tool.main(["record", "--seconds", "1"])
+
+    return record
+
+
+def test_record_writes_every_workload_and_exits_0_when_all_are_correct(tmp_path, record_into):
+    assert record_into(lambda workload: STDOUT) == 0
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == [
+        f"BENCH_{w}.json" for w in sorted(bench_tool.WORKLOADS)]
+
+
+def test_record_exits_1_on_an_incorrect_run_after_recording_the_rest(tmp_path, record_into):
+    def edit(workload):
+        return STDOUT.replace("true", "false") if workload == "ivf-l2" else STDOUT
+
+    assert record_into(edit) == 1
+    assert len(list(tmp_path.glob("BENCH_*.json"))) == len(bench_tool.WORKLOADS)
+
+
+def test_record_exits_1_on_an_unparseable_run(record_into):
+    assert record_into(lambda workload: STDOUT.rsplit("\n", 2)[0]) == 1
+    assert record_into(lambda workload: STDOUT.replace("true", "tru")) == 1

@@ -70,6 +70,29 @@ def test_hnsw_ids_outside_the_graph_are_refused(tmp_path, fault):
         load_hnsw(path)
 
 
+def test_a_layer_1_link_to_a_level_0_node_is_refused(tmp_path):
+    # a walk reaching that node on layer 1 would expand a node the layer
+    # does not hold
+    index = hnsw_build(generate_synthetic(300, 3, seed=5), 4, 8, seed=1)
+    upper = next(node for node in index.adjacency[1] if index.adjacency[1][node])
+    lower = int(np.flatnonzero(index.levels == 0)[0])
+    index.adjacency[1][upper][0] = lower
+    path = tmp_path / "bad.idx"
+    save_hnsw(index, path)
+    with pytest.raises(HnswFormatError, match="neighbor of level below 1"):
+        load_hnsw(path)
+
+
+@pytest.mark.parametrize("m, ef_construction", [(1, 8), (0, 8), (4, 3)])
+def test_an_hnsw_header_no_build_accepts_is_refused(tmp_path, m, ef_construction):
+    index = hnsw_build(generate_synthetic(24, 3, seed=5), 4, 8, seed=1)
+    index.m, index.ef_construction = m, ef_construction
+    path = tmp_path / "bad.idx"
+    save_hnsw(index, path)
+    with pytest.raises(HnswFormatError, match="2 <= m <= ef_construction"):
+        load_hnsw(path)
+
+
 IVF_LIST_FAULTS = {
     "duplicate": lambda lists: lists[0].__setitem__(0, lists[1][0]),
     "out of range": lambda lists: lists[0].__setitem__(0, 1_000_000),

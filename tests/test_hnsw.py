@@ -132,6 +132,41 @@ class TestBuild:
     def test_layer0_reachability(self, hnsw2k):
         assert layer0_reachable_fraction(hnsw2k) >= 0.99
 
+    def test_every_neighbor_selection_goes_through_closest(self, monkeypatch):
+        # replaying the build's linking from the recorded ``_closest`` calls
+        # alone must give its graph: one call per (insertion, layer at or
+        # below the node's level) and one per list pushed past its cap
+        closest, calls = hnsw_mod._closest, []
+
+        def recording(pairs, count):
+            pairs = list(pairs)
+            chosen = closest(pairs, count)
+            calls.append((sorted(node for _, node in pairs), count, list(chosen)))
+            return chosen
+
+        monkeypatch.setattr(hnsw_mod, "_closest", recording)
+        m = 4
+        index = hnsw_build(generate_synthetic(400, 8, seed=3), m, 16, seed=0)
+        assert index.max_level >= 2
+        replay = iter(calls)
+        levels = index.levels.tolist()
+        graph = [{0: []} for _ in range(levels[0] + 1)]
+        for node in range(1, index.n):
+            for layer in range(min(levels[node], len(graph) - 1), -1, -1):
+                _, count, chosen = next(replay)
+                assert count == m
+                lists, cap = graph[layer], 2 * m if layer == 0 else m
+                lists[node] = chosen
+                for neigh in chosen:
+                    lists[neigh].append(node)
+                    if len(lists[neigh]) > cap:
+                        ids, count, kept = next(replay)
+                        assert (ids, count) == (sorted(lists[neigh]), cap)
+                        lists[neigh] = kept
+            graph += [{node: []} for _ in range(levels[node] + 1 - len(graph))]
+        assert next(replay, None) is None
+        assert graph == index.adjacency
+
     def test_unreachable_count_on_a_hand_built_graph(self):
         # row 11 keeps its own links, but no list points back to it
         _, index, _ = small_graph_index()

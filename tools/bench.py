@@ -24,7 +24,9 @@ its stdout:
     python tools/bench.py record [--workload W ...] [--seed 1] [--seconds 10]
     python tools/bench.py pairs --against <commit> --workload W --seeds 21-30
 
-Exits 1 if a run fails its own checks, 0 otherwise.
+Exits 1 if a run fails its own checks (``record`` still records every
+workload first) or prints output that cannot be parsed, 0 otherwise, so
+``record`` can gate a build.
 """
 
 from __future__ import annotations
@@ -53,13 +55,17 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     """The result and the info object of one perfbench run's stdout.
 
     The info line is the one JSON object with an ``info`` key; the result is
-    the last line, a JSON object with ``metrics``.
+    the last line, a JSON object with ``metrics``. A line that starts with
+    ``{`` but is no JSON raises ``RunError``.
     """
     info = result = None
     for line in stdout.splitlines():
         if not line.startswith("{"):
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise RunError(f"perfbench printed a line that is no JSON: {line[:80]!r}") from err
         if "info" in obj:
             info = obj["info"]
         elif "metrics" in obj:
@@ -168,6 +174,7 @@ def _extract(commit: str, into: Path) -> None:
 
 def record(args) -> int:
     commit, dirty, lines = head_commit(ROOT), source_dirty(ROOT), code_lines(ROOT)
+    incorrect = []
     for workload in args.workload or WORKLOADS:
         result, info = run_perfbench(ROOT, workload, args.seed, args.seconds)
         path = ROOT / f"BENCH_{workload}.json"
@@ -179,8 +186,10 @@ def record(args) -> int:
         print(f"{path.name}: correct={result['correct']} failed={result['failed']}/"
               f"{result['attempted']} {metrics}")
         if not result["correct"]:
-            return 1
-    return 0
+            incorrect.append(workload)
+    if incorrect:
+        print(f"bench: incorrect runs: {', '.join(incorrect)}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 def _differences(parent_info: dict, change_info: dict) -> list[str]:
