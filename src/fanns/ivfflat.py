@@ -18,7 +18,12 @@ the cut of :func:`fanns.oracle.l2_slack` cannot rule them out, so centroids
 and lists are bit-identical to computing every distance. Seeding takes its
 scores from :func:`fanns.oracle.l2_scores`; an L2 assignment scores each row
 against every centroid with one float32 matrix product per block, and keys
-only the rows whose cut keeps more than one centroid.
+only the rows whose cut keeps more than one centroid. Each row also carries
+two bounds from one Lloyd pass to the next (:class:`_RowBounds`), above on
+its distance to its own centroid and below on its distance to every other,
+widened by how far the centroids moved; a row whose bounds prove that it
+keeps its centroid is not scored again, so a pass scores only the rows whose
+centroid can change.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
 the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
@@ -54,7 +59,7 @@ from fanns.corpus import (
     require_mask_for,
     row_blocks,
 )
-from fanns.oracle import exact_scan, l2_scores, l2_slack
+from fanns.oracle import _U64, _gamma, exact_scan, l2_scores, l2_slack
 from fanns.telemetry import SearchResult
 
 _IVF_MAGIC = b"FIV1"
@@ -136,18 +141,64 @@ def _kmeans_pp_seed(corpus: Corpus, n_clusters: int, rng: np.random.Generator) -
     return centroids
 
 
+class _RowBounds:
+    """Bounds on each row's true L2 distances D = ‖x − c‖ to the centroids,
+    carried by :func:`ivf_build` from one Lloyd pass to the next: ``upper``
+    ≥ D to the row's centroid in the last pass, ``assign``, and ``lower``
+    ≤ D to every other centroid. A row with no bound has ``upper`` inf.
+
+    Every bound is widened by the rounding margin κ = γ₆₄(2d + 16), which
+    covers a key's own error against D and one rounding in each square
+    root, product, sum and difference that forms a bound or tests it
+    (:func:`_assign_rows`).
+    """
+
+    def __init__(self, n: int, dim: int) -> None:
+        self.assign = np.zeros(n, dtype=np.int64)
+        self.upper = np.full(n, np.inf)
+        self.lower = np.zeros(n)
+        margin = _gamma(2 * dim + 16, _U64)
+        self.wide, self.narrow = 1.0 + margin, 1.0 - margin
+
+    def unsettled(self) -> np.ndarray:
+        """Ids of the rows whose bounds cannot prove their centroid: those
+        with ``upper``·(1 + κ) not below ``lower``·(1 − κ)."""
+        return np.flatnonzero(~(self.upper * self.wide < self.lower * self.narrow))
+
+    def widen(self, shift: np.ndarray) -> None:
+        """Keep the bounds true after each centroid moved by its row of
+        ``shift``: ``upper`` grows by its own centroid's move, ``lower``
+        falls by the largest move of any other centroid."""
+        moves = np.sqrt(np.einsum("ij,ij->i", shift, shift)) * self.wide
+        top = int(np.argmax(moves))
+        largest, second = moves[top], np.max(np.delete(moves, top), initial=0.0)
+        self.upper += moves[self.assign]
+        self.upper *= self.wide
+        self.lower -= np.where(self.assign == top, second, largest)
+        self.lower *= self.narrow
+
+    def reset(self) -> None:
+        """Drop every bound, so that the next pass scores every row."""
+        self.upper.fill(np.inf)
+
+
 def _assign_rows(
-    corpus: Corpus, centroids: np.ndarray, scratch: np.ndarray, metric: Metric
+    corpus: Corpus,
+    centroids: np.ndarray,
+    scratch: np.ndarray,
+    metric: Metric,
+    bounds: _RowBounds,
 ) -> np.ndarray:
     """Each row's nearest centroid: the one of smallest ``ordering_keys`` key
     under ``metric``, the first on ties, scored one ``row_blocks`` block at a
     time into ``scratch``. Every Lloyd pass calls it under L2, the final
-    assignment under the corpus metric.
+    assignment under the corpus metric, both with the build's ``bounds``.
 
     Inner-product and cosine keys come from a GEMV whose last bit depends on
     the call's shape, so those key every (row, centroid) pair, one call per
     centroid over the whole block. So does L2 when
-    :func:`fanns.oracle.l2_slack` gives no bound.
+    :func:`fanns.oracle.l2_slack` gives no bound; that pass resets
+    ``bounds``.
 
     Otherwise each row keeps the centroids inside the ``l2_slack`` cut with
     m = 1 and the row's ‖x‖² as the constant. The scores are
@@ -157,7 +208,30 @@ def _assign_rows(
     the cut. The cut keeps every centroid whose key ties or beats the
     smallest, so a lone survivor is the argmin with no key computed, and a
     row with several keys only those, in one call with the row as the
-    point: an L2 key is the same bit for bit either way round.
+    point: an L2 key is the same bit for bit either way round. A row keeps
+    one centroid when its second-smallest score t₂ (the smallest once its
+    best t₁ is masked) lies beyond the cut.
+
+    Only the rows that ``bounds`` leaves unsettled are scored (all of them
+    when it holds no bound): a block of them is gathered by
+    id, or sliced when every row is scored. Each scored row gets fresh
+    bounds. Its squared key to any centroid lies within slack of t + ‖x‖²
+    (l2_slack leaves room for these two additions), so √fl(t₁ + ‖x‖² +
+    slack) bounds its key to its own centroid from above and
+    √max(0, fl(t₂ + ‖x‖² − slack)) every other key from below. A keyed row
+    takes no upper bound: the cut left it in doubt, so it is scored again
+    in the next pass. A key K is computed from d rounded squares of rounded
+    differences, all nonnegative, so |K − D| ≤ γ₆₄(d + 3)·D. None
+    underflows: a centroid coordinate of a build is a float32 value or a
+    float64 mean of fewer than 2⁶⁴ of them, so it is 0 or at least 2⁻²¹³,
+    and either way a multiple of 2⁻²⁶⁵; a nonzero difference from a row or
+    another centroid is then at least 2⁻²⁶⁵. The factors 1 ± κ turn
+    the key bounds into bounds on D, and keep them true under the roundings
+    of :meth:`_RowBounds.widen`: by the triangle inequality, a centroid
+    that moves by M changes a row's D to it by at most M. A row skipped
+    because fl(upper·(1 + κ)) < fl(lower·(1 − κ)) therefore has
+    K_own ≤ D_own·(1 + γ₆₄(d + 3)) < K_j for every other centroid j: its
+    own key is strictly the smallest, so it is the argmin of a full pass.
     """
     slack = None
     if metric is Metric.L2:
@@ -165,30 +239,44 @@ def _assign_rows(
         reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
         slack = l2_slack(corpus.dim, reach)
         minus_twice = (-2.0 * centroids).astype(np.float32)
-    assign = np.empty(corpus.n, dtype=np.int64)
-    for block in row_blocks(corpus.n):
-        rows = corpus.vectors[block]
+    if slack is None:
+        bounds.reset()
+    todo = bounds.unsettled()
+    full = len(todo) == corpus.n
+    for block in row_blocks(len(todo)):
+        ids = block if full else todo[block]
+        rows = corpus.vectors[block] if full else corpus.vectors.take(ids, axis=0)
         keys = scratch[: len(rows)]
         if slack is None:
             rows = rows.astype(np.float64)
             for c, centroid in enumerate(centroids):
                 divisors = None if metric is Metric.L2 else corpus.cosine_divisors(centroid, block)
                 keys[:, c] = ordering_keys(centroid, rows, metric, divisors)
-            assign[block] = np.argmin(keys, axis=1)
-        else:
-            for start in range(0, len(rows), _PRODUCT_ROWS):
-                part = slice(start, start + _PRODUCT_ROWS)
-                np.matmul(rows[part], minus_twice.T, out=keys[part])
-            keys += sq_centroids
-            best = np.argmin(keys, axis=1)
-            cut = keys[np.arange(len(rows)), best] + 2.0 * slack
-            near = keys <= cut[:, None]
-            for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-                kept = np.flatnonzero(near[i])
-                kept_keys = ordering_keys(rows[i], centroids.take(kept, axis=0), metric)
-                best[i] = kept[np.argmin(kept_keys)]
-            assign[block] = best
-    return assign
+            bounds.assign[block] = np.argmin(keys, axis=1)
+            continue
+        for start in range(0, len(rows), _PRODUCT_ROWS):
+            part = slice(start, start + _PRODUCT_ROWS)
+            np.matmul(rows[part], minus_twice.T, out=keys[part])
+        keys += sq_centroids
+        at = np.arange(len(rows))
+        best = np.argmin(keys, axis=1)
+        first = keys[at, best]
+        keys[at, best] = np.inf
+        second = keys.min(axis=1)
+        cut = first + 2.0 * slack
+        keyed = np.flatnonzero(second <= cut)
+        keys[keyed, best[keyed]] = first[keyed]
+        for i, near in zip(keyed, keys[keyed] <= cut[keyed, None]):
+            kept = np.flatnonzero(near)
+            kept_keys = ordering_keys(rows[i], centroids.take(kept, axis=0), metric)
+            best[i] = kept[np.argmin(kept_keys)]
+        sq_norms = corpus.sq_row_norms[ids]
+        upper = np.sqrt(first + sq_norms + slack)
+        upper[keyed] = np.inf
+        bounds.assign[ids] = best
+        bounds.upper[ids] = upper * bounds.wide
+        bounds.lower[ids] = np.sqrt(np.maximum(second + sq_norms - slack, 0.0)) * bounds.narrow
+    return bounds.assign.copy()
 
 
 def _cluster_members(assign: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -210,7 +298,10 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     Each pass updates the centroids in place: each cluster mean averages its
     rows in id order, gathered by :func:`_cluster_members` as the final
     lists are, and an empty cluster is reseeded from the farthest point of
-    the largest cluster. A zero centroid of a cosine corpus raises.
+    the largest cluster. The rows' :class:`_RowBounds` then widen by each
+    centroid's move; a reseed, which moves a row to another cluster, drops
+    them instead, so the next pass scores every row. The final L2
+    assignment reads them too. A zero centroid of a cosine corpus raises.
 
     FAISS seeds at random from the training rows; k-means++ is kept because
     random seeding split well-separated clusters. On 5,000 rows in 4
@@ -226,12 +317,18 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
     vectors = corpus.vectors
     centroids = _kmeans_pp_seed(corpus, n_clusters, rng)
     scratch = np.empty((min(corpus.n, ROW_BLOCK + 1), n_clusters))
+    bounds = _RowBounds(corpus.n, corpus.dim)
     for _ in range(_MAX_ITERS):
-        assign = _assign_rows(corpus, centroids, scratch, Metric.L2)
+        assign = _assign_rows(corpus, centroids, scratch, Metric.L2, bounds)
         counts = np.bincount(assign, minlength=n_clusters)
+        previous = centroids.copy()
         for c, members in enumerate(_cluster_members(assign, counts)):
             if len(members):
                 centroids[c] = vectors.take(members, axis=0).astype(np.float64).mean(axis=0)
+        if counts.all():
+            bounds.widen(centroids - previous)
+        else:
+            bounds.reset()
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
@@ -240,7 +337,7 @@ def ivf_build(corpus: Corpus, n_clusters: int, seed: int) -> IvfIndex:
             centroids[c] = vectors[stray]
             assign[stray] = c
             counts = np.bincount(assign, minlength=n_clusters)
-    final_assign = _assign_rows(corpus, centroids, scratch, corpus.metric)
+    final_assign = _assign_rows(corpus, centroids, scratch, corpus.metric, bounds)
     lists = _cluster_members(final_assign, np.bincount(final_assign, minlength=n_clusters))
     return IvfIndex(
         n_clusters=n_clusters,

@@ -105,18 +105,20 @@ def mixed_dtype_keys(query, rows, metric, divisors=None):
     return -rows.dot(query) / norms
 
 
-def l2_pairs_keyed(corpus, centroids):
+def l2_pairs_keyed(corpus, centroids, ids=None):
     """The (row, centroid) pairs that one L2 call of ``ivfflat._assign_rows``
     keys, written out: a row keys the centroids whose float32 score is within
     2·slack of its smallest when there are several of them, and none when its
-    own is the only one. Scored with ``_assign_rows``'s product shapes."""
+    own is the only one. Only the rows ``ids`` are scored (every row when
+    None), gathered as ``_assign_rows`` gathers the rows it rescores, and with
+    its product shapes."""
     sq_centroids = np.einsum("ij,ij->i", centroids, centroids)
     reach = math.sqrt(corpus.sq_row_norms.max()) + math.sqrt(sq_centroids.max())
     slack = l2_slack(corpus.dim, reach)
     minus_twice = (-2.0 * centroids).astype(np.float32)
     pairs = 0
-    for block in row_blocks(corpus.n):
-        rows = corpus.vectors[block]
+    for block in row_blocks(corpus.n if ids is None else len(ids)):
+        rows = corpus.vectors[block] if ids is None else corpus.vectors.take(ids[block], axis=0)
         scores = np.empty((len(rows), len(centroids)))
         for start in range(0, len(rows), ivfflat._PRODUCT_ROWS):
             part = slice(start, start + ivfflat._PRODUCT_ROWS)
@@ -125,6 +127,13 @@ def l2_pairs_keyed(corpus, centroids):
         kept = np.sum(scores <= scores.min(axis=1, keepdims=True) + 2.0 * slack, axis=1)
         pairs += int(kept[kept > 1].sum())
     return pairs
+
+
+def rescored_rows(corpus, bounds):
+    """The rows that an L2 call of ``ivfflat._assign_rows`` given ``bounds``
+    scores, as ``l2_pairs_keyed`` takes them: None for every row."""
+    ids = bounds.unsettled()
+    return None if len(ids) == corpus.n else ids
 
 
 def adversarial_corpus(d, scale, outlier, seed, n=1200, metric=Metric.L2):

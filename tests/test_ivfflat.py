@@ -21,6 +21,7 @@ from conftest import (
     adversarial_corpus,
     l2_pairs_keyed,
     mixed_dtype_keys,
+    rescored_rows,
     sample_queries,
 )
 
@@ -172,6 +173,24 @@ class TestBuild:
         if name == "duplicate rows":
             assert reseeds  # the reseed branch ran
 
+    @pytest.mark.parametrize("seed", [103, 136])
+    def test_bounds_follow_the_centroids_that_move(self, seed):
+        # Rows on a line, three lists. Under seed 103 the centroid seeded at
+        # 2.2 moves to 2.49 in the first pass, so its rows at 2.2 go to the
+        # one at 2.0. Under seed 136 the centroids start at 4.2, -1.5 and 0;
+        # the first moves to 2.49 and takes the row at 2.0 from the third,
+        # which then loses the row at 0 as well and is reseeded at 4.2. A
+        # row skipped on bounds not widened by those moves, or kept across
+        # the reseed, would stay where it was.
+        rows = np.array([-1.5] + [-0.8] * 6 + [0.0, 2.0] + [2.2] * 6 + [4.2], dtype=np.float32)
+        corpus = Corpus(rows[:, None], np.linspace(0, 1, len(rows)), Metric.L2)
+        reseeds = []
+        centroids, lists = _reference_ivf_build(corpus, 3, seed, reseeds)
+        index = ivf_build(corpus, 3, seed=seed)
+        assert index.centroids.tobytes() == centroids.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(index.lists, lists))
+        assert len(reseeds) == (seed == 136)
+
     @pytest.mark.parametrize("metric", [Metric.L2, Metric.COSINE])
     def test_build_holds_no_float64_copy(self, metric):
         # every pass converts one block of rows at a time, so the build's
@@ -226,9 +245,9 @@ class TestBuild:
     def test_every_build_makes_every_lloyd_pass(self, monkeypatch):
         metrics, assign_rows = [], ivfflat._assign_rows
 
-        def counting(corpus, centroids, scratch, metric):
+        def counting(corpus, centroids, scratch, metric, bounds):
             metrics.append(metric)
-            return assign_rows(corpus, centroids, scratch, metric)
+            return assign_rows(corpus, centroids, scratch, metric, bounds)
 
         monkeypatch.setattr(ivfflat, "_assign_rows", counting)
         ivf_build(generate_synthetic(3000, 16, 1, "cluster_correlated"), 55, seed=0)
@@ -280,21 +299,29 @@ class TestNarrowedBuild:
             keys.append(len(rows))
             return mixed_dtype_keys(point, rows, metric, divisors)
 
-        def assign_rows(built_from, centroids, scratch, metric):
-            pairs.append(l2_pairs_keyed(built_from, centroids))
-            return real_assign_rows(built_from, centroids, scratch, metric)
+        def assign_rows(built_from, centroids, scratch, metric, bounds):
+            ids = rescored_rows(built_from, bounds)
+            rescored.append(built_from.n if ids is None else len(ids))
+            pairs.append(l2_pairs_keyed(built_from, centroids, ids))
+            return real_assign_rows(built_from, centroids, scratch, metric, bounds)
 
-        pairs, real_assign_rows = [], ivfflat._assign_rows
+        pairs, rescored, real_assign_rows = [], [], ivfflat._assign_rows
         monkeypatch.setattr(ivfflat, "_sq_dists", sq_dists)
         monkeypatch.setattr(ivfflat, "ordering_keys", ordering_keys)
         monkeypatch.setattr(ivfflat, "_assign_rows", assign_rows)
         ivf_build(corpus, 141, seed=1)
         # k-means++ folds every row against its first centroid; each of the
-        # 25 Lloyd passes and the final assignment keys only the rows whose
-        # cut keeps more than one centroid, fewer than one row in ten
+        # 25 Lloyd passes and the final assignment keys only the rescored
+        # rows whose cut keeps more than one centroid, fewer than one row in
+        # ten over all the passes
         assert corpus.n <= sum(seeding) < corpus.n * 141 // 20
         assert len(pairs) == ivfflat._MAX_ITERS + 1
         assert sum(keys) == sum(pairs) < corpus.n // 10
+        # the first pass scores every row; the bounds carried from it leave
+        # the later passes well under n rows to rescore (0.77 n on average
+        # on this corpus), where every pass scored all n without them
+        assert rescored[0] == corpus.n
+        assert sum(rescored[1:]) < 0.85 * corpus.n * ivfflat._MAX_ITERS
 
     def test_lloyd_passes_take_the_exact_key_argmin(self):
         # Rows near 1e6, each between its own two centroids about 0.25 away:
@@ -307,7 +334,8 @@ class TestNarrowedBuild:
         centroids = np.concatenate([rows - offsets[:, :1], rows + offsets[:, 1:]])
         corpus = Corpus(rows, rng.uniform(size=400), Metric.L2)
         scratch = np.empty((400, 800))
-        nearest = ivfflat._assign_rows(corpus, centroids, scratch, Metric.L2)
+        bounds = ivfflat._RowBounds(corpus.n, corpus.dim)
+        nearest = ivfflat._assign_rows(corpus, centroids, scratch, Metric.L2, bounds)
         exact = _nearest_by_key(rows, centroids, Metric.L2)
         assert np.array_equal(nearest, exact)
         assert np.array_equal(nearest % 400, np.arange(400))

@@ -18,7 +18,7 @@ from fanns import corpus as corpus_mod
 from fanns import gls, hnsw, ivfflat, oracle
 from fanns.corpus import Corpus, Metric, build_mask
 
-from conftest import l2_pairs_keyed
+from conftest import l2_pairs_keyed, rescored_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -101,14 +101,15 @@ def test_every_key_is_scored_through_its_module_name(monkeypatch, metric):
     rows.clear()
     pairs, assign_rows = [], ivfflat._assign_rows
 
-    def recording(built_from, centroids, scratch, assigned_under):
-        # every Lloyd pass keys under L2 with the cut, and so does an L2
-        # corpus's final assignment; any other metric keys every pair
+    def recording(built_from, centroids, scratch, assigned_under, bounds):
+        # every Lloyd pass keys under L2 with the cut, over the rows its
+        # bounds leave unsettled, and so does an L2 corpus's final
+        # assignment; any other metric keys every pair
         if assigned_under is Metric.L2:
-            pairs.append(l2_pairs_keyed(built_from, centroids))
+            pairs.append(l2_pairs_keyed(built_from, centroids, rescored_rows(built_from, bounds)))
         else:
             pairs.append(n * n_lists)
-        return assign_rows(built_from, centroids, scratch, assigned_under)
+        return assign_rows(built_from, centroids, scratch, assigned_under, bounds)
 
     monkeypatch.setattr(ivfflat, "_assign_rows", recording)
     index = ivfflat.ivf_build(corpus, n_lists, seed=1)
