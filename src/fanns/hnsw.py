@@ -11,8 +11,10 @@ traversals apart:
   reached first), and only pool entrants are queued for expansion. The build
   and three of the four search modes use it.
 * the dual pool (a bitset) -- a node must also be mask-valid to enter the
-  pool, but every visited node is queued, so filtered-out vectors steer the
-  walk without taking result slots. With a full mask it walks as the beam
+  pool, but every visited node the loop could still expand is queued, valid
+  or not, so filtered-out vectors steer the walk without taking result
+  slots. Only a node keyed strictly above a full pool's worst is left out,
+  since it could only end the loop. With a full mask it walks as the beam
   does, barring exact key ties with the pool's worst entry.
 
 Build and search share one descent, ``_walk``, as INSERT and K-NN-SEARCH
@@ -64,6 +66,14 @@ depends on the rows that share the call. On exact duplicate rows the pass's
 keys tie where lazy calls of different shapes split them by an ulp, so a
 build can link such rows differently. Under cosine a zero query, or any zero
 row in the corpus, raises ``ValueError`` before the first key.
+
+A graph holds one ``int`` object per node id: the node's key in every
+layer's dict, every link to it and ``entry_point`` are that one object. A
+build shares the insertion loop's ints, and ``load_hnsw`` the items of one
+object array of the n ids. CPython's set and dict lookups test identity before
+equality, so each visited-set test and adjacency lookup of a walk matches
+at once, where equal but distinct ints (one per ``tolist()``) would each
+need an int comparison; and a link costs a list slot, not a slot and an int.
 
 ``layer0_unreachable`` counts the rows that no layer-0 walk from the entry
 point reaches; ``fanns build`` prints it. Inner-product graphs leave many.
@@ -120,7 +130,9 @@ class HnswIndex:
     entry_point: int
     max_level: int
     # adjacency[layer][node] -> list of neighbor ids; nodes absent from a
-    # layer simply have no entry there
+    # layer simply have no entry there. Every key and link of a node, on every
+    # layer, is one int object (and so is entry_point), so that a walk's set
+    # and dict lookups match by identity; build and load_hnsw both keep this.
     adjacency: list[dict[int, list[int]]] = field(default_factory=list)
 
     @property
@@ -225,6 +237,14 @@ def _search_layer(
     it fills; node ids are unique, so the entry each entrant evicts is the
     same whatever the heap's layout.
 
+    The dual pool does not queue a node whose key is strictly above a full
+    pool's ``worst``, and walks as if it did. ``worst`` never rises: it is
+    inf until the pool fills and then only falls. So when such a node was
+    popped, its key would still be above ``worst`` and end the loop, and
+    every candidate still queued behind it would be left unexpanded too;
+    leaving it out changes no other pop. A node keyed equal to ``worst`` is
+    still queued, so ties are expanded in the same order.
+
     While the scorer is not ``complete`` (see :class:`_Scorer`), each
     expanded node's unvisited neighbors are keyed by one ``keys.fill`` call.
     Every neighbor's key is then read through the scorer's view.
@@ -262,8 +282,8 @@ def _search_layer(
                 else:
                     heapreplace(pool, (-nkey, neigh))
                     worst = -pool[0][0]
-            elif bits is None:
-                continue  # the beam queues only pool entrants
+            elif bits is None or nkey > worst:
+                continue  # the beam queues only pool entrants, the dual pool no dead end
             heappush(candidates, (nkey, neigh))
     telemetry.nodes_visited += len(visited) - entered
     if bits is not None:
@@ -429,7 +449,13 @@ def load_hnsw(path: str | Path) -> HnswIndex:
     neighbor lists of ids inside the graph, each of a node on the list's
     layer, at most 2M long on layer 0 and M above, with no repeated id and no
     node listing itself. So every neighbor a walk reaches has a list of its
-    own on that layer."""
+    own on that layer.
+
+    The graph holds one ``int`` object per node id, as a built graph does:
+    every layer's keys, every link and ``entry_point`` are items of one
+    object array of the n ids, gathered by the file's id arrays. So a walk's
+    visited-set and adjacency lookups match by identity, not by comparing
+    equal but distinct ints, and a link costs one list slot."""
     reader = BinaryReader(path, _HNSW_MAGIC, HnswFormatError)
     n, m, ef_construction, seed, entry_point, max_level, metric_kind = reader.unpack("<IIIqiIB")
     if not 2 <= m <= ef_construction:
@@ -440,6 +466,7 @@ def load_hnsw(path: str | Path) -> HnswIndex:
     levels = reader.array("<i4", n).astype(np.int32)
     if levels.min() < 0 or not levels.max() == max_level == levels[entry_point]:
         reader.fail(f"node levels do not peak at max level {max_level} on the entry point")
+    node_ids = np.arange(n).astype(object)
     adjacency: list[dict[int, list[int]]] = []
     for level in range(max_level + 1):
         (n_nodes,) = reader.unpack("<I")
@@ -462,8 +489,9 @@ def load_hnsw(path: str | Path) -> HnswIndex:
         if np.any(links[1:] == links[:-1]):
             reader.fail(f"layer {level} holds a neighbor list that repeats an id")
         ends = np.cumsum(degrees).tolist()
-        adjacency.append({node: flat[end - degree : end].tolist()
-                          for node, degree, end in zip(nodes.tolist(), degrees.tolist(), ends)})
+        neighbors = node_ids[flat].tolist()
+        adjacency.append({node: neighbors[end - degree : end] for node, degree, end
+                          in zip(node_ids[nodes].tolist(), degrees.tolist(), ends)})
     reader.end()
     return HnswIndex(
         m=m,
@@ -471,7 +499,7 @@ def load_hnsw(path: str | Path) -> HnswIndex:
         seed=seed,
         metric=metric,
         levels=levels,
-        entry_point=entry_point,
+        entry_point=node_ids[entry_point],
         max_level=max_level,
         adjacency=adjacency,
     )

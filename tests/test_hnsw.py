@@ -403,18 +403,18 @@ EFS = (10, 100)  # and the corpus size
 MODES = ("unfiltered", "prefilter", "dualpool")
 
 
-def _search_answers(corpus, index, efs=EFS, whole_pool=False, n_queries=50):
+def _search_answers(corpus, index, efs=EFS, whole_pool=False, n_queries=50, modes=MODES):
     """Ids, keys and all four counters of ``n_queries`` searches x efs + (n,)
-    x MODES, at k=10 or, with ``whole_pool``, at k = ef, so that every entry
-    the layer-0 pool keeps shows."""
+    x ``modes``, at k=10 or, with ``whole_pool``, at k = ef, so that every
+    entry the layer-0 pool keeps shows; a raw search's pool is ef wide."""
     mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
     _, queries = sample_queries(corpus, n_queries, seed=71)
     out = []
     for query in queries:
         for ef in efs + (corpus.n,):
-            for mode in MODES:
+            for mode in modes:
                 k = ef if whole_pool else 10
-                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask)
+                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=ef)
                 t = r.telemetry
                 out.append((r.ids.tolist(), r.distances.tolist(),
                             t.distance_evaluations, t.nodes_visited,
@@ -622,6 +622,24 @@ class TestPersistence:
         path2 = tmp_path / "h2.idx"
         save_hnsw(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_one_int_object_per_node(self, tmp_path, corpus2k, hnsw2k):
+        # ids above 256 are not cached by CPython, so a list of its own per
+        # link would give a node as many distinct ints as it has in-links
+        save_hnsw(hnsw2k, tmp_path / "h.idx")
+        loaded = load_hnsw(tmp_path / "h.idx")
+        own = {node: node for node in loaded.adjacency[0]}
+        assert loaded.entry_point is own[loaded.entry_point]
+        for adjacency in loaded.adjacency:
+            for node, links in adjacency.items():
+                assert node is own[node]
+                assert all(neigh is own[neigh] for neigh in links)
+
+    def test_loaded_graph_searches_as_the_built_one(self, tmp_path, corpus2k, hnsw2k):
+        save_hnsw(hnsw2k, tmp_path / "h.idx")
+        loaded = load_hnsw(tmp_path / "h.idx")
+        assert (_search_answers(corpus2k, loaded, modes=SEARCH_MODES)
+                == _search_answers(corpus2k, hnsw2k, modes=SEARCH_MODES))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
