@@ -5,19 +5,21 @@ target as an attribute threshold, and execute every (query, filter, k,
 index config, search param, strategy) cell single-threaded, one query at a
 time, each timed individually with a monotonic clock. A row's throughput is
 1 / latency; ``summarize`` reports both the mean of those and queries over
-summed latency. Indexes are built once per config and reused across the whole
-grid; rows are labelled from the searched index itself (``IndexConfig.of``).
+summed latency. The runner searches the indexes it is given, one at a time,
+across the whole grid; rows are labelled from the searched index itself
+(``IndexConfig.of``).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -105,7 +107,8 @@ def make_workload(
     seed: int = 0,
     include_unfiltered: bool = True,
 ) -> Workload:
-    """Sample queries without replacement and realize each selectivity target.
+    """Sample queries without replacement and realize each selectivity target;
+    a repeated target or k counts once.
 
     If the attribute granularity cannot hit a target (relative error > 10%),
     the nearest attainable threshold is used and a warning is emitted.
@@ -115,7 +118,7 @@ def make_workload(
     rng = np.random.default_rng(seed)
     query_ids = np.sort(rng.choice(corpus.n, size=n_queries, replace=False))
     filters: list[FilterSpec] = []
-    for target in targets:
+    for target in dict.fromkeys(targets):
         threshold = threshold_for_selectivity(corpus, target)
         mask = build_mask(corpus, threshold)
         realized = mask.global_selectivity
@@ -131,7 +134,7 @@ def make_workload(
         query_ids=query_ids,
         queries=corpus.vectors[query_ids].copy(),
         filters=tuple(filters),
-        ks=tuple(ks),
+        ks=tuple(dict.fromkeys(ks)),
     )
 
 
@@ -173,7 +176,8 @@ def _plan_for(name: str) -> StrategyPlan:
 
 def build_index(corpus: Corpus, config: IndexConfig):
     """Build the index ``config`` names, by default round(sqrt(N)) IVFFlat
-    lists; returns it with the build's seconds."""
+    lists; returns ``(index, config.search_params, build seconds)``, an item of
+    ``run_experiment``'s ``indexes``."""
     start = time.perf_counter()
     if config.kind == "hnsw":
         index = hnsw_build(corpus, config.m, config.ef_construction, config.seed)
@@ -182,95 +186,84 @@ def build_index(corpus: Corpus, config: IndexConfig):
         if n_clusters is None:
             n_clusters = max(1, int(round(np.sqrt(corpus.n))))
         index = ivf_build(corpus, n_clusters, config.seed)
-    return index, time.perf_counter() - start
+    return index, config.search_params, time.perf_counter() - start
 
 
 def run_experiment(
     corpus: Corpus,
     workload: Workload,
-    index_grid: Sequence[IndexConfig],
+    indexes: Iterable[tuple[object, Sequence[int], float]],
     strategy_list: Sequence[str],
     out_path: str | Path | None = None,
     dataset_name: str = "synthetic",
-    prebuilt: Optional[Sequence] = None,
 ) -> list[dict]:
-    """Execute the full grid and return one row dict per cell.
+    """Search each built ``(index, search_params, build_time_s)`` over the full
+    grid and return one row dict per cell.
 
     Ground truth is computed once per (filter, query) at max(ks) and sliced.
     Incompatible cells (Runtime strategy without a filter) are logged and
-    skipped, never silently dropped. `prebuilt`, when given, aligns with
-    `index_grid` (then read for search params only) and supplies built indexes,
-    timed at 0 s. Rows are labelled from the searched index, never its config;
-    an IVFFlat n_probe above its list count searches every list and is recorded
-    as that count. Each distinct searched value runs once.
+    skipped, never silently dropped; a grid with no cell, k or search param
+    is refused before any index is taken from ``indexes``. Rows are labelled
+    from the searched index; an IVFFlat n_probe above its list count searches
+    every list and is recorded as that count. Each distinct searched value
+    runs once.
     """
-    if not index_grid or not strategy_list:
-        raise ValueError("index_grid and strategy_list must be nonempty")
     plans = {name: _plan_for(name) for name in strategy_list}
+    cells = [(fi, spec, name) for fi, spec in enumerate(workload.filters) for name in plans
+             if name != "Runtime" or spec.mask is not None]
+    for setting, values in (("strategies", plans), ("ks", workload.ks)):
+        if not values:
+            raise ValueError(f"{setting} is empty")
+    if not cells:
+        raise ValueError("no (filter, strategy) cell: Runtime runs on filtered targets only")
+    if len(cells) < len(workload.filters) * len(plans):
+        logger.info("skipping Runtime strategy on unfiltered queries")
     k_max = max(workload.ks)
-
-    gt_cache: dict[int, list[SearchResult]] = {}
-    for fi, spec in enumerate(workload.filters):
-        gt_cache[fi] = [
-            oracle.exact_knn(corpus, q, k_max, spec.mask) for q in workload.queries
-        ]
+    gt = [[oracle.exact_knn(corpus, q, k_max, spec.mask) for q in workload.queries]
+          for spec in workload.filters]
 
     rows: list[dict] = []
-    for ci, config in enumerate(index_grid):
-        if prebuilt is not None:
-            index, build_time = prebuilt[ci], 0.0
-        else:
-            index, build_time = build_index(corpus, config)
-        built = IndexConfig.of(index, config.search_params)
+    for index, search_params, build_time in indexes:
+        built = IndexConfig.of(index, search_params)
+        if not built.search_params:
+            raise ValueError("search_params is empty")
         labels = {col: "" if value is None else value for col, value in zip(
             _CONFIG_COLS, (built.kind, built.m, built.ef_construction, built.n_clusters))}
         for param in dict.fromkeys(built.search_params):
             # each family reads its own budget and ignores the other
             params = SearchParams(ef_search=param, n_probe=param)
-            # warm-up pass: touch the whole search path once, untimed
-            for name in strategy_list:
-                if name == "Runtime" and workload.filters[0].mask is None:
-                    continue
-                strategy.execute(
-                    index, corpus, workload.queries[0], workload.ks[0],
-                    workload.filters[0].mask, plans[name], params,
+            # warm-up pass: the cells of the first filter, untimed
+            for fi, spec, name in cells:
+                if fi == 0:
+                    strategy.execute(index, corpus, workload.queries[0], workload.ks[0],
+                                     spec.mask, plans[name], params)
+            for (fi, spec, name), k, (qi, query) in itertools.product(
+                    cells, workload.ks, enumerate(workload.queries)):
+                record = strategy.execute(index, corpus, query, k, spec.mask, plans[name], params)
+                rec, rec_eq1 = recall_at_k(record.results.ids, record.results.distances,
+                                           gt[fi][qi], k)
+                rows.append(
+                    {
+                        "dataset": dataset_name,
+                        **labels,
+                        "strategy": name,
+                        "search_param": param,
+                        "k": k,
+                        "target_sigma": spec.label,
+                        "realized_sigma": spec.realized_sigma,
+                        "query_id": int(workload.query_ids[qi]),
+                        "recall": rec,
+                        "recall_eq1": rec_eq1,
+                        "latency_s": record.latency,
+                        "qps": record.qps,
+                        "dist_evals": record.telemetry.distance_evaluations
+                        + record.telemetry.centroid_evaluations,
+                        "fallback_used": int(record.telemetry.fallback_used),
+                        "build_time_s": build_time,
+                    }
                 )
-            for fi, spec in enumerate(workload.filters):
-                for name in strategy_list:
-                    if name == "Runtime" and spec.mask is None:
-                        logger.info("skipping Runtime strategy on unfiltered queries")
-                        continue
-                    for k in workload.ks:
-                        for qi, query in enumerate(workload.queries):
-                            record = strategy.execute(
-                                index, corpus, query, k, spec.mask, plans[name], params
-                            )
-                            rec, rec_eq1 = recall_at_k(
-                                record.results.ids,
-                                record.results.distances,
-                                gt_cache[fi][qi],
-                                k,
-                            )
-                            rows.append(
-                                {
-                                    "dataset": dataset_name,
-                                    **labels,
-                                    "strategy": name,
-                                    "search_param": param,
-                                    "k": k,
-                                    "target_sigma": spec.label,
-                                    "realized_sigma": spec.realized_sigma,
-                                    "query_id": int(workload.query_ids[qi]),
-                                    "recall": rec,
-                                    "recall_eq1": rec_eq1,
-                                    "latency_s": record.latency,
-                                    "qps": record.qps,
-                                    "dist_evals": record.telemetry.distance_evaluations
-                                    + record.telemetry.centroid_evaluations,
-                                    "fallback_used": int(record.telemetry.fallback_used),
-                                    "build_time_s": build_time,
-                                }
-                            )
+    if not rows:
+        raise ValueError("no indexes given")
     if out_path is not None:
         write_results_csv(rows, out_path)
     return rows

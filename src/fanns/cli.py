@@ -3,8 +3,11 @@
 Every subcommand is deterministic given its --seed arguments, validates its
 inputs before writing anything, and never mutates input files. Errors exit
 nonzero with a subcommand-specific message prefix on stderr. ``run`` is the
-one experiment frontend; its ``--config`` file may hold the settings in
-``_RUN_SETTINGS`` and nothing else.
+one experiment frontend. Its settings are declared once, in the
+``_RUN_SETTINGS`` table: its ``--config`` file may hold those keys and
+nothing else, and each key but ``index_grid`` is also a flag that overrides
+the file. The indexes of ``--index-files`` are loaded, and the entries of
+``index_grid`` built, one at a time, each searched before the next.
 """
 
 from __future__ import annotations
@@ -55,19 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="run the measurement grid, write results CSV")
-    p.add_argument("--corpus")
-    p.add_argument("--index-files", nargs="+", default=None,
-                   help="prebuilt index files; omit to build from config")
+    for key, (kind, _) in _RUN_SETTINGS.items():
+        if key != "index_grid":
+            p.add_argument("--" + key.replace("_", "-"), **_FLAG_PARSERS[kind], default=None,
+                           help=_RUN_HELP.get(key))
     p.add_argument("--config", default=None,
                    help="JSON run configuration; explicit flags override it")
-    p.add_argument("--n-queries", type=int, default=None)
-    p.add_argument("--targets", type=_parse_floats, default=None)
-    p.add_argument("--ks", type=_parse_ints, default=None)
-    p.add_argument("--strategies", nargs="+", default=None)
-    p.add_argument("--search-params", type=_parse_ints, default=None,
-                   help="ef_search values for HNSW indexes, n_probe for IVFFlat")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dataset-name", default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gls", help="write a per-query selectivity-correlation CSV")
@@ -123,7 +119,7 @@ def _cmd_build(args) -> int:
         m=10 if hnsw and args.m is None else args.m,
         ef_construction=50 if hnsw and args.ef_construction is None else args.ef_construction,
     )
-    index, _ = bench.build_index(corpus, config)
+    index, _, _ = bench.build_index(corpus, config)
     (save_hnsw if hnsw else save_ivf)(index, args.out)
     print(f"wrote {args.index} index -> {args.out}")
     if hnsw:
@@ -131,8 +127,9 @@ def _cmd_build(args) -> int:
     return 0
 
 
-# Each run setting: its JSON type ("[t]" is a list of t) and its default. A
-# flag of the same name overrides the --config file.
+# Each run setting: its JSON type ("[t]" is a list of t) and its default. Each
+# but index_grid is also a flag, --key-with-dashes, that overrides the --config
+# file and is parsed by its type; a list of strings is given as separate words.
 _RUN_SETTINGS = {
     "corpus": ("str", None),
     "index_files": ("[str]", None),
@@ -145,6 +142,10 @@ _RUN_SETTINGS = {
     "seed": ("int", 0),
     "dataset_name": ("str", "synthetic"),
 }
+_RUN_HELP = {"index_files": "prebuilt index files; omit to build from config",
+             "search_params": "ef_search values for HNSW indexes, n_probe for IVFFlat"}
+_FLAG_PARSERS = {"str": {}, "int": {"type": int}, "[str]": {"nargs": "+"},
+                 "[int]": {"type": _parse_ints}, "[number]": {"type": _parse_floats}}
 # The settings of one index_grid entry, each a bench.IndexConfig field; kind
 # is required, and search_params defaults to the run's
 _GRID_TYPES = {"kind": "str", "m": "int", "ef_construction": "int", "n_clusters": "int",
@@ -166,7 +167,8 @@ def _check_settings(entries: dict, types: dict, where: str) -> None:
             raise CliError(f"run error: {where}: {key} must be {types[key]}, not {value!r}")
 
 
-def _cmd_run(args) -> int:
+def _run_settings(args) -> dict:
+    """The run's settings: the defaults, then the --config file, then each flag given."""
     settings = {key: default for key, (_, default) in _RUN_SETTINGS.items()}
     if args.config is not None:
         cfg_path = _require_file(args.config, "run error")
@@ -182,32 +184,38 @@ def _cmd_run(args) -> int:
                 raise CliError(f"run error: {args.config}: index_grid entry {raw} has no kind")
             _check_settings(raw, _GRID_TYPES, f"{args.config} index_grid entry")
         settings.update(config)
-    for key in settings:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in settings and value is not None)
+    return settings
+
+
+def _cmd_run(args) -> int:
+    settings = _run_settings(args)
     if settings["corpus"] is None:
         raise CliError("run error: --corpus (or a corpus entry in --config) is required")
     corpus = load_corpus(_require_file(settings["corpus"], "run error"))
-
-    prebuilt = None
+    search_params = settings["search_params"]
     if settings["index_files"]:
-        prebuilt = [_load_index(_require_file(f, "run error"), "run error")
-                    for f in settings["index_files"]]
-        configs = [bench.IndexConfig.of(index, settings["search_params"]) for index in prebuilt]
+        paths = [_require_file(f, "run error") for f in settings["index_files"]]
+        # each file is loaded when the runner asks for it, as each grid entry is built
+        indexes = ((_load_index(path, "run error"), search_params, 0.0) for path in paths)
+        param_lists = [search_params] * len(paths)
     else:
         configs = [bench.IndexConfig(**dict(raw, search_params=tuple(
-            raw.get("search_params", settings["search_params"])))) for raw in settings["index_grid"]]
-    if not configs:
+            raw.get("search_params", search_params)))) for raw in settings["index_grid"]]
+        indexes = (bench.build_index(corpus, config) for config in configs)
+        param_lists = [config.search_params for config in configs]
+    if not param_lists:
         raise CliError("run error: no indexes given (--index-files or config index_grid)")
-
+    if not all(param_lists):
+        raise CliError("run error: search_params is empty")
     workload = bench.make_workload(
         corpus, settings["n_queries"], targets=settings["targets"],
         ks=settings["ks"], seed=settings["seed"],
     )
     rows = bench.run_experiment(
-        corpus, workload, configs, settings["strategies"],
-        out_path=args.out, dataset_name=settings["dataset_name"], prebuilt=prebuilt,
+        corpus, workload, indexes, settings["strategies"],
+        out_path=args.out, dataset_name=settings["dataset_name"],
     )
     print(f"wrote {len(rows)} result rows -> {args.out}")
     return 0

@@ -159,16 +159,11 @@ def test_08_index_inversion_existence(corpus20k, hnsw20k, ivf20k):
         corpus20k, 100, targets=[0.01, 0.5], ks=[10], seed=907, include_unfiltered=False
     )
     grid = [
-        bench.IndexConfig(kind="hnsw", m=10, ef_construction=50, seed=7,
-                          search_params=(10, 100, 500)),
-        bench.IndexConfig(kind="hnsw", m=5, ef_construction=25, seed=7,
-                          search_params=(10, 100, 500)),
-        bench.IndexConfig(kind="ivfflat", n_clusters=141, seed=7,
-                          search_params=(1, 10, 50)),
+        (hnsw20k, (10, 100, 500), 0.0),
+        (hnsw_small, (10, 100, 500), 0.0),
+        (ivf20k, (1, 10, 50), 0.0),
     ]
-    rows = bench.run_experiment(
-        corpus20k, workload, grid, ["PreAnns"], prebuilt=[hnsw20k, hnsw_small, ivf20k]
-    )
+    rows = bench.run_experiment(corpus20k, workload, grid, ["PreAnns"])
     agg = bench.summarize(rows)
 
     def dominates(a, b):

@@ -6,6 +6,7 @@ from fanns.bench import (
     DEFAULT_TARGETS,
     RESULTS_HEADER,
     IndexConfig,
+    build_index,
     load_results_csv,
     make_workload,
     pareto_frontier,
@@ -86,13 +87,19 @@ class TestRecallAtK:
         assert recall_at_k(np.empty(0, dtype=np.int64), np.empty(0), gt, 5)[0] == 1.0
 
 
+def _ivf_grid(corpus, n_clusters, *search_params):
+    """One IVFFlat entry, built as ``fanns run`` builds an ``index_grid`` entry."""
+    config = IndexConfig(kind="ivfflat", n_clusters=n_clusters, search_params=search_params)
+    return [build_index(corpus, config)]
+
+
 class TestRunExperiment:
     def test_single_cell_grid(self, corpus2k, tmp_path):
         workload = make_workload(corpus2k, 1, targets=[0.2], ks=[10], seed=3,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="ivfflat", n_clusters=20, search_params=(5,))
+        grid = _ivf_grid(corpus2k, 20, 5)
         out = tmp_path / "r.csv"
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"], out_path=out)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"], out_path=out)
         assert len(rows) == 1
         row = rows[0]
         assert row["index"] == "ivfflat" and row["strategy"] == "PreAnns"
@@ -102,34 +109,33 @@ class TestRunExperiment:
 
     def test_row_count_covers_full_grid(self, corpus2k):
         workload = make_workload(corpus2k, 3, targets=[0.2, 0.5], ks=[1, 10], seed=4)
-        config = IndexConfig(kind="ivfflat", n_clusters=20, search_params=(2, 5))
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns", "PreExact"])
+        grid = _ivf_grid(corpus2k, 20, 2, 5)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns", "PreExact"])
         # Runtime not in the list, unfiltered included: 3 filters apply to both
         assert len(rows) == 3 * 3 * 2 * 2 * 2
 
     def test_runtime_skipped_on_unfiltered(self, corpus2k):
         workload = make_workload(corpus2k, 2, targets=[0.5], ks=[5], seed=5)
-        config = IndexConfig(kind="ivfflat", n_clusters=10, search_params=(3,))
-        rows = run_experiment(corpus2k, workload, [config], ["Runtime"])
+        grid = _ivf_grid(corpus2k, 10, 3)
+        rows = run_experiment(corpus2k, workload, grid, ["Runtime"])
         assert len(rows) == 2  # only the filtered cells
         assert all(row["target_sigma"] == "0.5" for row in rows)
 
     def test_ivf_n_probe_recorded_as_searched(self, corpus2k):
         workload = make_workload(corpus2k, 2, targets=[0.5], ks=[5], seed=8)
-        config = IndexConfig(kind="ivfflat", n_clusters=8, search_params=(3, 8, 20))
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"])
+        grid = _ivf_grid(corpus2k, 8, 3, 8, 20)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
         # n_probe 20 searches the same 8 lists as n_probe 8: one config, not two
         assert [row["search_param"] for row in rows[::4]] == [3, 8]
         assert len(rows) == 2 * 2 * 2
 
     def test_rows_are_labelled_from_the_searched_index(self):
-        """A prebuilt index is searched and labelled with its own build
-        parameters, whatever its config says."""
+        """A given index is searched and labelled with its own build
+        parameters."""
         corpus = generate_synthetic(600, 8, 3)
         workload = make_workload(corpus, 3, targets=[0.5], ks=[5], seed=1)
         ivf = ivf_build(corpus, 45, seed=0)
-        config = IndexConfig(kind="ivfflat", n_clusters=8, search_params=(20,))
-        rows = run_experiment(corpus, workload, [config], ["PreAnns"], prebuilt=[ivf])
+        rows = run_experiment(corpus, workload, [(ivf, (20,), 0.0)], ["PreAnns"])
         assert {(row["n_clusters"], row["search_param"]) for row in rows} == {(45, 20)}
         expected = []
         for spec in workload.filters:
@@ -141,25 +147,22 @@ class TestRunExperiment:
         assert [row["dist_evals"] for row in rows] == expected
 
         hnsw = hnsw_build(corpus, 6, 24, seed=0)
-        config = IndexConfig(kind="hnsw", m=16, ef_construction=200, search_params=(20,))
-        rows = run_experiment(corpus, workload, [config], ["PreAnns"], prebuilt=[hnsw])
+        rows = run_experiment(corpus, workload, [(hnsw, (20,), 0.0)], ["PreAnns"])
         assert {(row["M"], row["ef_construction"], row["n_clusters"]) for row in rows} == {
             (6, 24, "")}
 
     def test_preexact_rows_have_unit_recall(self, corpus2k):
         workload = make_workload(corpus2k, 5, targets=[0.1], ks=[10], seed=6,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="ivfflat", n_clusters=20, search_params=(5,))
-        rows = run_experiment(corpus2k, workload, [config], ["PreExact"])
+        grid = _ivf_grid(corpus2k, 20, 5)
+        rows = run_experiment(corpus2k, workload, grid, ["PreExact"])
         assert all(row["recall"] == 1.0 for row in rows)
 
     def test_adaptive_at_least_preanns(self, corpus2k, hnsw2k):
         workload = make_workload(corpus2k, 20, targets=[0.05], ks=[10], seed=7,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="hnsw", m=10, ef_construction=50, seed=7,
-                             search_params=(40,))
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns", "AdaptiveAuto"],
-                              prebuilt=[hnsw2k])
+        rows = run_experiment(corpus2k, workload, [(hnsw2k, (40,), 0.0)],
+                              ["PreAnns", "AdaptiveAuto"])
         by_strategy = {}
         for row in rows:
             by_strategy.setdefault(row["strategy"], []).append(row["recall"])
@@ -175,9 +178,9 @@ class TestCsvRoundTrip:
     def test_load_matches_written(self, corpus2k, tmp_path):
         workload = make_workload(corpus2k, 2, targets=[0.2], ks=[5], seed=9,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="ivfflat", n_clusters=10, search_params=(3,))
+        grid = _ivf_grid(corpus2k, 10, 3)
         out = tmp_path / "r.csv"
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"], out_path=out)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"], out_path=out)
         loaded = load_results_csv(out)
         assert len(loaded) == len(rows)
         assert loaded[0]["recall"] == pytest.approx(rows[0]["recall"])
@@ -196,8 +199,8 @@ class TestSummaries:
     def test_single_row_aggregate(self, corpus2k):
         workload = make_workload(corpus2k, 1, targets=[0.2], ks=[5], seed=10,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="ivfflat", n_clusters=10, search_params=(3,))
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"])
+        grid = _ivf_grid(corpus2k, 10, 3)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
         agg = summarize(rows)
         assert len(agg) == 1
         assert agg[0]["mean_recall"] == rows[0]["recall"]
@@ -207,8 +210,8 @@ class TestSummaries:
     def test_summarize_csv(self, corpus2k, tmp_path):
         workload = make_workload(corpus2k, 2, targets=[0.2], ks=[5], seed=11,
                                  include_unfiltered=False)
-        config = IndexConfig(kind="ivfflat", n_clusters=10, search_params=(3, 10))
-        rows = run_experiment(corpus2k, workload, [config], ["PreAnns"])
+        grid = _ivf_grid(corpus2k, 10, 3, 10)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
         out = tmp_path / "s.csv"
         agg = summarize(rows, out_path=out)
         lines = out.read_text().splitlines()

@@ -19,7 +19,9 @@ STDOUT = """\
 "outputs": {"index_sha256": "6d7b", "prefix_answers_sha256": "a76d"}, \
 "counters": {"ops": 6, "dist_evals": 18000, "nodes_visited": 17829, "centroid_evals": 0, \
 "predicate_invocations": 0, "exact_knn_calls": 6, "plans": {}}, \
-"meta": {"git_commit": null, "src_lines": 2515}}}
+"meta": {"git_commit": null, "src_lines": 2515}, "latency_samples": 100, \
+"latency_tail_percentile": 99, "raw": {"setup_s": 2.2, "qps": 98.5, "latency_p50_ms": 9.1, \
+"latency_tail_ms": 10.2, "calibration_median_ns": 430000.0, "calibrations": 12}}}
 metric setup_s = 2.149362919156124 s
 metric qps = 104.79579848793658 1/s
 metric recall_mean = 0.999267578125 ratio
@@ -36,6 +38,34 @@ def test_the_result_and_info_lines_are_parsed():
     assert result["metrics"]["qps"]["value"] == pytest.approx(104.79579848793658)
     assert info["counters"]["dist_evals"] == 18000
     assert info["outputs"]["index_sha256"] == "6d7b"
+
+
+def test_a_pair_line_shows_each_sides_ops_and_uncalibrated_qps():
+    parent = bench_tool.parse_output(STDOUT)
+    change = bench_tool.parse_output(STDOUT.replace('"ops": 100', '"ops": 90')
+                                     .replace('"qps": 98.5', '"qps": 120.25'))
+    metrics = {"qps": {}, "recall_mean": {}}
+    assert bench_tool.pair_line(3, 23, parent, change, metrics) == (
+        "pair 3 seed 23: qps 104.8->104.8 recall_mean 0.9993->0.9993 "
+        "ops 100->90 raw_qps 98.5->120.2")
+
+
+def test_pairs_sums_each_sides_completed_ops(monkeypatch, capsys):
+    runs = {"parent": bench_tool.parse_output(STDOUT),
+            "change": bench_tool.parse_output(STDOUT.replace('"ops": 100', '"ops": 90'))}
+    monkeypatch.setattr(bench_tool, "_extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_tool, "code_lines", lambda root: 0)
+    monkeypatch.setattr(bench_tool, "checkout_label", lambda root: "the checkout")
+    monkeypatch.setattr(bench_tool, "end_to_end_metrics", lambda: {
+        "qps": {"better": "higher", "bound": 0.25}})
+    monkeypatch.setattr(bench_tool, "run_perfbench", lambda root, workload, seed, seconds:
+                        runs["change" if root == bench_tool.ROOT else "parent"])
+    assert bench_tool.main(["pairs", "--against", "HEAD", "--workload", "gls-rho",
+                            "--seeds", "1-3", "--seconds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "pair 2 seed 2: qps 104.8->104.8 ops 100->90 raw_qps 98.5->98.5" in out
+    assert "parent: 0 incorrect runs, 0 of 345 ops failed, 300 timed ops completed" in out
+    assert "change: 0 incorrect runs, 0 of 345 ops failed, 270 timed ops completed" in out
 
 
 def test_a_run_without_a_result_line_is_an_error():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -82,6 +83,12 @@ class TestBuild:
         with pytest.raises(SystemExit):
             main(["build", "--corpus", str(tiny_corpus), "--index", "kdtree",
                   "--out", str(tmp_path / "x")])
+
+
+def _untimed(rows):
+    """Results rows without the columns a rerun of the same grid may change."""
+    return [{col: value for col, value in row.items()
+             if col not in ("latency_s", "qps", "build_time_s")} for row in rows]
 
 
 # one well-formed results row, in RESULTS_HEADER's column order
@@ -175,6 +182,76 @@ class TestRunAndSummarize:
         assert code != 0
         assert "run error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings, flags, refused", [
+        ({}, ["--search-params", ","], "search_params is empty"),
+        ({"search_params": []}, [], "search_params is empty"),
+        ({"index_grid": [{"kind": "ivfflat", "n_clusters": 8, "search_params": []}]}, [],
+         "search_params is empty"),
+        ({}, ["--ks", ","], "ks is empty"),
+        ({"ks": []}, [], "ks is empty"),
+        ({"strategies": []}, [], "strategies is empty"),
+        ({}, ["--strategies", "Runtime", "--targets", ","],
+         "Runtime runs on filtered targets only"),
+    ], ids=["search-params-flag", "search-params-config", "search-params-entry", "ks-flag",
+            "ks-config", "strategies-config", "runtime-without-filter"])
+    def test_a_grid_with_nothing_to_measure_is_refused_before_any_build(
+            self, tmp_path, tiny_corpus, capsys, monkeypatch, settings, flags, refused):
+        built = []
+        monkeypatch.setattr(bench, "build_index", lambda *args: built.append(args))
+        cfg, res = tmp_path / "run.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({
+            "n_queries": 2, "targets": [0.5], "ks": [5], "strategies": ["PreAnns"],
+            "index_grid": [{"kind": "ivfflat", "n_clusters": 8}], **settings}))
+        code = main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg), *flags,
+                     "--out", str(res)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: ") and refused in err
+        assert not built and not res.exists()
+
+    @pytest.mark.parametrize("flag, once, repeated", [
+        ("--ks", ["5"], ["5,5"]),
+        ("--targets", ["0.5"], ["0.5,0.5"]),
+        ("--strategies", ["PreAnns"], ["PreAnns", "PreAnns"]),
+    ])
+    def test_a_repeated_setting_value_runs_once(self, tmp_path, tiny_corpus, flag, once,
+                                                repeated):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "n_queries": 2, "targets": [0.5], "ks": [5], "strategies": ["PreAnns"],
+            "index_grid": [{"kind": "ivfflat", "n_clusters": 8, "search_params": [2]}]}))
+        rows = {}
+        for name, values in (("once", once), ("repeated", repeated)):
+            res = tmp_path / f"{name}.csv"
+            assert main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg), flag, *values,
+                         "--out", str(res)]) == 0
+            rows[name] = _untimed(bench.load_results_csv(res))
+        assert rows["repeated"] == rows["once"]
+
+    def test_index_files_and_a_grid_of_the_same_builds_write_the_same_rows(
+            self, tmp_path, tiny_corpus):
+        corpus, hnsw, ivf = str(tiny_corpus), str(tmp_path / "h.idx"), str(tmp_path / "i.idx")
+        assert main(["build", "--corpus", corpus, "--index", "hnsw", "--m", "6",
+                     "--ef-construction", "30", "--seed", "3", "--out", hnsw]) == 0
+        assert main(["build", "--corpus", corpus, "--index", "ivfflat", "--n-clusters", "12",
+                     "--seed", "3", "--out", ivf]) == 0
+        builds = [{"kind": "hnsw", "m": 6, "ef_construction": 30, "seed": 3},
+                  {"kind": "ivfflat", "n_clusters": 12, "seed": 3}]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"index_grid": builds}))
+        grid = ["--n-queries", "3", "--targets", "0.1,0.5", "--ks", "1,10", "--seed", "5",
+                "--strategies", "PreAnns", "Post", "Runtime", "--search-params", "4,20"]
+        rows = {}
+        for name, source in (("files", ["--index-files", hnsw, ivf]),
+                             ("grid", ["--config", str(cfg)])):
+            res = tmp_path / f"{name}.csv"
+            assert main(["run", "--corpus", corpus, *source, *grid, "--out", str(res)]) == 0
+            rows[name] = _untimed(bench.load_results_csv(res))
+        # 2 indexes x 2 search params x 8 cells (Runtime skips the unfiltered
+        # filter) x 2 ks x 3 queries
+        assert len(rows["files"]) == 2 * 2 * (3 * 3 - 1) * 2 * 3
+        assert rows["files"] == rows["grid"]
+
     def test_bad_results_file(self, tmp_path, capsys):
         code = main(["summarize", "--results", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "s.csv")])
@@ -239,6 +316,28 @@ class TestGls:
         assert code == 2
         assert capsys.readouterr().err.startswith("gls error: ")
         assert not out.exists()
+
+
+# per JSON type: a config value, a flag's words, and the value those words parse to
+_SETTING_VALUES = {
+    "str": ("from-config", ["from-flag"], "from-flag"),
+    "int": (3, ["5"], 5),
+    "[str]": (["a"], ["b", "c"], ["b", "c"]),
+    "[int]": ([3], ["4,6"], [4, 6]),
+    "[number]": ([0.5], ["0.25,0.75"], [0.25, 0.75]),
+}
+
+
+@pytest.mark.parametrize("key", [key for key in cli._RUN_SETTINGS if key != "index_grid"])
+def test_each_run_setting_is_a_flag_that_overrides_the_config(tmp_path, key):
+    in_config, words, parsed = _SETTING_VALUES[cli._RUN_SETTINGS[key][0]]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: in_config}))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]
+    parser = cli._build_parser()
+    assert cli._run_settings(parser.parse_args(argv))[key] == in_config
+    flag = "--" + key.replace("_", "-")
+    assert cli._run_settings(parser.parse_args(argv + [flag, *words]))[key] == parsed
 
 
 def test_docs_name_every_subcommand():

@@ -17,9 +17,12 @@ its stdout:
   prints both sides' medians and quartiles, the pairs the checkout won, and
   the verdict of the gain rule: at least nine wins in ten pairs (ties count
   for neither side) and medians further apart than the other commit's
-  interquartile range. It also names each metric whose
-  median is worse than the other commit's by more than the benchmark's
-  bound, and each seed whose output digests or prefix counters differ.
+  interquartile range. Each pair's line also shows the timed ops each run
+  completed and its uncalibrated ``qps`` (the info line's ``raw.qps``), and
+  each side's summary the ops its runs completed in total. It also names
+  each metric whose median is worse than the other commit's by more than
+  the benchmark's bound, and each seed whose output digests or prefix
+  counters differ.
 
     python tools/bench.py record [--workload W ...] [--seed 1] [--seconds 10]
     python tools/bench.py pairs --against <commit> --workload W --seeds 21-30
@@ -202,6 +205,19 @@ def _differences(parent_info: dict, change_info: dict) -> list[str]:
     return differ
 
 
+def pair_line(number: int, seed: int, parent: tuple[dict, dict], change: tuple[dict, dict],
+              metrics: dict) -> str:
+    """One pair's line: each end-to-end metric, parent->change, then the timed
+    ops each run completed and its uncalibrated qps, which ``qps`` corrects
+    by the calibrations around each op."""
+    (p_result, p_info), (c_result, c_info) = parent, change
+    values = " ".join(
+        f"{name} {p_result['metrics'][name]['value']:.4g}->"
+        f"{c_result['metrics'][name]['value']:.4g}" for name in metrics)
+    return (f"pair {number} seed {seed}: {values} ops {p_info['ops']}->{c_info['ops']} "
+            f"raw_qps {p_info['raw']['qps']:.4g}->{c_info['raw']['qps']:.4g}")
+
+
 def pairs(args) -> int:
     metrics = end_to_end_metrics()
     runs = {"parent": [], "change": []}
@@ -215,19 +231,18 @@ def pairs(args) -> int:
             order = (("parent", parent_root), ("change", ROOT))
             for side, root in order if i % 2 == 0 else order[::-1]:
                 runs[side].append(run_perfbench(root, args.workload, seed, args.seconds))
-            (p_result, p_info), (c_result, c_info) = runs["parent"][-1], runs["change"][-1]
-            values = " ".join(
-                f"{name} {p_result['metrics'][name]['value']:.4g}->"
-                f"{c_result['metrics'][name]['value']:.4g}" for name in metrics)
-            print(f"pair {i + 1} seed {seed}: {values}")
-            for problem in _differences(p_info, c_info):
+            parent, change = runs["parent"][-1], runs["change"][-1]
+            print(pair_line(i + 1, seed, parent, change, metrics))
+            for problem in _differences(parent[1], change[1]):
                 print(f"  differs: {problem}")
     failed = False
     for side, results in runs.items():
         bad = sum(not result["correct"] for result, _ in results)
         failed_ops = sum(result["failed"] for result, _ in results)
         attempted = sum(result["attempted"] for result, _ in results)
-        print(f"{side}: {bad} incorrect runs, {failed_ops} of {attempted} ops failed")
+        completed = sum(info["ops"] for _, info in results)
+        print(f"{side}: {bad} incorrect runs, {failed_ops} of {attempted} ops failed, "
+              f"{completed} timed ops completed")
         failed |= bad > 0
     print(f"{'metric':<16}{'parent q1/median/q3':>28}{'change q1/median/q3':>28}"
           f"{'wins':>8}  verdict")
