@@ -201,9 +201,10 @@ def run_experiment(
     grid and return one row dict per cell.
 
     Ground truth is computed once per (filter, query) at max(ks) and sliced.
-    Incompatible cells (Runtime strategy without a filter) are logged and
-    skipped, never silently dropped; a grid with no cell, k or search param
-    is refused before any index is taken from ``indexes``. Rows are labelled
+    Incompatible cells (Runtime strategy without a filter) are skipped with a
+    logged warning, which Python prints to stderr even where no logging is
+    set up, so they are never silently dropped; a grid with no cell, k or
+    search param is refused before any index is taken from ``indexes``. Rows are labelled
     from the searched index; an IVFFlat n_probe above its list count searches
     every list and is recorded as that count. Each distinct searched value
     runs once.
@@ -217,7 +218,7 @@ def run_experiment(
     if not cells:
         raise ValueError("no (filter, strategy) cell: Runtime runs on filtered targets only")
     if len(cells) < len(workload.filters) * len(plans):
-        logger.info("skipping Runtime strategy on unfiltered queries")
+        logger.warning("skipping Runtime strategy on unfiltered queries")
     k_max = max(workload.ks)
     gt = [[oracle.exact_knn(corpus, q, k_max, spec.mask) for q in workload.queries]
           for spec in workload.filters]

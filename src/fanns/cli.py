@@ -6,8 +6,10 @@ nonzero with a subcommand-specific message prefix on stderr. ``run`` is the
 one experiment frontend. Its settings are declared once, in the
 ``_RUN_SETTINGS`` table: its ``--config`` file may hold those keys and
 nothing else, and each key but ``index_grid`` is also a flag that overrides
-the file. The indexes of ``--index-files`` are loaded, and the entries of
-``index_grid`` built, one at a time, each searched before the next.
+the file; ``--search-params`` also replaces the list of each ``index_grid``
+entry that sets its own. The indexes of ``--index-files`` are loaded, or the
+entries of ``index_grid`` built, one at a time, each searched before the
+next; a run given both is refused.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ _RUN_HELP = {"index_files": "prebuilt index files; omit to build from config",
 _FLAG_PARSERS = {"str": {}, "int": {"type": int}, "[str]": {"nargs": "+"},
                  "[int]": {"type": _parse_ints}, "[number]": {"type": _parse_floats}}
 # The settings of one index_grid entry, each a bench.IndexConfig field; kind
-# is required, and search_params defaults to the run's
+# is required, and search_params defaults to the run's and is replaced by an
+# explicit --search-params flag
 _GRID_TYPES = {"kind": "str", "m": "int", "ef_construction": "int", "n_clusters": "int",
                "seed": "int", "search_params": "[int]"}
 
@@ -193,6 +196,9 @@ def _cmd_run(args) -> int:
     settings = _run_settings(args)
     if settings["corpus"] is None:
         raise CliError("run error: --corpus (or a corpus entry in --config) is required")
+    if settings["index_files"] and settings["index_grid"]:
+        raise CliError("run error: both --index-files and a config index_grid name indexes; "
+                       "give one of them")
     corpus = load_corpus(_require_file(settings["corpus"], "run error"))
     search_params = settings["search_params"]
     if settings["index_files"]:
@@ -201,8 +207,10 @@ def _cmd_run(args) -> int:
         indexes = ((_load_index(path, "run error"), search_params, 0.0) for path in paths)
         param_lists = [search_params] * len(paths)
     else:
+        flagged = args.search_params is not None
         configs = [bench.IndexConfig(**dict(raw, search_params=tuple(
-            raw.get("search_params", search_params)))) for raw in settings["index_grid"]]
+            search_params if flagged else raw.get("search_params", search_params))))
+            for raw in settings["index_grid"]]
         indexes = (bench.build_index(corpus, config) for config in configs)
         param_lists = [config.search_params for config in configs]
     if not param_lists:

@@ -25,8 +25,10 @@ is searched at ef=1, the greedy descent. A search's target is layer 0; the
 insertion of a node of level l searches layers l..0 at ``ef_construction``
 and links the node on each of them.
 
-``hnsw_search`` ranks the layer-0 pool once, by (key, id), and takes one
-output step, in one of four modes:
+``hnsw_search`` ranks the layer-0 pool once, by (key, id) with
+``telemetry.rank_by_key_then_id`` (one argsort of the keys, ``np.lexsort``
+only on an exact key tie), over the keys the pool entries hold, and takes
+one output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
@@ -94,6 +96,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -110,7 +113,7 @@ from fanns.corpus import (
     require_mask_for,
     row_blocks,
 )
-from fanns.telemetry import SearchResult, SearchTelemetry
+from fanns.telemetry import SearchResult, SearchTelemetry, rank_by_key_then_id
 
 _HNSW_MAGIC = b"FHN1"
 
@@ -384,8 +387,12 @@ def hnsw_search(
 ) -> SearchResult:
     """Search in one of the four modes; see the module docstring.
 
-    ``ef_search`` is deliberately not clamped to ``k``: the result list may
-    be shorter than ``k``.
+    The layer-0 pool is ranked by ``rank_by_key_then_id`` over the keys its
+    entries hold, not over the scorer's array: a walk that keyed every row
+    mid-walk can hold a row's lazy key in the pool and its every-row key in
+    the array, an ulp apart under inner product and cosine. ``ef_search`` is
+    deliberately not clamped to ``k``: the result list may be shorter than
+    ``k``.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -408,9 +415,9 @@ def hnsw_search(
     bits = mask.bits if mode == "dualpool" else None
     [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits)
     telemetry.distance_evaluations = keys.lazy_rows + (corpus.n if keys.complete else 0)
-    ids = np.array([node for _, node in pool], dtype=np.int64)
-    dists = -np.array([negkey for negkey, _ in pool], dtype=np.float64)
-    order = np.lexsort((ids, dists))
+    ids = np.fromiter(map(itemgetter(1), pool), np.int64, len(pool))
+    dists = -np.fromiter(map(itemgetter(0), pool), np.float64, len(pool))
+    order = rank_by_key_then_id(dists, ids)
     result = SearchResult(ids=ids[order], distances=dists[order], telemetry=telemetry)
     return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 

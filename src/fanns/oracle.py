@@ -5,7 +5,9 @@ correctness reference for every approximate search path; :func:`exact_scan`
 is the package's only exact top-k kernel: the PreExact plan and each IVFFlat
 probe run it too. Distances reported here are the smaller-is-closer ordering
 keys of :mod:`fanns.corpus`, so approximate results can be compared
-value-for-value. Ties are broken by ascending row id everywhere.
+value-for-value. Ties are broken by ascending row id everywhere: every
+result is ranked by one function, ``telemetry.rank_by_key_then_id``, one
+argsort of the keys that falls back to ``np.lexsort`` on an exact key tie.
 
 An L2 scan of enough rows keys only those that the cut of :func:`l2_slack`,
 the package's one bound on a float32 L2 score, cannot exclude from the top k
@@ -32,7 +34,7 @@ from fanns.corpus import (
     require_mask_for,
     row_blocks,
 )
-from fanns.telemetry import SearchResult, SearchTelemetry
+from fanns.telemetry import SearchResult, SearchTelemetry, rank_by_key_then_id
 
 # unit roundoffs of float32 and float64, and the smallest normal float32
 _U32, _U64, _TINY32 = 2.0**-24, 2.0**-53, 2.0**-126
@@ -58,8 +60,8 @@ def exact_scan(
     ``ordering_keys`` call over all of them. Under cosine each block's
     divisors are the block's ``Corpus.cosine_divisors``; a zero query, or any
     zero row in the corpus, raises ``ValueError``. Every row whose key ties
-    the k-th key is ranked before the cut, so ties go to the smaller id
-    whatever order ``ids`` is in.
+    the k-th key is ranked, by ``rank_by_key_then_id``, before the cut, so
+    ties go to the smaller id whatever order ``ids`` is in.
 
     An L2 scan of at least 4k + 512 rows keys only the rows inside the
     :func:`l2_slack` cut with m = k (smaller scans cost less keyed whole), so
@@ -86,7 +88,7 @@ def exact_scan(
         keys[block] = ordering_keys(query, rows, corpus.metric, divisors)
     kth = keys[np.argpartition(keys, m - 1)[m - 1]]
     pick = np.flatnonzero(keys <= kth)
-    order = pick[np.lexsort((pick if full else ids[pick], keys[pick]))][:m]
+    order = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])][:m]
     telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
     return SearchResult(order if full else ids[order], keys[order], telemetry)
 

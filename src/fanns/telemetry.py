@@ -1,4 +1,5 @@
-"""Per-call execution counters shared by the index search paths."""
+"""Per-call execution counters and the (key, id) ranking shared by the
+index search paths."""
 
 from __future__ import annotations
 
@@ -28,6 +29,24 @@ class SearchTelemetry:
     centroid_evaluations: int = 0
     predicate_invocations: int = 0  # rows whose filter bit was read
     fallback_used: bool = False
+
+
+def rank_by_key_then_id(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The positions of ``keys`` in ascending (key, id) order, for distinct
+    ``ids``: the package's one ranking, equal to ``np.lexsort((ids, keys))``
+    bit for bit.
+
+    One ``np.argsort`` of the keys ranks them. Distinct ids matter only where
+    two keys tie, so when the sorted keys are not strictly increasing (two
+    are equal by ``==``, so -0.0 ties 0.0, or a NaN is among them) the
+    ranking falls back to ``np.lexsort``. Without a tie the (key, id) order
+    is unique, so it is the same whatever sort numpy uses.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.lexsort((ids, keys))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -251,6 +252,66 @@ class TestRunAndSummarize:
         # filter) x 2 ks x 3 queries
         assert len(rows["files"]) == 2 * 2 * (3 * 3 - 1) * 2 * 3
         assert rows["files"] == rows["grid"]
+
+    def test_index_files_with_a_grid_are_refused_before_any_load_or_build(
+            self, tmp_path, tiny_corpus, capsys, monkeypatch):
+        ivf = tmp_path / "i.idx"
+        assert main(["build", "--corpus", str(tiny_corpus), "--index", "ivfflat",
+                     "--n-clusters", "8", "--out", str(ivf)]) == 0
+        capsys.readouterr()
+        taken = []
+        monkeypatch.setattr(bench, "build_index", lambda *args: taken.append("build"))
+        monkeypatch.setattr(cli, "_load_index", lambda *args: taken.append("load"))
+        cfg, res = tmp_path / "run.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({"index_grid": [{"kind": "ivfflat", "n_clusters": 8}]}))
+        code = main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg),
+                     "--index-files", str(ivf), "--out", str(res)])
+        assert code == 2
+        assert capsys.readouterr().err == ("run error: both --index-files and a config "
+                                           "index_grid name indexes; give one of them\n")
+        assert not taken and not res.exists()
+
+    def test_search_params_flag_replaces_every_grid_entrys_list(self, tmp_path, tiny_corpus):
+        # configs/desk_scale.json sets search_params on every entry
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "desk_scale.json"
+        res = tmp_path / "r.csv"
+        assert main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg),
+                     "--n-queries", "1", "--targets", "0.5", "--ks", "5",
+                     "--strategies", "PreAnns", "--search-params", "5", "--out", str(res)]) == 0
+        rows = bench.load_results_csv(res)
+        assert {(row["index"], row["M"], row["search_param"]) for row in rows} == {
+            ("hnsw", "5", 5), ("hnsw", "10", 5), ("ivfflat", "", 5)}
+
+    def test_config_search_params_default_entries_without_their_own(self, tmp_path,
+                                                                     tiny_corpus):
+        cfg, res = tmp_path / "run.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({
+            "n_queries": 1, "targets": [0.5], "ks": [5], "strategies": ["PreAnns"],
+            "search_params": [3],
+            "index_grid": [{"kind": "ivfflat", "n_clusters": 8, "search_params": [2]},
+                           {"kind": "ivfflat", "n_clusters": 6}]}))
+        assert main(["run", "--corpus", str(tiny_corpus), "--config", str(cfg),
+                     "--out", str(res)]) == 0
+        rows = bench.load_results_csv(res)
+        assert {(row["n_clusters"], row["search_param"]) for row in rows} == {
+            ("8", 2), ("6", 3)}
+
+    def test_skipped_runtime_cells_are_reported_on_stderr(self, tmp_path, tiny_corpus, capsys,
+                                                          monkeypatch):
+        ivf, res = tmp_path / "i.idx", tmp_path / "r.csv"
+        assert main(["build", "--corpus", str(tiny_corpus), "--index", "ivfflat",
+                     "--n-clusters", "8", "--out", str(ivf)]) == 0
+        capsys.readouterr()
+        # pytest puts handlers on the root logger; without them, as in a bare
+        # `fanns` process, a warning goes to Python's last-resort stderr handler
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        assert main(["run", "--corpus", str(tiny_corpus), "--index-files", str(ivf),
+                     "--n-queries", "1", "--ks", "5", "--search-params", "2",
+                     "--strategies", "Runtime", "PreAnns", "--targets", "0.5",
+                     "--out", str(res)]) == 0
+        assert "skipping Runtime strategy on unfiltered queries" in capsys.readouterr().err
+        # PreAnns on the 0.5 filter and unfiltered, Runtime on the 0.5 filter only
+        assert len(bench.load_results_csv(res)) == 3
 
     def test_bad_results_file(self, tmp_path, capsys):
         code = main(["summarize", "--results", str(tmp_path / "nope.csv"),

@@ -452,6 +452,42 @@ class TestReferenceLoop:
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
 
+    def test_a_mid_walk_switch_returns_the_keys_its_pool_holds(self, monkeypatch):
+        # Under inner product the key table a narrow walk builds mid-walk can
+        # hold a row's key an ulp away from the lazy key its pool entry took:
+        # each result must rank the pool's own (key, id) entries, bit for bit.
+        # Whether a GEMV's call shape moves a key depends on the BLAS kernel,
+        # so the every-row pass's keys are moved one ulp up here.
+        corpus, index = _graph(Metric.INNER_PRODUCT, spread=True, dim=160)
+        efs = (3, 10, 20)  # each below the table budget of 39
+        assert max(efs) < hnsw_mod.table_budget(corpus.n, corpus.dim)
+
+        def shape_dependent(query, rows, metric, divisors=None):
+            keys = ordering_keys(query, rows, metric, divisors)
+            return np.nextafter(keys, np.inf) if len(rows) == corpus.n else keys
+
+        monkeypatch.setattr(hnsw_mod, "ordering_keys", shape_dependent)
+        real = _search_answers(corpus, index, efs, whole_pool=True, n_queries=20)
+        pools = []
+
+        def recording(keys, adjacency, pool, ef, telemetry, bits=None):
+            pool = _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits)
+            if adjacency is index.adjacency[0]:
+                pools.append((keys, sorted((-negkey, node) for negkey, node in pool)))
+            return pool
+
+        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        assert _search_answers(corpus, index, efs, whole_pool=True, n_queries=20) == real
+        table_apart = 0
+        for (ids, dists, *_), (keys, entries), mode in zip(real, pools, itertools.cycle(MODES)):
+            if mode != "prefilter":  # the whole pool, its valid rows for the dual pool
+                assert dists == [key for key, _ in entries]
+                assert ids == [node for _, node in entries]
+            if keys.complete and keys.lazy_budget:
+                table_apart += any(key != keys.array[node] for key, node in entries)
+        assert table_apart > 0
+
+
 @pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
 def tied(request):
     """Every row of ``generate_synthetic(400, 8, 5)`` three times over (ids i,

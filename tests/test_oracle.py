@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanns.corpus import (
@@ -17,7 +17,7 @@ from fanns.corpus import (
 )
 from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import exact_knn, exact_scan
-from fanns.telemetry import SearchTelemetry
+from fanns.telemetry import SearchTelemetry, rank_by_key_then_id
 
 from conftest import adversarial_corpus, mixed_dtype_keys
 
@@ -102,6 +102,29 @@ def test_ties_at_the_kth_key_go_to_the_smaller_id():
         index = ivf_build(corpus, 3, seed=trial)
         got = ivf_search(index, corpus, query, k, index.n_clusters, mask=mask)
         assert got.ids.tolist() == reference
+
+
+# few distinct keys force exact ties, -0.0 among them to tie 0.0
+_TYING_KEYS = st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 0.75, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TYING_KEYS | st.floats(width=64), max_size=40).flatmap(
+    lambda keys: st.tuples(st.just(keys), st.lists(
+        st.integers(-(2**40), 2**40), min_size=len(keys), max_size=len(keys), unique=True))))
+@example(([], []))
+@example(([0.5], [7]))
+@example(([0.0, -0.0], [5, 2]))
+@example(([-0.0, 0.0], [2, 5]))
+@example(([1.0, 1.0], [9, 3]))
+@example(([2.0, 1.0], [3, 9]))
+def test_ranking_equals_lexsort(keys_and_ids):
+    # distinct, unsorted ids: the (key, id) order of np.lexsort, bit for bit
+    keys, ids = (np.array(values) for values in keys_and_ids)
+    keys, ids = keys.astype(np.float64), ids.astype(np.int64)
+    order = rank_by_key_then_id(keys, ids)
+    assert order.dtype == np.intp
+    assert np.array_equal(order, np.lexsort((ids, keys)))
 
 
 def test_cosine_zero_query_and_zero_row_are_refused():
