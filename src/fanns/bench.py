@@ -194,7 +194,6 @@ def run_experiment(
     workload: Workload,
     indexes: Iterable[tuple[object, Sequence[int], float]],
     strategy_list: Sequence[str],
-    out_path: str | Path | None = None,
     dataset_name: str = "synthetic",
 ) -> list[dict]:
     """Search each built ``(index, search_params, build_time_s)`` over the full
@@ -265,13 +264,20 @@ def run_experiment(
                 )
     if not rows:
         raise ValueError("no indexes given")
-    if out_path is not None:
-        write_results_csv(rows, out_path)
     return rows
 
 
 def write_results_csv(rows: Sequence[dict], path: str | Path) -> None:
-    header = RESULTS_HEADER.split(",")
+    _write_rows(rows, RESULTS_HEADER.split(","), path)
+
+
+def write_summary_csv(agg: Sequence[dict], path: str | Path) -> None:
+    """Write ``summarize``'s rows, one per configuration and (k, filter)."""
+    _write_rows(agg, [*_CONFIG_COLS, "k", "target_sigma", "mean_recall", "mean_qps", "qps",
+                      "n_queries", "on_frontier"], path)
+
+
+def _write_rows(rows: Sequence[dict], header: list[str], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
@@ -329,7 +335,7 @@ _CONFIG_COLS = (
 )
 
 
-def summarize(rows: Sequence[dict], out_path: str | Path | None = None) -> list[dict]:
+def summarize(rows: Sequence[dict]) -> list[dict]:
     """Per-config mean recall and throughput, with a frontier flag per (k, filter).
 
     ``mean_qps`` is the mean of the per-query ``1 / latency``, which the
@@ -362,12 +368,4 @@ def summarize(rows: Sequence[dict], out_path: str | Path | None = None) -> list[
         frontier = set(pareto_frontier(points))
         for pos, i in enumerate(indices):
             agg[i]["on_frontier"] = int(pos in frontier)
-    if out_path is not None:
-        fieldnames = list(_CONFIG_COLS) + [
-            "k", "target_sigma", "mean_recall", "mean_qps", "qps", "n_queries", "on_frontier",
-        ]
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(agg)
     return agg

@@ -221,10 +221,9 @@ def _cmd_run(args) -> int:
         corpus, settings["n_queries"], targets=settings["targets"],
         ks=settings["ks"], seed=settings["seed"],
     )
-    rows = bench.run_experiment(
-        corpus, workload, indexes, settings["strategies"],
-        out_path=args.out, dataset_name=settings["dataset_name"],
-    )
+    rows = bench.run_experiment(corpus, workload, indexes, settings["strategies"],
+                                dataset_name=settings["dataset_name"])
+    bench.write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows -> {args.out}")
     return 0
 
@@ -261,7 +260,8 @@ def _cmd_gls(args) -> int:
 
 def _cmd_summarize(args) -> int:
     rows = bench.load_results_csv(_require_file(args.results, "summarize error"))
-    agg = bench.summarize(rows, out_path=args.out)
+    agg = bench.summarize(rows)
+    bench.write_summary_csv(agg, args.out)
     print(f"wrote {len(agg)} aggregate rows -> {args.out}")
     return 0
 

@@ -5,7 +5,12 @@ of q's (unfiltered) k-nearest neighborhood that passes the filter, and the
 global selectivity sigma_g is the mask's valid fraction of the corpus. The
 ratio r = sigma_l / sigma_g is mapped through the Moebius transform
 rho = (r - 1) / (r + 1) into [-1, 1): rho > 0 means the filter enriches the
-neighborhood, rho < 0 means it depletes it, rho = 0 is neutral.
+neighborhood, rho < 0 means it depletes it, rho = 0 is neutral. The bin is
+"low" below rho = -0.3, "high" above +0.3 and "medium" between (inclusive).
+
+A ``GlsEntry`` holds only what was measured, sigma_g and sigma_l; its ratio,
+rho and bin are properties derived from them, so every entry (and every row
+``write_gls_csv`` writes) agrees with the definition above.
 
 ``distance_correlation`` implements the older min-distance baseline: the
 expected gap between the nearest valid row and the nearest row of an
@@ -42,12 +47,26 @@ BIN_HIGH_THRESHOLD = 0.3
 
 @dataclass(frozen=True)
 class GlsEntry:
+    """What one GLS computation measured for a (query, filter) pair: the
+    filter's global selectivity and its share of the query's neighborhood.
+    The ratio, rho and bin follow from these two."""
+
     query_id: int
     sigma_g: float
     sigma_l: float
-    ratio: float
-    rho: float
-    bin: str  # "low" | "medium" | "high"
+
+    @property
+    def ratio(self) -> float:
+        return self.sigma_l / self.sigma_g
+
+    @property
+    def rho(self) -> float:
+        return gls_rho(self.ratio)
+
+    @property
+    def bin(self) -> str:
+        """Where rho falls: "low", "medium" or "high"."""
+        return _bin_for(self.rho)
 
 
 def gls_rho(ratio: float) -> float:
@@ -72,20 +91,9 @@ def _bin_for(rho: float) -> str:
     return "medium"
 
 
-def _entry(query_id: int, mask: FilterMask, neighborhood: np.ndarray, sigma_g: float) -> GlsEntry:
-    """The entry whose sigma_l is the fraction of ``neighborhood`` that passes
-    ``mask``."""
-    sigma_l = float(np.count_nonzero(mask.bits[neighborhood])) / len(neighborhood)
-    ratio = sigma_l / sigma_g
-    rho = gls_rho(ratio)
-    return GlsEntry(
-        query_id=query_id,
-        sigma_g=sigma_g,
-        sigma_l=sigma_l,
-        ratio=ratio,
-        rho=rho,
-        bin=_bin_for(rho),
-    )
+def _masked_share(mask: FilterMask, ids: np.ndarray) -> float:
+    """The fraction of ``ids`` that pass ``mask``."""
+    return float(np.count_nonzero(mask.bits[ids])) / len(ids)
 
 
 def _check_neighborhood(corpus: Corpus, mask: FilterMask, k_neighborhood: int) -> None:
@@ -114,7 +122,7 @@ def gls_exact(
     """
     _check_neighborhood(corpus, mask, k_neighborhood)
     neighborhood = oracle.exact_knn(corpus, query, k_neighborhood).ids
-    return _entry(query_id, mask, neighborhood, mask.global_selectivity)
+    return GlsEntry(query_id, mask.global_selectivity, _masked_share(mask, neighborhood))
 
 
 def gls_approx(
@@ -150,11 +158,11 @@ def gls_approx(
         raise TypeError(f"unsupported index type {type(index).__name__}")
     rng = np.random.default_rng(seed)
     sample = rng.choice(corpus.n, size=sample_size, replace=False)
-    sigma_g = float(np.count_nonzero(mask.bits[sample])) / sample_size
+    sigma_g = _masked_share(mask, sample)
     if sigma_g == 0.0:
         # degenerate sample; fall back to the known mask selectivity
         sigma_g = mask.global_selectivity
-    return _entry(query_id, mask, result.ids, sigma_g)
+    return GlsEntry(query_id, sigma_g, _masked_share(mask, result.ids))
 
 
 def gls_mean(entries: Sequence[GlsEntry]) -> float:

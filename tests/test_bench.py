@@ -14,6 +14,7 @@ from fanns.bench import (
     run_experiment,
     summarize,
     write_results_csv,
+    write_summary_csv,
 )
 from fanns.corpus import Corpus, Metric, generate_synthetic
 from fanns.hnsw import hnsw_build
@@ -99,7 +100,8 @@ class TestRunExperiment:
                                  include_unfiltered=False)
         grid = _ivf_grid(corpus2k, 20, 5)
         out = tmp_path / "r.csv"
-        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"], out_path=out)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
+        write_results_csv(rows, out)
         assert len(rows) == 1
         row = rows[0]
         assert row["index"] == "ivfflat" and row["strategy"] == "PreAnns"
@@ -180,7 +182,8 @@ class TestCsvRoundTrip:
                                  include_unfiltered=False)
         grid = _ivf_grid(corpus2k, 10, 3)
         out = tmp_path / "r.csv"
-        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"], out_path=out)
+        rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
+        write_results_csv(rows, out)
         loaded = load_results_csv(out)
         assert len(loaded) == len(rows)
         assert loaded[0]["recall"] == pytest.approx(rows[0]["recall"])
@@ -213,7 +216,8 @@ class TestSummaries:
         grid = _ivf_grid(corpus2k, 10, 3, 10)
         rows = run_experiment(corpus2k, workload, grid, ["PreAnns"])
         out = tmp_path / "s.csv"
-        agg = summarize(rows, out_path=out)
+        agg = summarize(rows)
+        write_summary_csv(agg, out)
         lines = out.read_text().splitlines()
         assert len(lines) == len(agg) + 1
         assert lines[0].startswith("index,M,ef_construction,n_clusters,strategy")

@@ -1,19 +1,27 @@
 """Every binary format fails closed with its own error on a bad file, and an
 index refuses a corpus it was not built from."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fanns import strategy
 from fanns.corpus import (
     Corpus,
     CorpusFormatError,
     Metric,
+    build_mask,
     generate_synthetic,
     load_corpus,
     save_corpus,
+    threshold_for_selectivity,
 )
 from fanns.hnsw import HnswFormatError, hnsw_build, hnsw_search, load_hnsw, save_hnsw
 from fanns.ivfflat import IvfFormatError, IvfIndex, ivf_build, ivf_search, load_ivf, save_ivf
+from fanns.strategy import PlanKind, SearchParams, StrategyPlan
 
 
 FORMATS = {
@@ -151,3 +159,65 @@ def test_search_refuses_a_foreign_corpus(family):
     for foreign in (bigger, as_l2):
         with pytest.raises(ValueError):
             search(index, foreign, query)
+
+
+# bytes before each format's first array: the magic and the fixed-size fields
+HEADER_BYTES = {"FVC1": 16, "FHN1": 33, "FIV1": 21}
+PLANS = [StrategyPlan(kind) for kind in PlanKind]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Each format's file over one 200-row corpus, with the corpus and a mask."""
+    corpus = generate_synthetic(200, 4, seed=7)
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, (save, _, _) in FORMATS.items():
+        save(corpus, root / name)
+        files[name] = (root / name).read_bytes()
+    mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+    return corpus, mask, files, root / "mutant"
+
+
+def _mutant(data, name, draw):
+    """``data`` after one to three mutations: a flipped byte, four header
+    bytes overwritten, or a truncation."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "header", "truncate"]))
+        if not data:
+            break
+        if kind == "flip":
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        elif kind == "header":
+            at = draw(st.integers(0, HEADER_BYTES[name] - 4))
+            value = draw(st.sampled_from([0, 1, 2, 0x7FFFFFFF, 0xFFFFFFFF])
+                         | st.integers(0, 2**32 - 1))
+            data[at:at + 4] = struct.pack("<I", value)
+        else:
+            del data[draw(st.integers(0, len(data) - 1)):]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@given(data=st.data())
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_mutated_file_loads_or_raises_its_format_error(fuzz_files, name, data):
+    # a loadable index mutant is searched under every plan, and either
+    # answers or refuses the corpus with ValueError
+    corpus, mask, files, path = fuzz_files
+    _, load, error = FORMATS[name]
+    path.write_bytes(_mutant(files[name], name, data.draw))
+    try:
+        loaded = load(path)
+    except error:
+        return
+    if name == "FVC1":
+        return
+    params = SearchParams(ef_search=10, n_probe=3)
+    for plan in PLANS:
+        try:
+            strategy.execute(loaded, corpus, corpus.vectors[3], 5, mask, plan, params)
+        except ValueError:
+            pass

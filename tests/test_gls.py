@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,36 @@ class TestMoebiusMap:
         assert -1.0 <= gls_rho(r) < 1.0
 
 
+class TestEntry:
+    # a corpus's least sigma_g is 1/n, far above 2^-53; a subnormal sigma_g
+    # would overflow the ratio to inf, whose rho is nan
+    @given(st.floats(2.0**-53, 1.0), st.floats(0.0, 1.0))
+    def test_rho_and_bin_follow_from_the_selectivities(self, sigma_g, sigma_l):
+        entry = GlsEntry(0, sigma_g, sigma_l)
+        assert entry.ratio == sigma_l / sigma_g
+        assert entry.rho == gls_rho(sigma_l / sigma_g)
+        if entry.rho < -0.3:
+            assert entry.bin == "low"
+        elif entry.rho > 0.3:
+            assert entry.bin == "high"
+        else:
+            assert entry.bin == "medium"
+
+    def test_bin_edges(self):
+        # (sigma_g, sigma_l) whose rho is the float just below -0.3, just
+        # above it (no ratio maps onto -0.3 itself), exactly +0.3, and the
+        # float just above +0.3
+        pairs = [(0.65, 0.35), (0.13, 0.07), (0.07, 0.13), (0.35, 0.65)]
+        entries = [GlsEntry(0, sigma_g, sigma_l) for sigma_g, sigma_l in pairs]
+        assert [e.rho for e in entries] == [
+            np.nextafter(-0.3, -1), np.nextafter(-0.3, 0), 0.3, np.nextafter(0.3, 1)]
+        assert [e.bin for e in entries] == ["low", "medium", "medium", "high"]
+
+    def test_only_the_measured_selectivities_are_fields(self):
+        assert [f.name for f in dataclasses.fields(GlsEntry)] == [
+            "query_id", "sigma_g", "sigma_l"]
+
+
 def _line_corpus():
     """10 points on a line; neighborhoods are trivially enumerable."""
     vectors = np.stack([np.arange(10.0), np.zeros(10)], axis=1).astype(np.float32)
@@ -128,14 +160,14 @@ class TestGlsExact:
 
 class TestGlsMean:
     def test_single_entry(self):
-        entry = GlsEntry(0, 0.2, 0.4, 2.0, gls_rho(2.0), "high")
-        assert gls_mean([entry]) == entry.rho
+        entry = GlsEntry(0, 0.2, 0.4)
+        assert gls_mean([entry]) == entry.rho == gls_rho(2.0)
 
     def test_symmetric_pair(self):
-        entries = [
-            GlsEntry(0, 0.2, 0.0, 0.0, -0.5, "low"),
-            GlsEntry(1, 0.2, 0.0, 0.0, 0.5, "high"),
-        ]
+        # sigma_l / sigma_g = 1/3 and 3: rho = -0.5 and +0.5
+        entries = [GlsEntry(0, 0.3, 0.1), GlsEntry(1, 0.1, 0.3)]
+        assert [e.rho for e in entries] == pytest.approx([-0.5, 0.5], abs=1e-15)
+        assert [e.bin for e in entries] == ["low", "high"]
         assert gls_mean(entries) == 0.0
 
     def test_empty_rejected(self):
@@ -190,7 +222,7 @@ class TestGlsApprox:
 
 class TestReportAndCsv:
     def test_csv_header_and_rows(self, tmp_path):
-        entries = [GlsEntry(0, 0.2, 0.33, 1.65, gls_rho(1.65), "medium")]
+        entries = [GlsEntry(0, 0.2, 0.33)]
         path = tmp_path / "g.csv"
         write_gls_csv(entries, path)
         lines = path.read_text().splitlines()
