@@ -226,7 +226,13 @@ class Corpus:
 
 @dataclass(frozen=True)
 class FilterMask:
-    """Dense bitset over row ids with a cached popcount.
+    """Dense bitset over row ids with its valid row ids and popcount.
+
+    The mask takes a private, read-only copy of the bits it is given, and
+    computes from it once the ascending ids of the set bits (``valid_ids``,
+    read-only too, 8 bytes per valid row) and their count, so that a caller
+    that later writes to its own array changes none of them, and every exact
+    scan of the mask reuses the ids instead of finding them again.
 
     Empty masks are legal values but are flagged so that correlation
     analysis can exclude them. Bits that are not one-dimensional raise
@@ -236,14 +242,17 @@ class FilterMask:
 
     bits: np.ndarray
     valid_count: int = field(init=False)
+    _valid_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
+        bits = np.array(self.bits, dtype=bool)
         if bits.ndim != 1:
             raise ValueError(f"mask bits must be one-dimensional, not shape {bits.shape}")
-        bits = np.ascontiguousarray(bits)
+        ids = np.flatnonzero(bits)
+        bits.flags.writeable = ids.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "valid_count", int(bits.sum()))
+        object.__setattr__(self, "_valid_ids", ids)
+        object.__setattr__(self, "valid_count", len(ids))
 
     @property
     def n(self) -> int:
@@ -258,7 +267,9 @@ class FilterMask:
         return self.valid_count == 0
 
     def valid_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
+        """The ids of the set bits in ascending order: the same read-only
+        array on every call."""
+        return self._valid_ids
 
 
 def ordering_keys(

@@ -26,7 +26,11 @@ keeps its centroid is not scored again, so a pass scores only the rows whose
 centroid can change.
 
 Search ranks all centroids by distance and runs the oracle's exact scan over
-the rows of the ``n_probe`` nearest inverted lists. Given a mask, the bitset
+the rows of the ``n_probe`` nearest inverted lists. The centroid keys come
+from the float64 copy of the centroids that the index converts on its first
+search and keeps (``IvfIndex.centroids64``, never written to the file): the
+same keys, bit for bit, as converting the float32 centroids on every search,
+without the C × d conversion per query. Given a mask, the bitset
 is tested before any row distance, so invalid rows in the probed lists cost
 no distance evaluations; every row of a probed list counts as one predicate
 invocation.
@@ -77,6 +81,14 @@ class IvfFormatError(ValueError):
 
 @dataclass
 class IvfIndex:
+    """C float32 centroids and, for each, the ascending ids of its rows.
+
+    Two values derived from them are built on first use and kept, not
+    written to FIV1: ``n``, the row count, and ``centroids64``, the float64
+    copy of the centroids that every search keys (C·d·8 bytes). Neither is
+    rebuilt if ``centroids`` or ``lists`` is changed in place.
+    """
+
     n_clusters: int
     seed: int
     metric: Metric
@@ -86,6 +98,12 @@ class IvfIndex:
     @cached_property
     def n(self) -> int:
         return sum(len(lst) for lst in self.lists)
+
+    @cached_property
+    def centroids64(self) -> np.ndarray:
+        """The centroids converted to float64 once: their keys are those of
+        the float32 centroids bit for bit."""
+        return self.centroids.astype(np.float64)
 
 
 def _sq_dists(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -356,16 +374,20 @@ def ivf_search(
     n_probe: int,
     mask: Optional[FilterMask] = None,
 ) -> SearchResult:
-    """Exact top k of the (mask-valid) rows of the n_probe nearest lists."""
+    """Exact top k of the (mask-valid) rows of the n_probe nearest lists.
+
+    The query is converted to float64 once, and the lists are ranked by its
+    keys to ``index.centroids64``, the first list on a tie."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= n_probe <= index.n_clusters:
         raise ValueError("n_probe must be in [1, C]")
     require_built_from(index, corpus)
     require_mask_for(corpus, mask)
+    query = np.asarray(query, dtype=np.float64)
     require_finite(query)
-    centroid_keys = ordering_keys(query, index.centroids, index.metric)
-    probe_order = np.argsort(centroid_keys, kind="stable")[:n_probe]
+    centroid_keys = ordering_keys(query, index.centroids64, index.metric)
+    probe_order = np.argsort(centroid_keys, kind="stable")[:n_probe].tolist()
     ids = np.concatenate([index.lists[c] for c in probe_order])
     probed = len(ids)
     if mask is not None:

@@ -45,6 +45,11 @@ _REACH_LIMIT = 2.0**60
 # narrowing pass and the rows it keeps cost about as much as keying 400 + 3k
 # rows (k = 10 to 300, d = 32, gathered ids), so a smaller scan keys every row
 _NARROW_MIN_ROWS = 512
+# A scan that keyed at most max(2m, _RANK_ALL_ROWS) rows ranks them all at
+# once; a larger one ranks only the rows that tie or beat the m-th key. One
+# sort of 512 keys, or of up to about 2m keys for m >= 1000, costs less than
+# the partition and gathers that pick those rows (timeit, one BLAS thread)
+_RANK_ALL_ROWS = 512
 
 
 def exact_scan(
@@ -61,7 +66,12 @@ def exact_scan(
     divisors are the block's ``Corpus.cosine_divisors``; a zero query, or any
     zero row in the corpus, raises ``ValueError``. Every row whose key ties
     the k-th key is ranked, by ``rank_by_key_then_id``, before the cut, so
-    ties go to the smaller id whatever order ``ids`` is in.
+    ties go to the smaller id whatever order ``ids`` is in: with m = min(k,
+    rows), at most max(2m, 512) keyed rows are all ranked in one call, and
+    more are first cut to those at or below the m-th key by
+    ``np.argpartition``. Each is the faster on its side of that count, and
+    both give the same ids and keys while at least m keys are not NaN (a
+    NaN key comes only from a float64 product that overflows).
 
     An L2 scan of at least 4k + 512 rows keys only the rows inside the
     :func:`l2_slack` cut with m = k (smaller scans cost less keyed whole), so
@@ -86,9 +96,16 @@ def exact_scan(
         rows = corpus.vectors[block] if full else corpus.vectors.take(block_ids, axis=0)
         divisors = corpus.cosine_divisors(query, block_ids)
         keys[block] = ordering_keys(query, rows, corpus.metric, divisors)
-    kth = keys[np.argpartition(keys, m - 1)[m - 1]]
-    pick = np.flatnonzero(keys <= kth)
-    order = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])][:m]
+    if scored <= max(2 * m, _RANK_ALL_ROWS):
+        if full:
+            # ids gathered below, so that the result holds m ids, not a view
+            # of all the rows' ranking
+            ids, full = np.arange(scored), False
+        order = rank_by_key_then_id(keys, ids)[:m]
+    else:
+        kth = keys[np.argpartition(keys, m - 1)[m - 1]]
+        pick = np.flatnonzero(keys <= kth)
+        order = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])][:m]
     telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
     return SearchResult(order if full else ids[order], keys[order], telemetry)
 

@@ -399,6 +399,28 @@ class TestFilterMask:
         sigma = build_mask(corpus, 0.9).global_selectivity
         assert abs(sigma - 0.1) < 0.02
 
+    def test_writes_to_the_callers_array_change_nothing(self):
+        # the mask used to keep the caller's array, so this write left a
+        # count of 0 beside bits and ids that held row 3
+        bits = np.zeros(10, dtype=bool)
+        mask = FilterMask(bits)
+        bits[3] = True
+        assert mask.valid_count == 0 and mask.is_empty
+        assert not mask.bits.any()
+        assert len(mask.valid_ids()) == 0
+        with pytest.raises(ValueError, match="read-only"):
+            mask.bits[3] = True
+
+    def test_valid_ids_are_one_read_only_array(self):
+        bits = np.random.default_rng(3).uniform(size=500) < 0.3
+        mask = FilterMask(bits)
+        ids = mask.valid_ids()
+        assert mask.valid_ids() is ids
+        assert ids.dtype == np.intp and np.array_equal(ids, np.flatnonzero(bits))
+        assert mask.valid_count == len(ids)
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 1
+
     @pytest.mark.parametrize("shape", [(300, 2), (1, 300), ()])
     def test_bits_must_be_one_dimensional(self, shape):
         # a (300, 2) mask used to pass as 300 rows with σ_g = 2.0

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -425,6 +426,54 @@ class TestSearch:
             got = ivf_search(index, corpus, points[0], corpus.n, n_probe)
             probed = np.concatenate([lists[c] for c in tied[:n_probe]])
             assert np.array_equal(got.ids, exact_scan(corpus, points[0], corpus.n, probed).ids)
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.name)
+    def test_float64_centroids_probe_as_the_float32_ones(self, tmp_path, metric):
+        # the kept float64 centroids must rank the lists, and so give ids,
+        # keys and counters, as keying the stored float32 centroids does,
+        # for a built index and a loaded one, and stay out of the file
+        corpus = adversarial_corpus(8, 1.0, False, seed=5, n=600, metric=metric)
+        built = ivf_build(corpus, 12, seed=5)
+        path = tmp_path / "i.idx"
+        save_ivf(built, path)
+        saved = path.read_bytes()
+        loaded = load_ivf(path)
+        mask = build_mask(corpus, 0.4)
+        rng = np.random.default_rng(6)
+        queries = (corpus.vectors[7], corpus.vectors[7].astype(np.float64) * (1.0 + 2.0**-30),
+                   rng.standard_normal(8))
+        for index, query, n_probe, k, where in itertools.product(
+            (built, loaded), queries, (1, 5, 12), (1, 20, 600), (None, mask)
+        ):
+            got = ivf_search(index, corpus, query, k, n_probe, where)
+            keys = ordering_keys(query, index.centroids, metric)
+            probe = np.argsort(keys, kind="stable")[:n_probe]
+            ids = np.concatenate([index.lists[c] for c in probe])
+            want = exact_scan(corpus, query, k, ids if where is None else ids[where.bits[ids]])
+            want.telemetry.centroid_evaluations = 12
+            want.telemetry.predicate_invocations = 0 if where is None else len(ids)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
+            assert got.telemetry == want.telemetry
+        for index in (built, loaded):
+            copy = index.centroids64
+            assert index.centroids64 is copy
+            assert copy.dtype == np.float64 and np.array_equal(copy, index.centroids)
+            save_ivf(index, path)
+            assert path.read_bytes() == saved
+
+    def test_a_query_half_an_ulp_between_two_centroids_probes_the_first(self):
+        # the float64 query ties the two centroids' keys exactly, so the first
+        # list is probed; rounded to float32 (half to even) it would land on
+        # the second centroid
+        ulp = 2.0**-23
+        centroids = np.array([[1.0 + ulp], [1.0 + 2 * ulp]], dtype=np.float32)
+        corpus = Corpus(np.array([[1.0 + ulp], [1.0 + 2 * ulp], [5.0], [6.0]], dtype=np.float32),
+                        np.zeros(4), Metric.L2)
+        index = IvfIndex(2, 0, Metric.L2, centroids, [np.array([0, 2]), np.array([1, 3])])
+        query = np.array([1.0 + 1.5 * ulp])
+        assert np.float32(query[0]) == centroids[1, 0]
+        assert ivf_search(index, corpus, query, 1, 1).ids.tolist() == [0]
 
     def test_parameter_validation(self, corpus2k, ivf2k):
         query = corpus2k.vectors[0]

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fanns.corpus import (
@@ -16,7 +16,7 @@ from fanns.corpus import (
     row_blocks,
 )
 from fanns.ivfflat import ivf_build, ivf_search
-from fanns.oracle import exact_knn, exact_scan
+from fanns.oracle import exact_knn, exact_scan, l2_scores
 from fanns.telemetry import SearchTelemetry, rank_by_key_then_id
 
 from conftest import adversarial_corpus, mixed_dtype_keys
@@ -125,6 +125,18 @@ def test_ranking_equals_lexsort(keys_and_ids):
     order = rank_by_key_then_id(keys, ids)
     assert order.dtype == np.intp
     assert np.array_equal(order, np.lexsort((ids, keys)))
+
+
+@pytest.mark.parametrize("k", [10, 2048])
+def test_a_result_holds_only_its_own_ids_and_keys(k):
+    # a result kept for later, as ground truth is, must not keep the ranking
+    # of every scanned row alive through a view: k = 2048 of 3,000 rows
+    # ranks them all, k = 10 cuts them first
+    corpus = generate_synthetic(3000, 8, seed=2)
+    result = exact_scan(corpus, corpus.vectors[0], k)
+    for array in (result.ids, result.distances):
+        assert array.size == k
+        assert array.base is None or array.base.size <= k
 
 
 def test_cosine_zero_query_and_zero_row_are_refused():
@@ -300,6 +312,57 @@ class TestReferenceScan:
             for query in self._queries(tied_corpus).values():
                 _assert_equals_reference(exact_knn(tied_corpus, query, k, mask), tied_corpus, query, k, ids)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scan=st.sampled_from(["full", "mask", "ids"]),
+        size=st.integers(1, 600) | st.integers(1, N),
+        k_kind=st.sampled_from(["one", "middle", "all"]),
+        fraction=st.floats(0.0, 1.0),
+        query_kind=st.sampled_from(["float32 row", "float64 row", "float64"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(scan="full", size=1, k_kind="one", fraction=0.0, query_kind="float64", seed=0)
+    @example(scan="ids", size=300, k_kind="one", fraction=0.0, query_kind="float64", seed=0)
+    @example(scan="ids", size=1000, k_kind="middle", fraction=0.3, query_kind="float64", seed=0)
+    @example(scan="ids", size=1000, k_kind="middle", fraction=0.6, query_kind="float64", seed=0)
+    @example(scan="mask", size=N, k_kind="all", fraction=0.0, query_kind="float32 row", seed=0)
+    def test_both_rankings_equal_the_reference(
+        self, tied_corpus, scan, size, k_kind, fraction, query_kind, seed
+    ):
+        # A scan that keyed at most max(2m, 512) rows ranks them all at once,
+        # a larger one partitions first; m = 1, a middle m and every row put
+        # the keyed count on both sides, and a narrowed L2 scan keys few rows
+        rng = np.random.default_rng(seed)
+        mask = ids = None
+        if scan == "mask":
+            mask = FilterMask(rng.permutation(self.N) < size)
+            ids = mask.valid_ids()
+        elif scan == "ids":
+            ids = rng.permutation(self.N)[:size]
+        n = self.N if ids is None else len(ids)
+        k = {"one": 1, "middle": 1 + int(fraction * (n - 1)), "all": n}[k_kind]
+        query = self._queries(tied_corpus)[query_kind]
+        result = exact_knn(tied_corpus, query, k, mask) if scan == "mask" else exact_scan(
+            tied_corpus, query, k, ids)
+        _assert_equals_reference(result, tied_corpus, query, k, ids)
+        keyed = _keyed_rows(tied_corpus, query, k, ids)
+        assert result.telemetry == SearchTelemetry(distance_evaluations=keyed, nodes_visited=n)
+        event("ranked whole" if keyed <= max(2 * min(k, n), 512) else "partitioned")
+        event("narrowed" if keyed < n else "every row keyed")
+
+
+def _keyed_rows(corpus, query, k, ids):
+    """The rows an exact scan keys: every scanned row, except in an L2 scan
+    of at least 4m + 512 rows, which keys the rows whose ``l2_scores`` score
+    lies within twice the slack of the m-th smallest."""
+    n = corpus.n if ids is None else len(ids)
+    m = min(k, n)
+    scored = l2_scores(corpus, np.asarray(query, dtype=np.float64), ids)
+    if corpus.metric is not Metric.L2 or n < 4 * m + 512 or scored is None:
+        return n
+    scores, slack = scored
+    return int(np.count_nonzero(scores <= np.partition(scores, m - 1)[m - 1] + 2.0 * slack))
+
 
 def _adversarial_queries(corpus, scale):
     row = corpus.vectors[5]
@@ -361,6 +424,19 @@ class TestL2Narrowing:
         assert exact_knn(corpus, corpus.vectors[5], k).telemetry.distance_evaluations == corpus.n
         huge = adversarial_corpus(32, 1e18, False, seed=1)
         assert exact_knn(huge, huge.vectors[5], 10).telemetry.distance_evaluations == huge.n
+
+    def test_a_narrowed_scan_of_many_ties_ranks_after_the_partition(self):
+        # 700 copies of one row share the k-th key, so the narrowed scan keys
+        # more than max(2k, 512) rows and cuts them at that key before ranking
+        rng = np.random.default_rng(8)
+        vectors = rng.standard_normal((2000, 8)).astype(np.float32)
+        vectors[:700] = vectors[0]
+        corpus = Corpus(vectors, rng.uniform(0, 1, 2000), Metric.L2)
+        query = vectors[0] + 0.01 * rng.standard_normal(8)
+        for ids in (None, rng.permutation(2000)):
+            result = exact_scan(corpus, query, 10, ids)
+            _assert_equals_reference(result, corpus, query, 10, ids)
+            assert 700 <= result.telemetry.distance_evaluations < corpus.n
 
     @settings(max_examples=150, deadline=None)
     @given(
