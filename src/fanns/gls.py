@@ -141,7 +141,10 @@ def gls_approx(
     IVFFlat scan of every list. A beam at least ``hnsw.table_budget(n, d)``
     wide keys every row once, in the exact scan's blocks, and its walk reads
     the keys from that table (see :mod:`fanns.hnsw`), so the search computes
-    n keys.
+    n keys. A beam of at least n / 20 (``hnsw.ranks_pay``; the default 2,048
+    is, for n up to 40,960) ranks that table once and walks layer 0 on the
+    rows' places in it, with the neighborhood of the key-space walk, unless
+    two keys tie.
     The sample is drawn without replacement, so sample_size = N recovers the
     exact global selectivity. A
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood

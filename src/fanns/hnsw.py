@@ -25,10 +25,21 @@ is searched at ef=1, the greedy descent. A search's target is layer 0; the
 insertion of a node of level l searches layers l..0 at ``ef_construction``
 and links the node on each of them.
 
-``hnsw_search`` ranks the layer-0 pool once, by (key, id) with
-``telemetry.rank_by_key_then_id`` (one argsort of the keys, ``np.lexsort``
-only on an exact key tie), over the keys the pool entries hold, and takes
-one output step, in one of four modes:
+A search's layer-0 walk runs in one of two spaces, with the same visits,
+pool and counters. In key space, ``_search_layer``'s heaps hold
+``(key, node)`` tuples, and ``hnsw_search`` ranks the layer-0 pool once, by
+(key, id) with ``telemetry.rank_by_key_then_id`` (one argsort of the keys,
+``np.lexsort`` only on an exact key tie), over the keys the pool entries
+hold. In rank space, ``_search_ranks`` runs the same loop on each node's
+place in the key table, ranked once before the walk's first step
+(:class:`_Ranks`), and ``hnsw_search`` reads the ids and keys of the sorted
+pool ranks from that ranking. A search takes rank space when its scorer
+keys every row before its first step, its width pays for the ranking
+(:func:`ranks_pay`: 20 * ef >= n for a beam, 20 * ef >= the mask's popcount
+for the dual pool) and no two keys of the table tie. Narrower and lazy
+searches, searches whose table holds a tie (-0.0 ties 0.0) and every build
+insertion stay in key space, as do the layers above layer 0. Each search
+then takes one output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
@@ -113,7 +124,7 @@ from fanns.corpus import (
     require_mask_for,
     row_blocks,
 )
-from fanns.telemetry import SearchResult, SearchTelemetry, rank_by_key_then_id
+from fanns.telemetry import SearchResult, SearchTelemetry, argsort_distinct, rank_by_key_then_id
 
 _HNSW_MAGIC = b"FHN1"
 
@@ -163,6 +174,29 @@ def table_budget(n: int, dim: int) -> int:
     return -(-n * (dim + 6) // 2600)
 
 
+def ranks_pay(ef: int, rows: int) -> bool:
+    """Whether a search whose scorer keys every row before its first step
+    (a layer-0 width of at least ``table_budget``) walks layer 0 in rank
+    space: its pool holds ``ef`` entries out of ``rows`` it could admit (n
+    for a beam, the mask's popcount for the dual pool), and it does when
+    20 * ef >= rows.
+
+    The rank path pays one ranking of the n keys up front (an argsort, a
+    gather, the tie test and a scatter: about 84 us at n = 3,000 and 720 us
+    at 20,000) and then saves part of every visit's heap work, since it
+    compares ints where the tuple loop compares ``(key, node)`` tuples. A
+    beam of width ef visits a number of nodes that grows with ef, and a
+    dual pool keeps walking until ef valid rows fill it, so it walks about
+    as far as a beam of width ef * n / rows. With W that width, the rule is
+    W * beta >= n. Measured with one BLAS thread on the cluster-correlated
+    cosine corpus at 3,000 x 16 and 20,000 x 16 (loaded graphs, M = 10,
+    ef_construction = 50), the two paths cost the same at W = n / 20 on
+    both, for the beam and for the dual pool (the crossover table is in
+    README.md), so beta = 20 at both sizes.
+    """
+    return 20 * ef >= rows
+
+
 class _Scorer:
     """The ordering keys from ``query`` to corpus rows, for one walk whose
     layer-0 width is ``width``: one float64 array of n keys, ``array``, read
@@ -182,11 +216,12 @@ class _Scorer:
     block at a time, so each key is bit-identical to the unmasked exact
     scan's, and sets ``complete``: every key is in the array, and a walk
     makes no more calls. A cosine query of norm 0, or a cosine corpus with a
-    zero row, raises here.
+    zero row, raises here. ``rank()`` ranks a complete array into ``ranks``,
+    a :class:`_Ranks`; it stays None without that call and on a tie.
     """
 
     __slots__ = ("query", "rows", "metric", "divisors", "lazy_budget", "array", "view",
-                 "lazy_rows", "complete")
+                 "lazy_rows", "complete", "ranks")
 
     def __init__(self, corpus: Corpus, query: np.ndarray, width: int):
         budget = table_budget(corpus.n, corpus.dim)
@@ -197,6 +232,7 @@ class _Scorer:
         self.array = np.empty(corpus.n)
         self.view = memoryview(self.array)
         self.lazy_rows, self.complete = 0, False
+        self.ranks: Optional[_Ranks] = None
 
     def fill(self, ids) -> None:
         query, metric, divisors = self.query, self.metric, self.divisors
@@ -210,6 +246,30 @@ class _Scorer:
             self.array[block] = ordering_keys(query, self.rows[block], metric,
                                               None if divisors is None else divisors[block])
         self.complete = True
+
+    def rank(self) -> None:
+        """Rank the complete key table into ``ranks``, unless two keys tie."""
+        distinct = argsort_distinct(self.array)
+        if distinct is None:
+            return  # the walk stays in key space
+        self.ranks = _Ranks(*distinct)
+
+
+class _Ranks:
+    """A key table without a tie, ranked once: ``order``, the node ids in
+    ascending key order, and ``keys``, the keys in that order (numpy
+    arrays); ``nodes``, ``order`` read through a ``memoryview``; ``rank``,
+    each node's place in ``order``, the same way; and ``inf``, the number
+    of keys below +inf."""
+
+    __slots__ = ("order", "keys", "nodes", "rank", "inf")
+
+    def __init__(self, order: np.ndarray, keys: np.ndarray):
+        self.order, self.keys = order, keys
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.nodes, self.rank = memoryview(order), memoryview(rank)
+        self.inf = int(np.searchsorted(keys, math.inf))
 
 
 def _search_layer(
@@ -294,19 +354,86 @@ def _search_layer(
     return pool
 
 
+def _search_ranks(
+    keys: _Scorer,
+    adjacency: dict[int, list[int]],
+    pool: list[tuple[float, int]],
+    ef: int,
+    telemetry: SearchTelemetry,
+    bits: Optional[np.ndarray] = None,
+) -> list[int]:
+    """``_search_layer`` in rank space, over a scorer whose ``ranks`` are set.
+
+    It takes the pool as ``_search_layer`` does, ``(-key, node)`` entries,
+    and returns the layer's nearest nodes as a heap of negated ranks. The
+    candidate heap holds ranks, and admission and the stopping test compare
+    ranks, so the loop runs on ints where ``_search_layer`` compares tuples.
+    The key table has no tie, so one rank is below another exactly when its
+    key is, and every comparison, eviction and pop comes out as in
+    ``_search_layer``. ``worst`` starts at ``ranks.inf``, the rank an inf
+    key would take, which stands where ``_search_layer``'s inf does. The
+    counters are ``_search_layer``'s.
+    """
+    ranks = keys.ranks
+    rank, nodes = ranks.rank, ranks.nodes
+    visited = {node for _, node in pool}
+    entered = len(visited)
+    candidates = sorted(rank[node] for node in visited)
+    if bits is not None:
+        bits = bits.tobytes()
+        pool = [-rank[node] for node in visited if bits[node]]
+    else:
+        pool = [-rank[node] for node in visited]
+    heapify(pool)
+    worst = -pool[0] if len(pool) == ef else ranks.inf
+    while candidates:
+        r = heappop(candidates)
+        if r > worst:
+            break
+        for neigh in adjacency[nodes[r]]:
+            if neigh in visited:
+                continue
+            visited.add(neigh)
+            nr = rank[neigh]
+            if nr < worst and (bits is None or bits[neigh]):
+                if len(pool) < ef:
+                    pool.append(-nr)
+                    if len(pool) == ef:
+                        heapify(pool)
+                        worst = -pool[0]
+                else:
+                    heapreplace(pool, -nr)
+                    worst = -pool[0]
+            elif bits is None or nr > worst:
+                continue  # the beam queues only pool entrants, the dual pool no dead end
+            heappush(candidates, nr)
+    telemetry.nodes_visited += len(visited) - entered
+    if bits is not None:
+        telemetry.predicate_invocations = len(visited)
+    return pool
+
+
 def _walk(index: HnswIndex, keys: _Scorer, ef: int, level: int, telemetry: SearchTelemetry,
-          bits: Optional[np.ndarray] = None):
+          bits: Optional[np.ndarray] = None, ranked: bool = False):
     """The layer loop of every build insertion and search: score the entry
     point, then run ``_search_layer`` from the top layer down, each layer's
     pool seeding the next, at ef=1 above ``level`` and at ``ef`` on ``level``
     and below, with ``bits`` on layer 0 only. Yields ``(layer, pool)`` for
     each layer at or below ``level``; a caller may read each pool but not
-    change it, since the next layer starts from it."""
+    change it, since the next layer starts from it.
+
+    With ``ranked`` (a search whose scorer keys every row on its first call,
+    see :func:`ranks_pay`) the key table is ranked once, after that call,
+    and unless two keys tie layer 0 runs ``_search_ranks``, whose pool holds
+    negated ranks."""
     keys.fill([index.entry_point])
+    if ranked:
+        keys.rank()
     pool = [(-keys.view[index.entry_point], index.entry_point)]
     for layer in range(index.max_level, -1, -1):
-        pool = _search_layer(keys, index.adjacency[layer], pool, ef if layer <= level else 1,
-                             telemetry, bits if layer == 0 else None)
+        search = _search_ranks if layer == 0 and keys.ranks is not None else _search_layer
+        pool = search(keys, index.adjacency[layer], pool, ef if layer <= level else 1,
+                      telemetry, bits if layer == 0 else None)
         if layer <= level:
             yield layer, pool
 
@@ -387,12 +514,14 @@ def hnsw_search(
 ) -> SearchResult:
     """Search in one of the four modes; see the module docstring.
 
-    The layer-0 pool is ranked by ``rank_by_key_then_id`` over the keys its
-    entries hold, not over the scorer's array: a walk that keyed every row
-    mid-walk can hold a row's lazy key in the pool and its every-row key in
-    the array, an ulp apart under inner product and cosine. ``ef_search`` is
-    deliberately not clamped to ``k``: the result list may be shorter than
-    ``k``.
+    A key-space layer-0 pool is ranked by ``rank_by_key_then_id`` over the
+    keys its entries hold, not over the scorer's array: a walk that keyed
+    every row mid-walk can hold a row's lazy key in the pool and its
+    every-row key in the array, an ulp apart under inner product and cosine.
+    A rank-space pool is sorted as ints, and its ids and keys read from the
+    scorer's ranking: that walk keyed every row before its first step, so
+    the pool holds the array's keys. ``ef_search`` is deliberately not
+    clamped to ``k``: the result list may be shorter than ``k``.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -413,12 +542,19 @@ def hnsw_search(
     keys = _Scorer(corpus, query, ef_search)
     telemetry = SearchTelemetry(nodes_visited=1)
     bits = mask.bits if mode == "dualpool" else None
-    [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits)
+    ranked = keys.lazy_budget == 0 and ranks_pay(
+        ef_search, corpus.n if bits is None else mask.valid_count)
+    [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits, ranked)
     telemetry.distance_evaluations = keys.lazy_rows + (corpus.n if keys.complete else 0)
-    ids = np.fromiter(map(itemgetter(1), pool), np.int64, len(pool))
-    dists = -np.fromiter(map(itemgetter(0), pool), np.float64, len(pool))
-    order = rank_by_key_then_id(dists, ids)
-    result = SearchResult(ids=ids[order], distances=dists[order], telemetry=telemetry)
+    if keys.ranks is None:
+        ids = np.fromiter(map(itemgetter(1), pool), np.int64, len(pool))
+        dists = -np.fromiter(map(itemgetter(0), pool), np.float64, len(pool))
+        order = rank_by_key_then_id(dists, ids)
+        ids, dists = ids[order], dists[order]
+    else:
+        ranks = np.sort(-np.array(pool, dtype=np.intp))
+        ids, dists = keys.ranks.order[ranks], keys.ranks.keys[ranks]
+    result = SearchResult(ids=ids, distances=dists, telemetry=telemetry)
     return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 
 

@@ -70,8 +70,11 @@ def exact_scan(
     rows), at most max(2m, 512) keyed rows are all ranked in one call, and
     more are first cut to those at or below the m-th key by
     ``np.argpartition``. Each is the faster on its side of that count, and
-    both give the same ids and keys while at least m keys are not NaN (a
-    NaN key comes only from a float64 product that overflows).
+    both give the same ids and keys. A key that is NaN, or infinite at or
+    before the m-th, raises ``ValueError`` on both: it comes only from a
+    float64 product that overflows, from a finite query far larger than the
+    rows, and orders nothing. An infinite key past the m-th is left out, as
+    any key past it is.
 
     An L2 scan of at least 4k + 512 rows keys only the rows inside the
     :func:`l2_slack` cut with m = k (smaller scans cost less keyed whole), so
@@ -101,13 +104,20 @@ def exact_scan(
             # ids gathered below, so that the result holds m ids, not a view
             # of all the rows' ranking
             ids, full = np.arange(scored), False
-        order = rank_by_key_then_id(keys, ids)[:m]
+        ranked = rank_by_key_then_id(keys, ids)
     else:
         kth = keys[np.argpartition(keys, m - 1)[m - 1]]
-        pick = np.flatnonzero(keys <= kth)
-        order = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])][:m]
+        pick = np.flatnonzero(~(keys > kth))  # with every NaN key, to be refused below
+        ranked = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])]
+    order = ranked[:m]
+    top = keys[order]
+    # both rankings put NaN last, so only the ends of the ranking and the
+    # m-th key need reading
+    if not (-math.inf < top[0] and top[-1] < math.inf) or math.isnan(keys[ranked[-1]]):
+        raise ValueError("keys from this query are not finite: a product overflowed "
+                         "float64, and NaN or infinite keys order nothing")
     telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
-    return SearchResult(order if full else ids[order], keys[order], telemetry)
+    return SearchResult(order if full else ids[order], top, telemetry)
 
 
 def _gamma(count: int, unit: float) -> float:

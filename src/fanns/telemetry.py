@@ -4,6 +4,7 @@ index search paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -31,21 +32,28 @@ class SearchTelemetry:
     fallback_used: bool = False
 
 
+def argsort_distinct(keys: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``np.argsort(keys)`` and the keys in that order, when the sorted keys
+    are strictly increasing; None on a tie: two keys equal by ``==`` (so
+    -0.0 ties 0.0), or a NaN among them. Without a tie the ascending order
+    is unique, so it is the same whatever sort numpy uses."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    return (order, ranked) if np.all(ranked[1:] > ranked[:-1]) else None
+
+
 def rank_by_key_then_id(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The positions of ``keys`` in ascending (key, id) order, for distinct
     ``ids``: the package's one ranking, equal to ``np.lexsort((ids, keys))``
     bit for bit.
 
-    One ``np.argsort`` of the keys ranks them. Distinct ids matter only where
-    two keys tie, so when the sorted keys are not strictly increasing (two
-    are equal by ``==``, so -0.0 ties 0.0, or a NaN is among them) the
-    ranking falls back to ``np.lexsort``. Without a tie the (key, id) order
-    is unique, so it is the same whatever sort numpy uses.
+    One ``np.argsort`` of the keys ranks them (:func:`argsort_distinct`).
+    Distinct ids matter only where two keys tie, so on a tie the ranking
+    falls back to ``np.lexsort``.
     """
-    order = np.argsort(keys)
-    ranked = keys[order]
-    if np.all(ranked[1:] > ranked[:-1]):
-        return order
+    distinct = argsort_distinct(keys)
+    if distinct is not None:
+        return distinct[0]
     return np.lexsort((ids, keys))
 
 

@@ -212,3 +212,47 @@ def test_record_exits_1_on_an_incorrect_run_after_recording_the_rest(tmp_path, r
 def test_record_exits_1_on_an_unparseable_run(record_into):
     assert record_into(lambda workload: STDOUT.rsplit("\n", 2)[0]) == 1
     assert record_into(lambda workload: STDOUT.replace("true", "tru")) == 1
+
+
+def _cell_run(scale, digest="d1"):
+    return {"cells": {"Post 0.01": [1000 * scale, 3000 * scale, 2000 * scale],
+                      "PreAnns all": [500 * scale]}, "digest": digest}
+
+
+def test_cells_alternates_the_trees_and_prints_each_cells_medians(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(root, workload, seed):
+        side = "change" if root == bench_tool.ROOT else "parent"
+        calls.append(side)
+        assert (workload, seed) == ("hnsw-filtered", 3)
+        return _cell_run(1 if side == "parent" else 0.5)
+
+    monkeypatch.setattr(bench_tool, "_extract", lambda commit, into: None)
+    monkeypatch.setattr(bench_tool, "checkout_label", lambda root: "the checkout")
+    monkeypatch.setattr(bench_tool, "run_cells", fake_run)
+    assert bench_tool.main(["cells", "--against", "HEAD", "--workload", "hnsw-filtered",
+                            "--seed", "3", "--rounds", "3"]) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "hnsw-filtered seed 3, 3 rounds: HEAD against the checkout"
+    assert out[2].split() == ["Post", "0.01", "2.0", "1.0", "0.500"]
+    assert out[3].split() == ["PreAnns", "all", "0.5", "0.2", "0.500"]
+    assert out[4:] == [f"round {i}: answers and counters equal" for i in (1, 2, 3)]
+
+
+def test_cells_names_each_round_whose_digests_differ():
+    lines = bench_tool.cells_table([_cell_run(1), _cell_run(1)],
+                                   [_cell_run(1), _cell_run(1, digest="d2")])
+    assert lines[-2:] == ["round 1: answers and counters equal",
+                          "round 2: answers and counters DIFFER"]
+
+
+def test_cell_times_runs_a_trees_stream_without_writing_to_it(tmp_path):
+    # the checkout's own tree, in a subprocess, as cells runs each side
+    before = sorted(p.name for p in (bench_tool.ROOT / "perfbench").iterdir())
+    run = bench_tool.run_cells(bench_tool.ROOT, "ivf-l2", 1)
+    assert sorted(p.name for p in (bench_tool.ROOT / "perfbench").iterdir()) == before
+    assert len(run["cells"]) == 19 and len(run["digest"]) == 64
+    assert sum(map(len, run["cells"].values())) == 1900
+    assert run == {**bench_tool.run_cells(bench_tool.ROOT, "ivf-l2", 1), "cells": run["cells"]}

@@ -399,6 +399,25 @@ def _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits=None):
     return pool
 
 
+def _key_space_throughout(monkeypatch, search_layer=_reference_search_layer):
+    """Make every layer of every walk run the key-space loop ``search_layer``
+    (the reference loop by default): no search walks in rank space."""
+    monkeypatch.setattr(hnsw_mod, "ranks_pay", lambda ef, rows: False)
+    monkeypatch.setattr(hnsw_mod, "_search_layer", search_layer)
+
+
+def _count_rank_walks(monkeypatch):
+    """Count the layer-0 walks that run in rank space, in a one-item list."""
+    search_ranks, walks = hnsw_mod._search_ranks, [0]
+
+    def counting(*args):
+        walks[0] += 1
+        return search_ranks(*args)
+
+    monkeypatch.setattr(hnsw_mod, "_search_ranks", counting)
+    return walks
+
+
 EFS = (10, 100)  # and the corpus size
 MODES = ("unfiltered", "prefilter", "dualpool")
 
@@ -442,12 +461,12 @@ def test_build_bytes_equal_the_old_key_formula(tmp_path, monkeypatch, metric):
 class TestReferenceLoop:
     def test_searches_equal_the_reference(self, monkeypatch, corpus2k, hnsw2k):
         real = _search_answers(corpus2k, hnsw2k)
-        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        _key_space_throughout(monkeypatch)
         assert _search_answers(corpus2k, hnsw2k) == real
 
     def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, corpus2k, hnsw2k):
         save_hnsw(hnsw2k, tmp_path / "real.idx")
-        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        _key_space_throughout(monkeypatch)
         save_hnsw(hnsw_build(corpus2k, 10, 50, seed=7), tmp_path / "reference.idx")
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
@@ -476,7 +495,7 @@ class TestReferenceLoop:
                 pools.append((keys, sorted((-negkey, node) for negkey, node in pool)))
             return pool
 
-        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        _key_space_throughout(monkeypatch, recording)
         assert _search_answers(corpus, index, efs, whole_pool=True, n_queries=20) == real
         table_apart = 0
         for (ids, dists, *_), (keys, entries), mode in zip(real, pools, itertools.cycle(MODES)):
@@ -507,13 +526,13 @@ class TestExactKeyTies:
         corpus, index = tied
         efs = (10, 100, corpus.n + 5)
         real = _search_answers(corpus, index, efs, whole_pool=True, n_queries=20)
-        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        _key_space_throughout(monkeypatch)
         assert _search_answers(corpus, index, efs, whole_pool=True, n_queries=20) == real
 
     def test_build_bytes_equal_the_reference(self, tmp_path, monkeypatch, tied):
         corpus, index = tied
         save_hnsw(index, tmp_path / "real.idx")
-        monkeypatch.setattr(hnsw_mod, "_search_layer", _reference_search_layer)
+        _key_space_throughout(monkeypatch)
         save_hnsw(hnsw_build(corpus, 6, 24, seed=0), tmp_path / "reference.idx")
         assert (tmp_path / "real.idx").read_bytes() == (tmp_path / "reference.idx").read_bytes()
 
@@ -576,7 +595,9 @@ def _reference_greedy_descent(keys, adjacency, pool, ef, telemetry, bits=None):
 
 class TestReferenceDescent:
     """The layers above the target, searched by ``_search_layer`` at ef=1,
-    give what the greedy descent gave on a corpus without exact key ties."""
+    give what the greedy descent gave on a corpus without exact key ties.
+    Every layer runs in key space here, so that each layer's width is
+    recorded; the layers above layer 0 do on either path."""
 
     @staticmethod
     def _record_widths(monkeypatch, search_layer):
@@ -586,7 +607,7 @@ class TestReferenceDescent:
             widths.append(ef)
             return search_layer(keys, adjacency, entry_points, ef, telemetry, bits)
 
-        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        _key_space_throughout(monkeypatch, recording)
         return widths
 
     def test_searches_equal_the_reference(self, monkeypatch, corpus2k, hnsw2k):
@@ -828,20 +849,26 @@ class TestSinglePassRule:
                 assert max(keys.rows_seen) <= 2 * index.m
                 assert keys.lazy_rows == sum(keys.rows_seen)
 
-    def test_a_search_leaves_no_reference_cycle(self, budget_graph):
+    def test_a_search_leaves_no_reference_cycle(self, monkeypatch, budget_graph):
         # a cycle through the scorer would hold each search's key table until
         # the cyclic garbage collector ran
         corpus, index = budget_graph
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+        walks = _count_rank_walks(monkeypatch)
         gc.collect()
         gc.disable()
         try:
-            for ef in (10, 150):  # a mid-walk switch, and a table built first
-                result = hnsw_search(index, corpus, corpus.vectors[3], 10, ef)
+            # a mid-walk switch, a table built first (walked in rank space at
+            # 20 * 150 >= 601), and a rank-space dual pool
+            for ef, mode in ((10, "unfiltered"), (150, "unfiltered"), (150, "dualpool")):
+                result = hnsw_search(index, corpus, corpus.vectors[3], 10, ef, mode=mode,
+                                     mask=mask)
             del result
             found = gc.collect()
         finally:
             gc.enable()
         assert found == 0
+        assert walks == [2]
 
     @pytest.mark.parametrize("metric", [Metric.INNER_PRODUCT, Metric.COSINE])
     def test_the_pass_keys_in_the_exact_scans_blocks(self, monkeypatch, metric):
@@ -948,9 +975,11 @@ class TestSinglePassEqualsLazy:
         monkeypatch.setattr(hnsw_mod, "_Scorer", recording)
         single = answers()
         assert any(keys.complete for keys in switched_mid_walk)
-        # the reference: every search keyed lazily, whatever its width
+        # the reference: every search keyed lazily, whatever its width, and
+        # walked by the key-space reference loop on every layer
         monkeypatch.setattr(hnsw_mod, "_Scorer", scorer)
         _lazy_throughout(monkeypatch)
+        _key_space_throughout(monkeypatch)
         for (query, ids, keys, counts), (_, lazy_ids, lazy_keys, lazy_counts) in zip(
                 single, answers()):
             assert np.array_equal(ids, lazy_ids) and counts == lazy_counts
@@ -969,17 +998,24 @@ class TestFullBudgetDifferential:
     for bit."""
 
     @staticmethod
-    def _landing(monkeypatch, index):
-        """Record the layer-0 entry node of each search."""
-        search_layer, landed = hnsw_mod._search_layer, []
+    def _landing(monkeypatch, index, space):
+        """Record the layer-0 entry node of each search, whose layer-0 walk
+        runs in ``space``: "rank", as the rule has it at ef = n, or "key",
+        where the key-space reference loop walks every layer."""
+        if space == "key":
+            _key_space_throughout(monkeypatch)
+        landed = []
 
-        def recording(keys, adjacency, pool, ef, telemetry, bits=None):
-            if adjacency is index.adjacency[0]:
-                ((_, node),) = pool
-                landed.append(node)
-            return search_layer(keys, adjacency, pool, ef, telemetry, bits)
+        def recording(search):
+            def layer(keys, adjacency, pool, ef, telemetry, bits=None):
+                if adjacency is index.adjacency[0]:
+                    ((_, node),) = pool
+                    landed.append(node)
+                return search(keys, adjacency, pool, ef, telemetry, bits)
+            return layer
 
-        monkeypatch.setattr(hnsw_mod, "_search_layer", recording)
+        for name in ("_search_layer", "_search_ranks"):
+            monkeypatch.setattr(hnsw_mod, name, recording(getattr(hnsw_mod, name)))
         return landed
 
     @staticmethod
@@ -990,27 +1026,30 @@ class TestFullBudgetDifferential:
             seen |= frontier
         return seen
 
+    @pytest.mark.parametrize("space", ["rank", "key"])
     @pytest.mark.parametrize("mode", SEARCH_MODES)
-    def test_unit_norm_graphs_equal_the_oracle(self, monkeypatch, unit_graph, mode):
+    def test_unit_norm_graphs_equal_the_oracle(self, monkeypatch, unit_graph, mode, space):
         assert layer0_unreachable(unit_graph[1]) == 0
-        self._check(monkeypatch, unit_graph, mode)
+        self._check(monkeypatch, unit_graph, mode, space)
 
+    @pytest.mark.parametrize("space", ["rank", "key"])
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     def test_spread_norm_graphs_equal_the_oracle_over_reached_rows(
-            self, monkeypatch, spread_graph, mode):
+            self, monkeypatch, spread_graph, mode, space):
         if spread_graph[0].metric is Metric.INNER_PRODUCT:
             # the rows the differential must step round (60 of 600)
             assert layer0_unreachable(spread_graph[1]) > 0
-        self._check(monkeypatch, spread_graph, mode)
+        self._check(monkeypatch, spread_graph, mode, space)
 
-    def _check(self, monkeypatch, graph, mode):
+    def _check(self, monkeypatch, graph, mode, space):
         corpus, index = graph
         unreachable = layer0_unreachable(index)
         report = f"{unreachable} of {corpus.n} rows unreachable on layer 0"
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
         valid = mask.bits if mode in ("prefilter", "dualpool") else np.ones(corpus.n, bool)
         k = corpus.n if mode == "raw" else 10
-        landed = self._landing(monkeypatch, index)
+        walks = _count_rank_walks(monkeypatch)
+        landed = self._landing(monkeypatch, index, space)
         rng = np.random.default_rng(75)
         for query in rng.standard_normal((20, corpus.dim)):
             result = hnsw_search(index, corpus, query, k, corpus.n, mode=mode, mask=mask,
@@ -1025,3 +1064,145 @@ class TestFullBudgetDifferential:
                 oracle = exact_knn(corpus, query, k, mask if valid is mask.bits else None)
                 assert np.array_equal(result.ids, oracle.ids), report
                 assert np.array_equal(result.distances, oracle.distances), report
+        assert walks[0] == (20 if space == "rank" else 0)
+
+
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def rank_graphs(request, tmp_path_factory):
+    """The spread-norm 600-row graph under each metric, built and loaded."""
+    corpus, index = _graph(request.param, spread=True)
+    path = tmp_path_factory.mktemp("rank") / "graph.idx"
+    save_hnsw(index, path)
+    return corpus, {"built": index, "loaded": load_hnsw(path)}
+
+
+class TestRankSpace:
+    """A search whose scorer keys every row first and whose width pays for
+    ranking the key table (``ranks_pay``) walks layer 0 in rank space, with
+    the ids, keys and counters of the key-space reference loop; every other
+    walk stays in key space."""
+
+    SIGMAS = (0.01, 0.1, 0.5)
+
+    @classmethod
+    def _answers(cls, corpus, index, n_queries=15):
+        """Ids, keys and all four counters of the beam, raw and prefilter
+        searches at ef = 10, 100 and n, with k = ef, and of the dual pool at
+        each of ``SIGMAS`` at ef = 10 and 100, with k = 10."""
+        masks = [build_mask(corpus, threshold_for_selectivity(corpus, s)) for s in cls.SIGMAS]
+        _, queries = sample_queries(corpus, n_queries, seed=76)
+        searches = [(ef, mode, masks[1]) for ef in (10, 100, corpus.n)
+                    for mode in ("unfiltered", "raw", "prefilter")]
+        searches += [(ef, "dualpool", mask) for ef in (10, 100) for mask in masks]
+        out = []
+        for query in queries:
+            for ef, mode, mask in searches:
+                k = 10 if mode == "dualpool" else ef
+                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=ef)
+                t = r.telemetry
+                out.append((r.ids.tolist(), r.distances.tolist(),
+                            t.distance_evaluations, t.nodes_visited,
+                            t.predicate_invocations, t.centroid_evaluations))
+        return out
+
+    @pytest.mark.parametrize("graph", ["built", "loaded"])
+    def test_searches_equal_the_key_space_reference(self, monkeypatch, rank_graphs, graph):
+        corpus, indexes = rank_graphs
+        index = indexes[graph]
+        walks = _count_rank_walks(monkeypatch)
+        real = self._answers(corpus, index)
+        # per query: ef = 100 and n in all three modes, and the dual pool at
+        # ef = 100 and at ef = 10 for sigma = 0.01 and 0.1 (20 * 10 < 300)
+        assert walks == [15 * 11]
+        _key_space_throughout(monkeypatch)
+        assert self._answers(corpus, index) == real
+        assert walks == [15 * 11]
+
+    def test_the_rule(self):
+        assert hnsw_mod.ranks_pay(150, 3000) and not hnsw_mod.ranks_pay(149, 3000)
+        assert hnsw_mod.ranks_pay(100, 300) and hnsw_mod.ranks_pay(100, 2000)
+        assert not hnsw_mod.ranks_pay(100, 2001)
+
+    def test_a_wide_search_walks_in_rank_space(self, monkeypatch, corpus2k, hnsw2k):
+        walks = _count_rank_walks(monkeypatch)
+        query = corpus2k.vectors[7]
+        hnsw_search(hnsw2k, corpus2k, query, 10, 10)
+        hnsw_search(hnsw2k, corpus2k, query, 10, 99)  # 20 * 99 < 2000
+        assert walks == [0]
+        hnsw_search(hnsw2k, corpus2k, query, 10, 100)
+        hnsw_search(hnsw2k, corpus2k, query, 10, corpus2k.n, mode="raw", pool_size=500)
+        assert walks == [2]
+
+    def test_no_build_insertion_walks_in_rank_space(self, monkeypatch, budget_graph):
+        # ef_construction = 200 is past the key-table budget and pays by the
+        # rule (20 * 200 >= 601), yet every insertion stays in key space
+        corpus, _ = budget_graph
+        walks = _count_rank_walks(monkeypatch)
+        rankings = []
+        monkeypatch.setattr(hnsw_mod._Scorer, "rank", lambda keys: rankings.append(keys))
+        hnsw_build(corpus, 8, 200, seed=0)
+        assert walks == [0] and rankings == []
+
+    def test_a_tied_table_falls_back_to_key_space(self, monkeypatch, tied):
+        corpus, index = tied
+        walks = _count_rank_walks(monkeypatch)
+        efs = (100, corpus.n)  # both pay by the rule
+        real = _search_answers(corpus, index, efs, whole_pool=True, n_queries=10)
+        assert walks == [0]
+        _key_space_throughout(monkeypatch)
+        assert _search_answers(corpus, index, efs, whole_pool=True, n_queries=10) == real
+
+    def test_signed_zero_keys_fall_back_to_key_space(self, monkeypatch):
+        # -0.0 == 0.0, so a table holding both has a tie: the rank path would
+        # order the two rows by argsort, key space orders them by id. Under
+        # L2 they are the two nearest rows.
+        corpus, index = _graph(Metric.L2, spread=True)
+
+        def signed_zeros(query, rows, metric, divisors=None):
+            keys = ordering_keys(query, rows, metric, divisors)
+            if len(rows) == corpus.n:
+                keys[[5, 9]] = -0.0, 0.0
+            return keys
+
+        monkeypatch.setattr(hnsw_mod, "ordering_keys", signed_zeros)
+        walks = _count_rank_walks(monkeypatch)
+        real = _search_answers(corpus, index, (100,), whole_pool=True, n_queries=10)
+        assert walks == [0]
+        assert sum(ids[:2] == [5, 9] for ids, *_ in real) > 0
+        _key_space_throughout(monkeypatch)
+        assert _search_answers(corpus, index, (100,), whole_pool=True, n_queries=10) == real
+
+    def test_an_infinite_key_walks_as_in_key_space(self, monkeypatch):
+        # one row keyed +inf leaves the table without a tie; key space never
+        # admits it to a pool that has room (inf < inf fails), nor may the
+        # rank path, whose worst starts at the rank an inf key takes
+        corpus, index = _graph(Metric.L2, spread=True)
+        query = corpus.vectors[3]
+        near = exact_knn(corpus, query, 5).ids.tolist()
+
+        def one_infinite(query, rows, metric, divisors=None):
+            keys = ordering_keys(query, rows, metric, divisors)
+            if len(rows) == corpus.n:
+                keys[near[2]] = np.inf
+            return keys
+
+        monkeypatch.setattr(hnsw_mod, "ordering_keys", one_infinite)
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+
+        def answers():
+            out = []
+            for mode in ("unfiltered", "dualpool"):
+                r = hnsw_search(index, corpus, query, corpus.n, corpus.n, mode=mode, mask=mask)
+                assert near[2] not in r.ids.tolist() and np.isfinite(r.distances).all()
+                t = r.telemetry
+                out.append((r.ids.tolist(), r.distances.tolist(), t.nodes_visited,
+                            t.predicate_invocations))
+            return out
+
+        walks = _count_rank_walks(monkeypatch)
+        real = answers()
+        assert walks == [2]
+        # the reference loop admits to a pool with room whatever the key, so
+        # the key-space side here is _search_layer itself
+        _key_space_throughout(monkeypatch, hnsw_mod._search_layer)
+        assert answers() == real

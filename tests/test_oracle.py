@@ -206,6 +206,56 @@ def test_non_finite_query_is_refused(l2_corpus, bad, masked):
         exact_knn(l2_corpus, query, 10, mask)
 
 
+class TestOverflowingKeys:
+    """A finite query far larger than the rows overflows inner-product keys
+    to inf and NaN (N(0, 1) * 1e30 rows, four 1e300s, k = 10): both
+    rankings of ``exact_scan`` refuse it. numpy's overflow warnings are
+    silenced, so the ``ValueError`` is the package's own."""
+
+    @staticmethod
+    def _corpus(n, scale=1.0):
+        rng = np.random.default_rng(0)
+        vectors = (rng.standard_normal((n, 4)) * scale).astype(np.float32)
+        return Corpus(vectors, rng.uniform(size=n), Metric.INNER_PRODUCT)
+
+    @pytest.mark.parametrize("n", [40, 2000], ids=["one_pass", "partition"])
+    def test_an_overflowing_query_is_refused(self, n):
+        # 40 rows are ranked in one pass; 2,000 are cut at the 10th key first
+        corpus = self._corpus(n, scale=1e30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            keys = ordering_keys(np.full(4, 1e300), corpus.vectors, corpus.metric)
+            assert not np.isfinite(keys).any()
+            with pytest.raises(ValueError, match="not finite"):
+                exact_knn(corpus, np.full(4, 1e300), 10)
+
+    @pytest.mark.parametrize("n", [40, 2000], ids=["one_pass", "partition"])
+    def test_a_nan_key_past_the_kth_is_refused(self, n):
+        # one row keyed NaN (inf - inf) among finite keys
+        corpus = self._corpus(n)
+        vectors = corpus.vectors.copy()
+        vectors[n // 2] = [3e38, -3e38, 0.0, 0.0]
+        corpus = replace(corpus, vectors=vectors)
+        query = np.array([1e290, 1e290, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            keys = ordering_keys(query, corpus.vectors, corpus.metric)
+            assert np.isnan(keys).sum() == 1 and np.isfinite(keys).sum() == n - 1
+            with pytest.raises(ValueError, match="not finite"):
+                exact_knn(corpus, query, 10)
+
+    @pytest.mark.parametrize("n", [40, 2000], ids=["one_pass", "partition"])
+    def test_an_infinite_key_past_the_kth_is_left_out(self, n):
+        corpus = self._corpus(n)
+        vectors = corpus.vectors.copy()
+        vectors[7] = [-3e38, 0.0, 0.0, 0.0]
+        corpus = replace(corpus, vectors=vectors)
+        query = np.array([1e290, 0.0, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            keys = ordering_keys(query, corpus.vectors, corpus.metric)
+            assert np.isposinf(keys).sum() == 1 and np.isfinite(keys).sum() == n - 1
+            result = exact_knn(corpus, query, 10)
+        assert 7 not in result.ids.tolist() and np.isfinite(result.distances).all()
+
+
 def test_distances_nondecreasing_and_ids_unique(corpus2k):
     row = exact_knn(corpus2k, corpus2k.vectors[5], 50)
     assert np.all(np.diff(row.distances) >= 0)

@@ -24,23 +24,39 @@ its stdout:
   the benchmark's bound, and each seed whose output digests or prefix
   counters differ.
 
+* ``cells`` extracts another commit the same way and times one workload's
+  seeded op stream, op by op, in a fresh subprocess of each tree per round
+  (``cell-times``), the other commit first in odd rounds. Each subprocess
+  imports its own tree's ``src/`` and ``perfbench/workloads.py``, writing
+  no bytecode there, builds the index, saves and loads it as perfbench
+  does, and runs every op of the stream once. ``cells`` prints each
+  (plan, sigma) cell's median latency on both sides, over every round, and
+  for each round whether the two trees' digests matched: one SHA-256 over
+  every op's answer and, for strategy ops, its keys, plan and counters.
+
     python tools/bench.py record [--workload W ...] [--seed 1] [--seconds 10]
     python tools/bench.py pairs --against <commit> --workload W --seeds 21-30
+    python tools/bench.py cells --against <commit> --workload W --seed 1 --rounds 5
 
 Exits 1 if a run fails its own checks (``record`` still records every
-workload first) or prints output that cannot be parsed, 0 otherwise, so
-``record`` can gate a build.
+workload first), prints output that cannot be parsed, or, for ``cells``,
+gives a round whose digests differ; 0 otherwise, so ``record`` can gate a
+build.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import time
 import zipfile
 from pathlib import Path
 
@@ -259,6 +275,95 @@ def pairs(args) -> int:
     return 1 if failed else 0
 
 
+def cell_times(root: Path, workload: str, seed: int) -> dict:
+    """Set up ``workload`` at ``seed`` from the tree at ``root`` and run its op
+    stream once: each cell's latencies in ns, by label (the op's plan and
+    filter, or its filter alone), and the stream's digest (see ``cells``).
+
+    Imports ``fanns`` from ``root/src`` and ``root/perfbench/workloads.py``
+    without writing bytecode, so call it in a fresh interpreter, with BLAS
+    on one thread, as ``cell-times`` does."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    import fanns
+
+    if not Path(fanns.__file__).resolve().is_relative_to((root / "src").resolve()):
+        raise RunError(f"imported fanns from {fanns.__file__}, not from {root / 'src'}")
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS[workload]
+    inputs = wl.make_inputs(seed)
+    with tempfile.TemporaryDirectory(prefix="fanns-cells-") as tmp:
+        wl.save(wl.build(inputs.corpus, seed), Path(tmp) / "index")
+        index = wl.load(Path(tmp) / "index")
+    state = workloads.State(inputs, index, None, {}, "")
+    cells: dict[str, list[int]] = {}
+    digest = hashlib.sha256()
+    for op in inputs.ops:
+        start = time.perf_counter_ns()
+        out = wl.run_op(state, op)
+        cells.setdefault(" ".join(map(str, op[1:])), []).append(time.perf_counter_ns() - start)
+        digest.update(np.ascontiguousarray(wl.answer(out)).tobytes())
+        if hasattr(out, "telemetry"):
+            digest.update(out.results.distances.tobytes())
+            digest.update(repr((out.plan_chosen.value,
+                                dataclasses.astuple(out.telemetry))).encode())
+    return {"cells": cells, "digest": digest.hexdigest()}
+
+
+def print_cell_times(args) -> int:
+    print(json.dumps(cell_times(args.tree, args.workload, args.seed)))
+    return 0
+
+
+def run_cells(root: Path, workload: str, seed: int) -> dict:
+    """``cell_times`` for the tree at ``root``, in a subprocess of this script."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "cell-times", "--tree", str(root),
+         "--workload", workload, "--seed", str(seed)],
+        cwd=root, capture_output=True, text=True, env=env,
+    )
+    if proc.returncode != 0:
+        raise RunError(f"{root} {workload} seed {seed} cell-times exited {proc.returncode}: "
+                       f"{proc.stderr.strip()[-500:]}")
+    return json.loads(proc.stdout)
+
+
+def cells_table(parent: list[dict], change: list[dict]) -> list[str]:
+    """The lines ``cells`` prints for paired runs of ``cell_times``: each
+    cell's median latency on both sides over every round, and each round's
+    digest verdict."""
+    lines = [f"{'cell':<20}{'parent median us':>18}{'change median us':>18}{'change/parent':>15}"]
+    for cell in sorted(parent[0]["cells"]):
+        p, c = (float(np.median([t for run in runs for t in run["cells"][cell]])) / 1e3
+                for runs in (parent, change))
+        lines.append(f"{cell:<20}{p:>18.1f}{c:>18.1f}{c / p:>15.3f}")
+    for i, (p, c) in enumerate(zip(parent, change)):
+        verdict = "equal" if p["digest"] == c["digest"] else "DIFFER"
+        lines.append(f"round {i + 1}: answers and counters {verdict}")
+    return lines
+
+
+def cells(args) -> int:
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="fanns-bench-") as tmp:
+        parent_root = Path(tmp)
+        _extract(args.against, parent_root)
+        print(f"{args.workload} seed {args.seed}, {args.rounds} rounds: {args.against} against "
+              f"{checkout_label(ROOT)}")
+        for i in range(args.rounds):
+            order = (("parent", parent_root), ("change", ROOT))
+            for side, root in order if i % 2 == 0 else order[::-1]:
+                runs[side].append(run_cells(root, args.workload, args.seed))
+    for line in cells_table(runs["parent"], runs["change"]):
+        print(line)
+    return 0 if all(p["digest"] == c["digest"] for p, c in zip(*runs.values())) else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -273,6 +378,17 @@ def main(argv: list[str] | None = None) -> int:
     par.add_argument("--seeds", type=_seed_range, required=True)
     par.add_argument("--seconds", type=float, default=10.0)
     par.set_defaults(run=pairs)
+    cel = commands.add_parser("cells", help="per-cell latencies of a commit and the checkout")
+    cel.add_argument("--against", required=True)
+    cel.add_argument("--workload", required=True, choices=WORKLOADS)
+    cel.add_argument("--seed", type=int, default=1)
+    cel.add_argument("--rounds", type=int, default=5)
+    cel.set_defaults(run=cells)
+    one = commands.add_parser("cell-times", help="one tree's cell latencies and digest, as JSON")
+    one.add_argument("--tree", type=Path, required=True)
+    one.add_argument("--workload", required=True, choices=WORKLOADS)
+    one.add_argument("--seed", type=int, required=True)
+    one.set_defaults(run=print_cell_times)
     args = parser.parse_args(argv)
     try:
         return args.run(args)
