@@ -62,10 +62,6 @@ class Workload:
     filters: tuple[FilterSpec, ...]
     ks: tuple[int, ...]
 
-    @property
-    def n_instances(self) -> int:
-        return len(self.query_ids) * len(self.filters) * len(self.ks)
-
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -148,8 +144,9 @@ def recall_at_k(
 
     The first value divides by min(k, |GT|) and accepts distance ties: a
     returned id not in the GT top-k still counts if its distance does not
-    exceed the GT k-th distance. The second divides the plain id
-    intersection by k.
+    exceed the GT k-th distance by more than 1e-12 of that distance's
+    magnitude, so the rule reads the same at any scale of the corpus. The
+    second divides the plain id intersection by k.
     """
     gt = ground_truth.top(k)
     if len(gt) == 0:
@@ -162,7 +159,7 @@ def recall_at_k(
         if int(rid) in gt_ids:
             hits += 1
             plain += 1
-        elif dist <= kth + 1e-12:
+        elif dist <= kth + 1e-12 * abs(kth):
             hits += 1
     return hits / min(k, len(gt)), plain / k
 

@@ -335,6 +335,10 @@ def ordering_keys(
     raise ValueError(f"unknown metric {metric!r}")
 
 
+NONFINITE_KEYS = ("keys from this query are not finite: a product overflowed float64, "
+                  "and NaN or infinite keys order nothing")
+
+
 def require_finite(query: np.ndarray) -> None:
     """Raise ValueError unless every entry of ``query`` is finite: a NaN
     query has NaN keys, which order nothing."""

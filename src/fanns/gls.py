@@ -76,13 +76,6 @@ def gls_rho(ratio: float) -> float:
     return (ratio - 1.0) / (ratio + 1.0)
 
 
-def gls_inverse(rho: float) -> float:
-    """Inverse map rho -> (1+rho)/(1-rho) for rho in [-1, 1)."""
-    if not -1.0 <= rho < 1.0:
-        raise ValueError("rho must be in [-1, 1)")
-    return (1.0 + rho) / (1.0 - rho)
-
-
 def _bin_for(rho: float) -> str:
     if rho < BIN_LOW_THRESHOLD:
         return "low"
@@ -141,10 +134,9 @@ def gls_approx(
     IVFFlat scan of every list. A beam at least ``hnsw.table_budget(n, d)``
     wide keys every row once, in the exact scan's blocks, and its walk reads
     the keys from that table (see :mod:`fanns.hnsw`), so the search computes
-    n keys. A beam of at least n / 20 (``hnsw.ranks_pay``; the default 2,048
-    is, for n up to 40,960) ranks that table once and walks layer 0 on the
-    rows' places in it, with the neighborhood of the key-space walk, unless
-    two keys tie.
+    n keys. A beam of at least n / 20 as well (the default 2,048 is, for n up
+    to 40,960) ranks that table once and walks layer 0 on the rows' places
+    in it, with the neighborhood of the key-space walk, unless two keys tie.
     The sample is drawn without replacement, so sample_size = N recovers the
     exact global selectivity. A
     ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood

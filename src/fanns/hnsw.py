@@ -25,21 +25,24 @@ is searched at ef=1, the greedy descent. A search's target is layer 0; the
 insertion of a node of level l searches layers l..0 at ``ef_construction``
 and links the node on each of them.
 
-A search's layer-0 walk runs in one of two spaces, with the same visits,
-pool and counters. In key space, ``_search_layer``'s heaps hold
+Each walk is planned once, by its scorer (:class:`_Scorer`), from one
+effective width W = ef * n / admits, ``admits`` being the rows its layer-0
+pool can admit: n for a beam and a build insertion, the mask's popcount for
+the dual pool (an empty mask gives W = n), which walks about as far as a
+beam of width W before ef valid rows fill it. W decides both how the walk
+keys its rows (below) and the space its layer 0 runs in, with the same
+visits, pool and counters in either. In key space, ``_search_layer``'s heaps hold
 ``(key, node)`` tuples, and ``hnsw_search`` ranks the layer-0 pool once, by
 (key, id) with ``telemetry.rank_by_key_then_id`` (one argsort of the keys,
 ``np.lexsort`` only on an exact key tie), over the keys the pool entries
 hold. In rank space, ``_search_ranks`` runs the same loop on each node's
-place in the key table, ranked once before the walk's first step
-(:class:`_Ranks`), and ``hnsw_search`` reads the ids and keys of the sorted
-pool ranks from that ranking. A search takes rank space when its scorer
-keys every row before its first step, its width pays for the ranking
-(:func:`ranks_pay`: 20 * ef >= n for a beam, 20 * ef >= the mask's popcount
-for the dual pool) and no two keys of the table tie. Narrower and lazy
-searches, searches whose table holds a tie (-0.0 ties 0.0) and every build
-insertion stay in key space, as do the layers above layer 0. Each search
-then takes one output step, in one of four modes:
+place in the key table, ranked once before the walk's first step, and
+``hnsw_search`` reads the ids and keys of the sorted pool ranks from that
+ranking. A search takes rank space when its scorer keys every row before its
+first step, 20 * W >= n (for the dual pool, 20 * ef >= popcount), and no two
+keys of the table tie. Lazy searches, searches whose table holds a tie (-0.0
+ties 0.0) and every build insertion stay in key space, as do the layers
+above layer 0. Each search then takes one output step, in one of four modes:
 
 * ``unfiltered`` -- the beam of width ``ef_search``, cut to k.
 * ``prefilter``  -- the same beam, then ``SearchResult.masked``: the bitset
@@ -58,27 +61,28 @@ layer-0 node for ``dualpool``.
 Each walk holds its keys in one float64 array of n keys (:class:`_Scorer`)
 and reads every neighbor's key from it through a ``memoryview``. Every key
 goes through ``corpus.ordering_keys``, over rows of the corpus's float64
-``vectors64``, so each call passes its identity checks unconverted. What
-fills the array follows one rule, which depends on the walk's layer-0 width
-and the work it has done; an insertion is a walk of width
-``ef_construction``, a search one of width ``ef_search``. A walk keys
-lazily, one call per expanded node over its unvisited neighbors' rows
-gathered by id, with keys bit-identical to uncached ones, until those calls
-have keyed ``table_budget(n, d)`` rows: as many lazy rows as cost one
-every-row pass. It then keys every row once, one ``row_blocks`` block at a
-time, as the unmasked exact scan does, and makes no more calls. A beam of
-width ef visits at least ef rows, so a walk at least the budget wide keys
-every row before its first key. A build's insertions do so up to about
-2600 * ef_construction / (d + 6) rows (5,909 at ef_construction = 50 and
-d = 16); its keys then cost one pass over the corpus per insertion. A search
-counts each row it keyed as a distance evaluation: its lazy rows, plus n
-once it keyed every row. The visits are the lazy walk's unless the last bits
-of a key decide them: an inner-product or cosine key from the every-row pass
-can differ from the lazy one in the last bits, since a GEMV's rounding
-depends on the rows that share the call. On exact duplicate rows the pass's
-keys tie where lazy calls of different shapes split them by an ulp, so a
-build can link such rows differently. Under cosine a zero query, or any zero
-row in the corpus, raises ``ValueError`` before the first key.
+``vectors64``, so each call passes its identity checks unconverted. A walk
+with W >= ``table_budget(n, d)`` keys every row once before its first step,
+one ``row_blocks`` block at a time, as the unmasked exact scan does, and
+makes no more calls. A narrower walk keys lazily, one call per expanded node
+over its unvisited neighbors' rows gathered by id, with keys bit-identical
+to uncached ones, until those calls have keyed the budget's rows: as many
+lazy rows as cost one every-row pass. It then keys every row once in the
+same blocks, mid-walk. A beam of width ef visits at least ef rows, and a
+dual pool about as many as a beam of width W, so a walk keyed lazily past
+the budget would have paid more. A build's insertions key every row first up
+to about 2600 * ef_construction / (d + 6) rows (5,909 at ef_construction =
+50 and d = 16); their keys then cost one pass over the corpus per insertion.
+A search counts each row it keyed as a distance evaluation: its lazy rows,
+plus n once it keyed every row. The visits are the lazy walk's unless the
+last bits of a key decide them: an inner-product or cosine key from the
+every-row pass can differ from the lazy one in the last bits, since a GEMV's
+rounding depends on the rows that share the call. On exact duplicate rows
+the pass's keys tie where lazy calls of different shapes split them by an
+ulp, so a build can link such rows differently. Under cosine a zero query,
+or any zero row in the corpus, raises ``ValueError`` before the first key.
+A NaN or infinite key, which only a query of norm above 2**300 can make,
+raises ``ValueError`` as the exact scan's does.
 
 A graph holds one ``int`` object per node id: the node's key in every
 layer's dict, every link to it and ``entry_point`` are that one object. A
@@ -115,6 +119,7 @@ import numpy as np
 
 from fanns.corpus import (
     BinaryReader,
+    NONFINITE_KEYS,
     Corpus,
     FilterMask,
     Metric,
@@ -174,65 +179,73 @@ def table_budget(n: int, dim: int) -> int:
     return -(-n * (dim + 6) // 2600)
 
 
-def ranks_pay(ef: int, rows: int) -> bool:
-    """Whether a search whose scorer keys every row before its first step
-    (a layer-0 width of at least ``table_budget``) walks layer 0 in rank
-    space: its pool holds ``ef`` entries out of ``rows`` it could admit (n
-    for a beam, the mask's popcount for the dual pool), and it does when
-    20 * ef >= rows.
-
-    The rank path pays one ranking of the n keys up front (an argsort, a
-    gather, the tie test and a scatter: about 84 us at n = 3,000 and 720 us
-    at 20,000) and then saves part of every visit's heap work, since it
-    compares ints where the tuple loop compares ``(key, node)`` tuples. A
-    beam of width ef visits a number of nodes that grows with ef, and a
-    dual pool keeps walking until ef valid rows fill it, so it walks about
-    as far as a beam of width ef * n / rows. With W that width, the rule is
-    W * beta >= n. Measured with one BLAS thread on the cluster-correlated
-    cosine corpus at 3,000 x 16 and 20,000 x 16 (loaded graphs, M = 10,
-    ef_construction = 50), the two paths cost the same at W = n / 20 on
-    both, for the beam and for the dual pool (the crossover table is in
-    README.md), so beta = 20 at both sizes.
-    """
-    return 20 * ef >= rows
-
-
 class _Scorer:
-    """The ordering keys from ``query`` to corpus rows, for one walk whose
-    layer-0 width is ``width``: one float64 array of n keys, ``array``, read
-    through its ``memoryview``, ``view``, one read per key.
+    """The ordering keys from ``query`` to corpus rows for one walk, and the
+    walk's plan: one float64 array of n keys, ``array``, read through its
+    ``memoryview``, ``view``, one read per key.
+
+    The plan follows from one effective width, W = ef * n / admits, where
+    ``admits`` counts the rows the layer-0 pool can admit: n for a beam, the
+    mask's popcount for the dual pool, None for a build insertion (a beam
+    that is not a search). An empty mask gives W = n. A dual pool keeps
+    walking until ef valid rows fill it, so it walks about as far as a beam
+    of width W. Both choices compare integers:
+
+    * a walk with W >= ``table_budget(n, d)`` keys every row on its first
+      call; a narrower one keys lazily first;
+    * a search that keys every row first ranks the table when 20 * W >= n
+      (for the dual pool, 20 * ef >= popcount). Ranking costs one argsort, a
+      gather, the tie test and a scatter (about 84 us at n = 3,000 and 720
+      us at 20,000), and then saves part of every visit's heap work, since
+      the rank loop compares ints where the tuple loop compares ``(key,
+      node)`` tuples. Measured with one BLAS thread on the
+      cluster-correlated cosine corpus at 3,000 x 16 and 20,000 x 16 (loaded
+      graphs, M = 10, ef_construction = 50), the two loops cost the same at
+      W = n / 20 on both, for the beam and the dual pool (crossover table
+      in README.md).
 
     ``fill(ids)`` keys the rows with the given ids into ``array``. The
     query's float64 copy and, for cosine, every row's divisor
     (``corpus.cosine_divisors(query)``; None under L2 and inner product) are
-    built once here. A width under ``table_budget(n, d)`` keys lazily while
-    its calls have keyed fewer rows than the budget: a call turns its ids into
-    one index array, gathers the rows from ``corpus.vectors64`` and, for
-    cosine, their divisors with it, and keys them through ``ordering_keys``,
-    with the rows as its second argument, so they are bit-identical to
-    ``ordering_keys(query, corpus.vectors[ids], metric)``. ``lazy_rows``
-    counts those rows. The first call after that, or the first call of all at
-    a width of at least the budget, keys every row once, one ``row_blocks``
-    block at a time, so each key is bit-identical to the unmasked exact
-    scan's, and sets ``complete``: every key is in the array, and a walk
-    makes no more calls. A cosine query of norm 0, or a cosine corpus with a
-    zero row, raises here. ``rank()`` ranks a complete array into ``ranks``,
-    a :class:`_Ranks`; it stays None without that call and on a tie.
+    built once here. A lazy walk keys lazily while its calls have keyed fewer
+    rows than the budget: a call turns its ids into one index array, gathers
+    the rows from ``corpus.vectors64`` and, for cosine, their divisors with
+    it, and keys them through ``ordering_keys``, with the rows as its second
+    argument, so they are bit-identical to ``ordering_keys(query,
+    corpus.vectors[ids], metric)``. ``lazy_rows`` counts those rows. The
+    first call after that, or the first call of all when the table comes
+    first, keys every row once, one ``row_blocks`` block at a time, so each
+    key is bit-identical to the unmasked exact scan's, and sets
+    ``complete``: every key is in the array, and a walk makes no more calls.
+    A search planned to rank then ranks the table, unless two keys tie:
+    ``order`` holds the row ids in ascending key order and ``rank``, a
+    ``memoryview``, each row's place in it (both stay None otherwise).
+
+    Every row is a finite float32 vector, so its norm is below 2**144 for
+    d < 2**32; while the query's squared norm is below 2**600, no key, and
+    no sum or product inside one, can overflow, and keys are not checked. A
+    larger query's keys are checked as they are keyed: a NaN or infinite key
+    raises ``ValueError`` (``corpus.NONFINITE_KEYS``), as the exact scan's
+    do. A cosine query of norm 0, or a cosine corpus with a zero row, raises
+    here.
     """
 
-    __slots__ = ("query", "rows", "metric", "divisors", "lazy_budget", "array", "view",
-                 "lazy_rows", "complete", "ranks")
+    __slots__ = ("query", "rows", "metric", "divisors", "lazy_budget", "ranked", "check_finite",
+                 "array", "view", "lazy_rows", "complete", "order", "rank")
 
-    def __init__(self, corpus: Corpus, query: np.ndarray, width: int):
-        budget = table_budget(corpus.n, corpus.dim)
-        self.lazy_budget = budget if width < budget else 0
+    def __init__(self, corpus: Corpus, query: np.ndarray, ef: int, admits: Optional[int] = None):
+        n, budget = corpus.n, table_budget(corpus.n, corpus.dim)
+        rows = n if admits is None else admits or ef  # W = ef * n / rows
+        self.lazy_budget = budget if ef * n < budget * rows else 0
+        self.ranked = not self.lazy_budget and admits is not None and 20 * ef >= rows
         self.rows, self.metric = corpus.vectors64, corpus.metric
         self.query = np.asarray(query, dtype=np.float64)
+        self.check_finite = not self.query.dot(self.query) < 2.0**600
         self.divisors = corpus.cosine_divisors(self.query)
-        self.array = np.empty(corpus.n)
+        self.array = np.empty(n)
         self.view = memoryview(self.array)
         self.lazy_rows, self.complete = 0, False
-        self.ranks: Optional[_Ranks] = None
+        self.order = self.rank = None
 
     def fill(self, ids) -> None:
         query, metric, divisors = self.query, self.metric, self.divisors
@@ -241,35 +254,20 @@ class _Scorer:
             self.lazy_rows += ids.size
             self.array.put(ids, ordering_keys(query, self.rows.take(ids, axis=0), metric,
                                               None if divisors is None else divisors.take(ids)))
-            return
-        for block in row_blocks(len(self.array)):
-            self.array[block] = ordering_keys(query, self.rows[block], metric,
-                                              None if divisors is None else divisors[block])
-        self.complete = True
-
-    def rank(self) -> None:
-        """Rank the complete key table into ``ranks``, unless two keys tie."""
-        distinct = argsort_distinct(self.array)
-        if distinct is None:
-            return  # the walk stays in key space
-        self.ranks = _Ranks(*distinct)
-
-
-class _Ranks:
-    """A key table without a tie, ranked once: ``order``, the node ids in
-    ascending key order, and ``keys``, the keys in that order (numpy
-    arrays); ``nodes``, ``order`` read through a ``memoryview``; ``rank``,
-    each node's place in ``order``, the same way; and ``inf``, the number
-    of keys below +inf."""
-
-    __slots__ = ("order", "keys", "nodes", "rank", "inf")
-
-    def __init__(self, order: np.ndarray, keys: np.ndarray):
-        self.order, self.keys = order, keys
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.nodes, self.rank = memoryview(order), memoryview(rank)
-        self.inf = int(np.searchsorted(keys, math.inf))
+        else:
+            for block in row_blocks(len(self.array)):
+                self.array[block] = ordering_keys(query, self.rows[block], metric,
+                                                  None if divisors is None else divisors[block])
+            self.complete, ids = True, slice(None)
+        if self.check_finite and not np.isfinite(self.array[ids]).all():
+            raise ValueError(NONFINITE_KEYS)
+        if self.ranked:  # the plan keys every row on the first call
+            distinct = argsort_distinct(self.array)
+            if distinct is not None:  # a tie leaves the walk in key space
+                self.order = distinct[0]
+                rank = np.empty_like(self.order)
+                rank[self.order] = np.arange(len(self.order))
+                self.rank = memoryview(rank)
 
 
 def _search_layer(
@@ -362,7 +360,7 @@ def _search_ranks(
     telemetry: SearchTelemetry,
     bits: Optional[np.ndarray] = None,
 ) -> list[int]:
-    """``_search_layer`` in rank space, over a scorer whose ``ranks`` are set.
+    """``_search_layer`` in rank space, over a scorer that ranked its table.
 
     It takes the pool as ``_search_layer`` does, ``(-key, node)`` entries,
     and returns the layer's nearest nodes as a heap of negated ranks. The
@@ -370,12 +368,11 @@ def _search_ranks(
     ranks, so the loop runs on ints where ``_search_layer`` compares tuples.
     The key table has no tie, so one rank is below another exactly when its
     key is, and every comparison, eviction and pop comes out as in
-    ``_search_layer``. ``worst`` starts at ``ranks.inf``, the rank an inf
-    key would take, which stands where ``_search_layer``'s inf does. The
-    counters are ``_search_layer``'s.
+    ``_search_layer``. Every key is finite, so ``worst`` starts at n, past
+    every rank, where ``_search_layer``'s starts at inf. The counters are
+    ``_search_layer``'s.
     """
-    ranks = keys.ranks
-    rank, nodes = ranks.rank, ranks.nodes
+    rank, nodes = keys.rank, memoryview(keys.order)
     visited = {node for _, node in pool}
     entered = len(visited)
     candidates = sorted(rank[node] for node in visited)
@@ -385,7 +382,7 @@ def _search_ranks(
     else:
         pool = [-rank[node] for node in visited]
     heapify(pool)
-    worst = -pool[0] if len(pool) == ef else ranks.inf
+    worst = -pool[0] if len(pool) == ef else len(rank)
     while candidates:
         r = heappop(candidates)
         if r > worst:
@@ -414,24 +411,19 @@ def _search_ranks(
 
 
 def _walk(index: HnswIndex, keys: _Scorer, ef: int, level: int, telemetry: SearchTelemetry,
-          bits: Optional[np.ndarray] = None, ranked: bool = False):
+          bits: Optional[np.ndarray] = None):
     """The layer loop of every build insertion and search: score the entry
     point, then run ``_search_layer`` from the top layer down, each layer's
     pool seeding the next, at ef=1 above ``level`` and at ``ef`` on ``level``
     and below, with ``bits`` on layer 0 only. Yields ``(layer, pool)`` for
     each layer at or below ``level``; a caller may read each pool but not
-    change it, since the next layer starts from it.
-
-    With ``ranked`` (a search whose scorer keys every row on its first call,
-    see :func:`ranks_pay`) the key table is ranked once, after that call,
-    and unless two keys tie layer 0 runs ``_search_ranks``, whose pool holds
-    negated ranks."""
+    change it, since the next layer starts from it. Layer 0 runs
+    ``_search_ranks`` instead, whose pool holds negated ranks, when the
+    scorer ranked its table on the entry point's call."""
     keys.fill([index.entry_point])
-    if ranked:
-        keys.rank()
     pool = [(-keys.view[index.entry_point], index.entry_point)]
     for layer in range(index.max_level, -1, -1):
-        search = _search_ranks if layer == 0 and keys.ranks is not None else _search_layer
+        search = _search_ranks if layer == 0 and keys.rank is not None else _search_layer
         pool = search(keys, index.adjacency[layer], pool, ef if layer <= level else 1,
                       telemetry, bits if layer == 0 else None)
         if layer <= level:
@@ -518,10 +510,11 @@ def hnsw_search(
     keys its entries hold, not over the scorer's array: a walk that keyed
     every row mid-walk can hold a row's lazy key in the pool and its
     every-row key in the array, an ulp apart under inner product and cosine.
-    A rank-space pool is sorted as ints, and its ids and keys read from the
-    scorer's ranking: that walk keyed every row before its first step, so
-    the pool holds the array's keys. ``ef_search`` is deliberately not
-    clamped to ``k``: the result list may be shorter than ``k``.
+    A rank-space pool is sorted as ints, its ids read from the scorer's
+    ranking and its keys from the scorer's array: that walk keyed every row
+    before its first step, so the pool holds the array's keys. ``ef_search``
+    is deliberately not clamped to ``k``: the result list may be shorter
+    than ``k``.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -539,21 +532,20 @@ def hnsw_search(
     require_mask_for(corpus, mask)
     require_finite(query)
 
-    keys = _Scorer(corpus, query, ef_search)
-    telemetry = SearchTelemetry(nodes_visited=1)
     bits = mask.bits if mode == "dualpool" else None
-    ranked = keys.lazy_budget == 0 and ranks_pay(
-        ef_search, corpus.n if bits is None else mask.valid_count)
-    [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits, ranked)
+    keys = _Scorer(corpus, query, ef_search, corpus.n if bits is None else mask.valid_count)
+    telemetry = SearchTelemetry(nodes_visited=1)
+    [(_, pool)] = _walk(index, keys, ef_search, 0, telemetry, bits)
     telemetry.distance_evaluations = keys.lazy_rows + (corpus.n if keys.complete else 0)
-    if keys.ranks is None:
+    if keys.rank is None:
         ids = np.fromiter(map(itemgetter(1), pool), np.int64, len(pool))
         dists = -np.fromiter(map(itemgetter(0), pool), np.float64, len(pool))
         order = rank_by_key_then_id(dists, ids)
         ids, dists = ids[order], dists[order]
     else:
         ranks = np.sort(-np.array(pool, dtype=np.intp))
-        ids, dists = keys.ranks.order[ranks], keys.ranks.keys[ranks]
+        ids = keys.order[ranks]
+        dists = keys.array[ids]
     result = SearchResult(ids=ids, distances=dists, telemetry=telemetry)
     return result.masked(mask.bits, k) if mode == "prefilter" else result.top(k)
 

@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from fanns.corpus import (
+    NONFINITE_KEYS,
     Corpus,
     FilterMask,
     Metric,
@@ -114,8 +115,7 @@ def exact_scan(
     # both rankings put NaN last, so only the ends of the ranking and the
     # m-th key need reading
     if not (-math.inf < top[0] and top[-1] < math.inf) or math.isnan(keys[ranked[-1]]):
-        raise ValueError("keys from this query are not finite: a product overflowed "
-                         "float64, and NaN or infinite keys order nothing")
+        raise ValueError(NONFINITE_KEYS)
     telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
     return SearchResult(order if full else ids[order], top, telemetry)
 

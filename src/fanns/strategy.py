@@ -65,8 +65,11 @@ class SearchParams:
 class ExecutionRecord:
     plan_chosen: PlanKind
     results: SearchResult
-    telemetry: SearchTelemetry
     latency: float  # seconds, wall clock, single query
+
+    @property
+    def telemetry(self) -> SearchTelemetry:
+        return self.results.telemetry
 
     @property
     def qps(self) -> float:
@@ -110,9 +113,7 @@ def execute(
     start = time.perf_counter_ns()
     plan_chosen, result = _dispatch(index, corpus, query, k, mask, plan, params)
     latency = max(time.perf_counter_ns() - start, 1) / 1e9
-    return ExecutionRecord(
-        plan_chosen=plan_chosen, results=result, telemetry=result.telemetry, latency=latency
-    )
+    return ExecutionRecord(plan_chosen=plan_chosen, results=result, latency=latency)
 
 
 def _dispatch(index, corpus, query, k, mask, plan, params) -> tuple[PlanKind, SearchResult]:

@@ -18,11 +18,12 @@ class SearchTelemetry:
     the search reached: every row an exact scan bounded (an L2 scan keys only
     the rows its float32 bound keeps, so it can count fewer evaluations than
     visits), every node an HNSW search read a key for. A lazily keyed HNSW
-    search counts each visited node once in both; one that has keyed
-    ``hnsw.table_budget(n, d)`` rows lazily, or whose layer-0 width is at
-    least that budget, keys every row once and counts its lazy rows plus n
-    evaluations, more than its visits. Centroid keys are counted apart, in
-    ``centroid_evaluations``.
+    search counts each visited node once in both. One whose effective
+    layer-0 width (ef for a beam, ef * n / popcount for the dual pool) is at
+    least ``hnsw.table_budget(n, d)`` keys every row first and counts n
+    evaluations; a narrower one that has keyed the budget's rows lazily
+    then keys every row once and counts its lazy rows plus n, more than its
+    visits. Centroid keys are counted apart, in ``centroid_evaluations``.
     """
 
     distance_evaluations: int = 0

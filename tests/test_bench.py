@@ -17,7 +17,7 @@ from fanns.bench import (
     write_summary_csv,
 )
 from fanns.corpus import Corpus, Metric, generate_synthetic
-from fanns.hnsw import hnsw_build
+from fanns.hnsw import hnsw_build, hnsw_search
 from fanns.ivfflat import ivf_build
 from fanns.oracle import exact_knn
 from fanns.strategy import PlanKind, SearchParams, StrategyPlan, execute
@@ -29,7 +29,7 @@ class TestMakeWorkload:
         workload = make_workload(corpus2k, 10, seed=1)
         assert len(workload.filters) == len(DEFAULT_TARGETS) + 1
         assert workload.ks == DEFAULT_KS
-        assert workload.n_instances == 10 * 7 * 4
+        assert len(workload.query_ids) * len(workload.filters) * len(workload.ks) == 10 * 7 * 4
 
     def test_determinism(self, corpus2k):
         a = make_workload(corpus2k, 50, seed=5)
@@ -86,6 +86,27 @@ class TestRecallAtK:
     def test_empty_ground_truth(self):
         gt = SearchResult(np.empty(0, dtype=np.int64), np.empty(0))
         assert recall_at_k(np.empty(0, dtype=np.int64), np.empty(0), gt, 5)[0] == 1.0
+
+    def test_the_tie_rule_reads_the_same_at_any_scale(self):
+        # the same narrow L2 searches over a corpus and queries at scale 1 and
+        # at 1e-13, where every distance is far below 1e-12: a tolerance of
+        # 1e-12 would count every returned row as a tie there
+        rng = np.random.default_rng(0)
+        base, attribute = rng.standard_normal((2000, 8)), rng.uniform(size=2000)
+        queries = base[rng.choice(2000, 50, replace=False)] + rng.normal(0, 0.1, (50, 8))
+        readings = []
+        for scale in (1.0, 1e-13):
+            corpus = Corpus((base * scale).astype(np.float32), attribute, Metric.L2)
+            index = hnsw_build(corpus, 4, 8, seed=0)
+            recalls = []
+            for query in queries * scale:
+                result = hnsw_search(index, corpus, query, 10, 10)
+                gt = exact_knn(corpus, query, 10)
+                assert scale == 1.0 or gt.distances[-1] < 1e-12
+                recalls.append(recall_at_k(result.ids, result.distances, gt, 10))
+            readings.append(np.mean(recalls, axis=0))
+        assert readings[0][0] < 0.9
+        assert np.array_equal(readings[0], readings[1])
 
 
 def _ivf_grid(corpus, n_clusters, *search_params):

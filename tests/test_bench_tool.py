@@ -248,6 +248,19 @@ def test_cells_names_each_round_whose_digests_differ():
                           "round 2: answers and counters DIFFER"]
 
 
+def test_cells_marks_a_cell_missing_on_one_side():
+    # each side runs its own op stream, so a benchmark change can add or drop cells
+    parent = {"cells": {"Post 0.1": [2000], "PreAnns 0.1": [4000]}, "digest": "d1"}
+    change = {"cells": {"Post 0.1": [1000], "Runtime 0.1": [3000]}, "digest": "d2"}
+    lines = bench_tool.cells_table([parent], [change])
+    assert [line.split() for line in lines[1:4]] == [
+        ["Post", "0.1", "2.0", "1.0", "0.500"],
+        ["PreAnns", "0.1", "4.0", "—", "—"],
+        ["Runtime", "0.1", "—", "3.0", "—"],
+    ]
+    assert lines[4:] == ["round 1: answers and counters DIFFER"]
+
+
 def test_cell_times_runs_a_trees_stream_without_writing_to_it(tmp_path):
     # the checkout's own tree, in a subprocess, as cells runs each side
     before = sorted(p.name for p in (bench_tool.ROOT / "perfbench").iterdir())

@@ -22,7 +22,6 @@ from fanns.gls import (
     distance_correlation,
     gls_approx,
     gls_exact,
-    gls_inverse,
     gls_mean,
     gls_rho,
     write_gls_csv,
@@ -43,19 +42,7 @@ class TestMoebiusMap:
         assert gls_rho(1.0) == 0.0
         assert gls_rho(0.0) == -1.0
 
-    def test_inverse_examples(self):
-        assert gls_inverse(0.0) == 1.0
-        assert gls_inverse(0.245283) == pytest.approx(1.65, abs=1e-4)
-
-    def test_round_trip_thousand_points(self):
-        rng = np.random.default_rng(12)
-        rhos = rng.uniform(-1.0, 0.999, size=1000)
-        for rho in rhos:
-            assert gls_rho(gls_inverse(rho)) == pytest.approx(rho, abs=1e-12)
-
-    def test_inverse_domain(self):
-        with pytest.raises(ValueError):
-            gls_inverse(1.0)
+    def test_domain(self):
         with pytest.raises(ValueError):
             gls_rho(-0.1)
 

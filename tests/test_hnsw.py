@@ -324,9 +324,10 @@ class TestCachedKeys:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hnsw_mod, "ordering_keys", counting)
-        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.1))
-        # a width under the key-table budget: lazy calls, then the every-row pass
-        assert 10 < hnsw_mod.table_budget(corpus2k.n, corpus2k.dim)
+        mask = build_mask(corpus2k, threshold_for_selectivity(corpus2k, 0.7))
+        # a width under the key-table budget, the dual pool's too (10 * 2000 /
+        # 1400 < 17): lazy calls, then the every-row pass
+        assert 10 * corpus2k.n < hnsw_mod.table_budget(corpus2k.n, corpus2k.dim) * mask.valid_count
         result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 10, mode=mode, mask=mask)
         assert len(rows_seen) > 2 and rows_seen[-1] == corpus2k.n
         assert sum(rows_seen) == result.telemetry.distance_evaluations
@@ -401,8 +402,9 @@ def _reference_search_layer(keys, adjacency, pool, ef, telemetry, bits=None):
 
 def _key_space_throughout(monkeypatch, search_layer=_reference_search_layer):
     """Make every layer of every walk run the key-space loop ``search_layer``
-    (the reference loop by default): no search walks in rank space."""
-    monkeypatch.setattr(hnsw_mod, "ranks_pay", lambda ef, rows: False)
+    (the reference loop by default): every key table reads as tied, so no
+    search walks in rank space, and each walk keys its rows as planned."""
+    monkeypatch.setattr(hnsw_mod, "argsort_distinct", lambda keys: None)
     monkeypatch.setattr(hnsw_mod, "_search_layer", search_layer)
 
 
@@ -735,8 +737,8 @@ def _record_insertions(monkeypatch):
     search_layer, insertions = hnsw_mod._search_layer, []
 
     class Recorded(hnsw_mod._Scorer):
-        def __init__(self, corpus, query, width):
-            super().__init__(corpus, query, width)
+        def __init__(self, corpus, query, ef, admits=None):
+            super().__init__(corpus, query, ef, admits)
             self.rows_seen, self.telemetry = [], SearchTelemetry(nodes_visited=1)
             insertions.append(self)
 
@@ -799,20 +801,23 @@ class TestSinglePassRule:
 
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     def test_one_less_keys_per_expanded_node(self, monkeypatch, budget_graph, mode):
-        # one key call per expanded node until the budget is keyed
+        # one key call per expanded node until the budget is keyed, at the
+        # widest ef whose W = ef * n / admits is under the budget
         corpus, index = budget_graph
         mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
-        width = hnsw_mod.table_budget(corpus.n, corpus.dim) - 1
+        admits = mask.valid_count if mode == "dualpool" else corpus.n
+        width = -(-hnsw_mod.table_budget(corpus.n, corpus.dim) * admits // corpus.n) - 1
         rows_seen = _counting_keys(monkeypatch)
         result = hnsw_search(index, corpus, corpus.vectors[3], 10, width, mode=mode, mask=mask,
                              pool_size=width)
         self._assert_switched_at_the_budget(corpus, index, rows_seen, result.telemetry)
 
     def test_the_dual_pool_switches_mid_walk(self, monkeypatch, budget_graph):
-        # an ef=10 dual pool at sigma = 0.1 walks on well past its budget:
-        # filtered-out nodes keep it from filling its pool
+        # an ef=10 dual pool at sigma = 0.3 (W = 10 * 601 / 180 = 33, under
+        # the budget of 48) walks on well past its budget: filtered-out nodes
+        # keep it from filling its pool
         corpus, index = budget_graph
-        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.1))
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
         rows_seen = _counting_keys(monkeypatch)
         result = hnsw_search(index, corpus, corpus.vectors[3], 10, 10, mode="dualpool",
                              mask=mask)
@@ -966,9 +971,9 @@ class TestSinglePassEqualsLazy:
 
         scorer, switched_mid_walk = hnsw_mod._Scorer, []
 
-        def recording(corpus, query, width):
-            keys = scorer(corpus, query, width)
-            if width < hnsw_mod.table_budget(corpus.n, corpus.dim):
+        def recording(corpus, query, ef, admits=None):
+            keys = scorer(corpus, query, ef, admits)
+            if keys.lazy_budget:
                 switched_mid_walk.append(keys)
             return keys
 
@@ -1078,9 +1083,9 @@ def rank_graphs(request, tmp_path_factory):
 
 class TestRankSpace:
     """A search whose scorer keys every row first and whose width pays for
-    ranking the key table (``ranks_pay``) walks layer 0 in rank space, with
-    the ids, keys and counters of the key-space reference loop; every other
-    walk stays in key space."""
+    ranking the key table (20 * W >= n, see ``TestPlan``) walks layer 0 in
+    rank space, with the ids, keys and counters of the key-space reference
+    loop; every other walk stays in key space."""
 
     SIGMAS = (0.01, 0.1, 0.5)
 
@@ -1118,11 +1123,6 @@ class TestRankSpace:
         assert self._answers(corpus, index) == real
         assert walks == [15 * 11]
 
-    def test_the_rule(self):
-        assert hnsw_mod.ranks_pay(150, 3000) and not hnsw_mod.ranks_pay(149, 3000)
-        assert hnsw_mod.ranks_pay(100, 300) and hnsw_mod.ranks_pay(100, 2000)
-        assert not hnsw_mod.ranks_pay(100, 2001)
-
     def test_a_wide_search_walks_in_rank_space(self, monkeypatch, corpus2k, hnsw2k):
         walks = _count_rank_walks(monkeypatch)
         query = corpus2k.vectors[7]
@@ -1134,12 +1134,12 @@ class TestRankSpace:
         assert walks == [2]
 
     def test_no_build_insertion_walks_in_rank_space(self, monkeypatch, budget_graph):
-        # ef_construction = 200 is past the key-table budget and pays by the
-        # rule (20 * 200 >= 601), yet every insertion stays in key space
+        # ef_construction = 200 is past the key-table budget and would pay by
+        # the rule (20 * 200 >= 601), yet no insertion ranks its table
         corpus, _ = budget_graph
         walks = _count_rank_walks(monkeypatch)
         rankings = []
-        monkeypatch.setattr(hnsw_mod._Scorer, "rank", lambda keys: rankings.append(keys))
+        monkeypatch.setattr(hnsw_mod, "argsort_distinct", rankings.append)
         hnsw_build(corpus, 8, 200, seed=0)
         assert walks == [0] and rankings == []
 
@@ -1172,37 +1172,151 @@ class TestRankSpace:
         _key_space_throughout(monkeypatch)
         assert _search_answers(corpus, index, (100,), whole_pool=True, n_queries=10) == real
 
-    def test_an_infinite_key_walks_as_in_key_space(self, monkeypatch):
-        # one row keyed +inf leaves the table without a tie; key space never
-        # admits it to a pool that has room (inf < inf fails), nor may the
-        # rank path, whose worst starts at the rank an inf key takes
-        corpus, index = _graph(Metric.L2, spread=True)
-        query = corpus.vectors[3]
-        near = exact_knn(corpus, query, 5).ids.tolist()
 
-        def one_infinite(query, rows, metric, divisors=None):
-            keys = ordering_keys(query, rows, metric, divisors)
-            if len(rows) == corpus.n:
-                keys[near[2]] = np.inf
-            return keys
+class TestPlan:
+    """One effective width, W = ef * n / admits (n for an empty mask), plans
+    each walk: its table comes first iff W >= ``table_budget(n, d)``, and a
+    search that keys it first ranks it iff 20 * W >= n."""
 
-        monkeypatch.setattr(hnsw_mod, "ordering_keys", one_infinite)
-        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.3))
+    # (n, d, ef, admits) -> (table first, ranked); table_budget(3000, 16) is
+    # 26 and table_budget(100, 2600) is 101, more than n
+    CASES = [
+        # the beam: W = ef
+        ((3000, 16, 25, 3000), (False, False)),
+        ((3000, 16, 26, 3000), (True, False)),
+        ((3000, 16, 149, 3000), (True, False)),
+        ((3000, 16, 150, 3000), (True, True)),
+        ((100, 2600, 100, 100), (False, False)),
+        ((100, 2600, 101, 100), (True, True)),
+        # the dual pool: W = ef * n / popcount
+        ((3000, 16, 100, 2000), (True, True)),
+        ((3000, 16, 100, 2001), (True, False)),
+        ((3000, 16, 10, 1153), (True, False)),  # 10 * 3000 >= 26 * 1153
+        ((3000, 16, 10, 1154), (False, False)),  # 10 * 3000 < 26 * 1154
+        ((3000, 16, 10, 200), (True, True)),
+        ((3000, 16, 10, 201), (True, False)),
+        # a build insertion: W = ef, never ranked
+        ((3000, 16, 25, None), (False, False)),
+        ((3000, 16, 26, None), (True, False)),
+        ((3000, 16, 3000, None), (True, False)),
+        # an empty mask: W = n
+        ((3000, 16, 1, 0), (True, True)),
+        ((100, 2600, 1, 0), (False, False)),
+        ((100, 2600, 101, 0), (False, False)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        rng = np.random.default_rng(77)
+        return {shape: Corpus(rng.standard_normal(shape).astype(np.float32),
+                              rng.uniform(size=shape[0]))
+                for shape in ((3000, 16), (100, 2600))}
+
+    def test_the_budgets(self):
+        assert hnsw_mod.table_budget(3000, 16) == 26
+        assert hnsw_mod.table_budget(100, 2600) == 101
+
+    @pytest.mark.parametrize(("walk", "plan"), CASES, ids=lambda c: str(c))
+    def test_one_width_plans_the_walk(self, corpora, walk, plan):
+        n, d, ef, admits = walk
+        corpus = corpora[(n, d)]
+        keys = hnsw_mod._Scorer(corpus, corpus.vectors[0], ef, admits)
+        assert (not keys.lazy_budget, keys.ranked) == plan
+
+    @staticmethod
+    def _check_wider_than_ef(monkeypatch, corpus, index, efs):
+        """Dual pools with ef < budget <= W key their table first, and walk
+        in rank space where 20 * ef >= popcount, with the ids, visits and
+        bit reads of the lazy-then-table walk that the width ef alone plans
+        (an insertion's plan, patched in), and keys within 1e-9. Returns the
+        (ranked, not ranked) counts of the searches compared."""
+        budget = hnsw_mod.table_budget(corpus.n, corpus.dim)
+        masks = [build_mask(corpus, threshold_for_selectivity(corpus, s))
+                 for s in (0.01, 0.1, 0.3, 0.5)]
+        searches = [(ef, mask) for ef in efs for mask in masks
+                    if ef < budget and budget * mask.valid_count <= ef * corpus.n]
+        queries = np.random.default_rng(78).standard_normal((15, corpus.dim))
 
         def answers():
-            out = []
-            for mode in ("unfiltered", "dualpool"):
-                r = hnsw_search(index, corpus, query, corpus.n, corpus.n, mode=mode, mask=mask)
-                assert near[2] not in r.ids.tolist() and np.isfinite(r.distances).all()
-                t = r.telemetry
-                out.append((r.ids.tolist(), r.distances.tolist(), t.nodes_visited,
-                            t.predicate_invocations))
-            return out
+            return [hnsw_search(index, corpus, query, 10, ef, mode="dualpool", mask=mask)
+                    for query in queries for ef, mask in searches]
 
         walks = _count_rank_walks(monkeypatch)
-        real = answers()
-        assert walks == [2]
-        # the reference loop admits to a pool with room whatever the key, so
-        # the key-space side here is _search_layer itself
-        _key_space_throughout(monkeypatch, hnsw_mod._search_layer)
-        assert answers() == real
+        wide = answers()
+        scorer = hnsw_mod._Scorer
+        monkeypatch.setattr(hnsw_mod, "_Scorer",
+                            lambda corpus, query, ef, admits=None: scorer(corpus, query, ef))
+        lazy = answers()
+        for new, old in zip(wide, lazy):
+            assert np.array_equal(new.ids, old.ids)
+            assert np.allclose(new.distances, old.distances, rtol=0, atol=1e-9)
+            assert new.telemetry.nodes_visited == old.telemetry.nodes_visited
+            assert new.telemetry.predicate_invocations == old.telemetry.predicate_invocations
+            assert new.telemetry.distance_evaluations == corpus.n
+        ranked = sum(20 * ef >= mask.valid_count for ef, mask in searches) * len(queries)
+        assert walks == [ranked]
+        return ranked, len(wide) - ranked
+
+    def test_a_wider_dual_pool_keys_its_table_first(self, monkeypatch, spread_graph):
+        # budget 4: ef = 1..3 at sigma up to 0.5, on both sides of 20 * ef >= popcount
+        ranked, key_space = self._check_wider_than_ef(monkeypatch, *spread_graph, (1, 2, 3))
+        assert ranked > 0 and key_space > 0
+
+    def test_a_wider_dual_pool_ranks_its_table(self, monkeypatch, wide_graph):
+        # budget 39: ef = 5..30 at sigma 0.01 and 0.1, and 20 and 30 at 0.3
+        # and 0.5; 20 * 39 > n, so every table keyed first is ranked
+        ranked, key_space = self._check_wider_than_ef(monkeypatch, *wide_graph, (5, 10, 20, 30))
+        assert ranked == 15 * 12 and key_space == 0
+
+
+@pytest.fixture(scope="module", params=list(Metric), ids=lambda m: m.name)
+def overflow_graph(request):
+    """300 rows of N(0, 1) * 4 in d = 4, the M=8, efC=40 graph over them, and
+    a query of four 1e308s, whose keys overflow under every metric (185 of
+    them are NaN under inner product)."""
+    rng = np.random.default_rng(0)
+    vectors = (rng.standard_normal((300, 4)) * 4).astype(np.float32)
+    corpus = Corpus(vectors, rng.uniform(size=300), request.param)
+    return corpus, hnsw_build(corpus, 8, 40, seed=0), np.full(4, 1e308)
+
+
+class TestNonFiniteKeys:
+    """A walk that keys a NaN or infinite key raises the exact scan's
+    ``ValueError``; keys are checked only when the query's squared norm
+    could overflow one, and a huge query whose keys stay finite is answered.
+    numpy's overflow warnings are silenced, so the error is the package's."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["rule", "lazy"])
+    def test_every_walk_refuses_overflowing_keys(self, monkeypatch, overflow_graph, lazy):
+        corpus, index, query = overflow_graph
+        if lazy:
+            _lazy_throughout(monkeypatch)
+        walks = _count_rank_walks(monkeypatch)
+        mask = build_mask(corpus, threshold_for_selectivity(corpus, 0.5))
+        # ef = 1 keys lazily (budget 2), ef = 10 walks key space, 100 and 300
+        # rank space, and so does the dual pool at 20 * 10 >= 150
+        searches = [(ef, "unfiltered") for ef in (1, 10, 100, 300)]
+        searches += [(10, "dualpool"), (1, "dualpool")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="keys from this query are not finite"):
+                exact_knn(corpus, query, 10)
+            for ef, mode in searches:
+                with pytest.raises(ValueError, match="keys from this query are not finite"):
+                    hnsw_search(index, corpus, query, 10, ef, mode=mode, mask=mask)
+        assert walks == [0]  # each raised before its layer-0 walk
+
+    def test_only_a_query_that_could_overflow_is_checked(self, overflow_graph):
+        corpus, index, query = overflow_graph
+        # a squared norm of 4 * 2**596 = 2**598, then of 2**600, then inf
+        assert not hnsw_mod._Scorer(corpus, np.full(4, 2.0**298), 10).check_finite
+        assert hnsw_mod._Scorer(corpus, np.full(4, 2.0**299), 10).check_finite
+        with np.errstate(over="ignore"):
+            assert hnsw_mod._Scorer(corpus, query, 10).check_finite
+
+    def test_a_huge_query_with_finite_keys_is_answered(self, overflow_graph):
+        corpus, index, _ = overflow_graph
+        query = np.full(4, 1e150)  # a squared norm of 4e300, past 2**600
+        assert hnsw_mod._Scorer(corpus, query, 10).check_finite
+        for ef in (1, 10, 300):
+            result = hnsw_search(index, corpus, query, 10, ef)
+            assert len(result) == min(ef, 10) and np.isfinite(result.distances).all()

@@ -333,15 +333,25 @@ def run_cells(root: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
+def _median_us(runs: list[dict], cell: str) -> float | None:
+    """The median of a cell's latencies over ``runs``, in us; None if no run has the cell."""
+    times = [t for run in runs for t in run["cells"].get(cell, [])]
+    return float(np.median(times)) / 1e3 if times else None
+
+
+def _text(us: float | None) -> str:
+    return "—" if us is None else f"{us:.1f}"
+
+
 def cells_table(parent: list[dict], change: list[dict]) -> list[str]:
     """The lines ``cells`` prints for paired runs of ``cell_times``: each
-    cell's median latency on both sides over every round, and each round's
-    digest verdict."""
+    cell's median latency on both sides over every round, "—" on a side
+    whose op stream has no such cell, and each round's digest verdict."""
     lines = [f"{'cell':<20}{'parent median us':>18}{'change median us':>18}{'change/parent':>15}"]
-    for cell in sorted(parent[0]["cells"]):
-        p, c = (float(np.median([t for run in runs for t in run["cells"][cell]])) / 1e3
-                for runs in (parent, change))
-        lines.append(f"{cell:<20}{p:>18.1f}{c:>18.1f}{c / p:>15.3f}")
+    for cell in sorted({cell for run in parent + change for cell in run["cells"]}):
+        p, c = (_median_us(runs, cell) for runs in (parent, change))
+        ratio = "—" if p is None or c is None else f"{c / p:.3f}"
+        lines.append(f"{cell:<20}{_text(p):>18}{_text(c):>18}{ratio:>15}")
     for i, (p, c) in enumerate(zip(parent, change)):
         verdict = "equal" if p["digest"] == c["digest"] else "DIFFER"
         lines.append(f"round {i + 1}: answers and counters {verdict}")
