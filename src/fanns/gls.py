@@ -31,10 +31,9 @@ from fanns import oracle
 from fanns.corpus import (
     Corpus,
     FilterMask,
-    ordering_keys,
+    ordering_keys,  # unused: perfbench/spans.py TARGETS wraps gls.ordering_keys
     require_finite,
     require_mask_for,
-    row_blocks,
 )
 from fanns.hnsw import HnswIndex, hnsw_search
 from fanns.ivfflat import IvfIndex, ivf_search
@@ -130,17 +129,12 @@ def gls_approx(
 ) -> GlsEntry:
     """Cheap estimate: ANN neighborhood for sigma_l, uniform sample for sigma_g.
 
-    The neighborhood is an HNSW beam of width ``k_neighborhood``, or an
-    IVFFlat scan of every list. A beam at least ``hnsw.table_budget(n, d)``
-    wide keys every row once, in the exact scan's blocks, and its walk reads
-    the keys from that table (see :mod:`fanns.hnsw`), so the search computes
-    n keys. A beam of at least n / 20 as well (the default 2,048 is, for n up
-    to 40,960) ranks that table once and walks layer 0 on the rows' places
-    in it, with the neighborhood of the key-space walk, unless two keys tie.
+    The neighborhood is an HNSW beam of width ``k_neighborhood``, planned as
+    :mod:`fanns.hnsw` plans every walk, or an IVFFlat scan of every list.
     The sample is drawn without replacement, so sample_size = N recovers the
-    exact global selectivity. A
-    ``k_neighborhood`` of N or more raises ``ValueError``: the neighborhood
-    would be the whole corpus and rho would read 0 whatever the filter.
+    exact global selectivity. A ``k_neighborhood`` of N or more raises
+    ``ValueError``: the neighborhood would be the whole corpus and rho would
+    read 0 whatever the filter.
     """
     _check_neighborhood(corpus, mask, k_neighborhood)
     if not 1 <= sample_size <= corpus.n:
@@ -177,18 +171,20 @@ def distance_correlation(
     For each (query, mask): C_q = E[g(q, R)] - g(q, valid set), where R is a
     uniform random subset of the corpus with |R| = |valid set| and g is the
     minimum ordering key over the subset. The expectation is a Monte Carlo
-    mean over `trials` draws without replacement, so a full mask gives
-    C_q = 0 exactly.
+    mean over `trials` draws without replacement. A full mask gives C_q = 0
+    exactly: each draw is then every row in another order, so its keys could
+    differ from the valid set's in the last bit (see
+    :func:`oracle.scan_keys`), and it is drawn but not keyed, so the pairs
+    after it draw the same subsets as they would otherwise.
 
-    Each subset is keyed one ``row_blocks`` block at a time, as the exact
-    scan keys it, so a subset of any size costs a few megabytes of
-    temporaries: a block's rows are gathered with ``take``, under cosine with
-    the block's ``Corpus.cosine_divisors`` (−|q|·|r|, so each key is one GEMV
-    and one divide), and g is the least of the blocks' minima. A zero query
-    or a zero row anywhere in the corpus raises ``ValueError``.
+    Each set is keyed by :func:`oracle.scan_keys`; a zero query or a zero row
+    anywhere in a cosine corpus raises ``ValueError``, and so does an empty
+    list of pairs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(queries_with_masks) == 0:
+        raise ValueError("need at least one (query, mask) pair")
     rng = np.random.default_rng(seed)
     per_query = np.empty(len(queries_with_masks))
     for i, (query, mask) in enumerate(queries_with_masks):
@@ -196,22 +192,14 @@ def distance_correlation(
         if mask.is_empty:
             raise ValueError("mask must be non-empty")
         require_finite(query)
-        query = np.asarray(query, dtype=np.float64)
-
-        def min_key(ids: np.ndarray) -> float:
-            return min(
-                float(np.min(ordering_keys(
-                    query, corpus.vectors.take(ids[block], axis=0), corpus.metric,
-                    corpus.cosine_divisors(query, ids[block]),
-                )))
-                for block in row_blocks(len(ids))
-            )
-
-        g_filtered = min_key(mask.valid_ids())
+        full = mask.valid_count == corpus.n
+        g_filtered = float(oracle.scan_keys(corpus, query, mask.valid_ids()).min())
         g_random = 0.0
         for _ in range(trials):
-            g_random += min_key(rng.choice(corpus.n, size=mask.valid_count, replace=False))
-        per_query[i] = g_random / trials - g_filtered
+            subset = rng.choice(corpus.n, size=mask.valid_count, replace=False)
+            if not full:
+                g_random += float(oracle.scan_keys(corpus, query, subset).min())
+        per_query[i] = 0.0 if full else g_random / trials - g_filtered
     return float(per_query.mean()), per_query
 
 

@@ -54,9 +54,10 @@ above layer 0. Each search then takes one output step, in one of four modes:
 * ``raw``        -- the beam with k = ef_search = ``pool_size``, the
   candidate list that post-filtering masks.
 
-The filtered modes count the bitset entries they read in
-``predicate_invocations``: the pool's length for ``prefilter``, every visited
-layer-0 node for ``dualpool``.
+The filtered modes require a mask and ``unfiltered`` and ``raw`` refuse
+one, which they would ignore. The filtered modes count the bitset entries
+they read in ``predicate_invocations``: the pool's length for
+``prefilter``, every visited layer-0 node for ``dualpool``.
 
 Each walk holds its keys in one float64 array of n keys (:class:`_Scorer`)
 and reads every neighbor's key from it through a ``memoryview``. Every key
@@ -262,9 +263,8 @@ class _Scorer:
         if self.check_finite and not np.isfinite(self.array[ids]).all():
             raise ValueError(NONFINITE_KEYS)
         if self.ranked:  # the plan keys every row on the first call
-            distinct = argsort_distinct(self.array)
-            if distinct is not None:  # a tie leaves the walk in key space
-                self.order = distinct[0]
+            self.order = argsort_distinct(self.array)
+            if self.order is not None:  # a tie leaves the walk in key space
                 rank = np.empty_like(self.order)
                 rank[self.order] = np.arange(len(self.order))
                 self.rank = memoryview(rank)
@@ -522,8 +522,8 @@ def hnsw_search(
         raise ValueError("k must be >= 1")
     if ef_search < 1:
         raise ValueError("ef_search must be >= 1")
-    if mode in ("prefilter", "dualpool") and mask is None:
-        raise ValueError(f"mode {mode!r} requires a mask")
+    if (mask is None) == (mode in ("prefilter", "dualpool")):
+        raise ValueError(f"mode {mode!r} {'requires a' if mask is None else 'takes no'} mask")
     if mode == "raw":
         if pool_size is None or pool_size < 1:
             raise ValueError("raw mode requires pool_size >= 1")

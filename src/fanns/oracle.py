@@ -3,8 +3,10 @@
 This is the ground truth, computed in memory and never stored, and the
 correctness reference for every approximate search path; :func:`exact_scan`
 is the package's only exact top-k kernel: the PreExact plan and each IVFFlat
-probe run it too. Distances reported here are the smaller-is-closer ordering
-keys of :mod:`fanns.corpus`, so approximate results can be compared
+probe run it too. It keys its rows with :func:`scan_keys`, which keys the
+min-distance baseline's row sets too (``gls.distance_correlation``).
+Distances reported here are the smaller-is-closer ordering keys of
+:mod:`fanns.corpus`, so approximate results can be compared
 value-for-value. Ties are broken by ascending row id everywhere: every
 result is ranked by one function, ``telemetry.rank_by_key_then_id``, one
 argsort of the keys that falls back to ``np.lexsort`` on an exact key tie.
@@ -61,11 +63,7 @@ def exact_scan(
 ) -> SearchResult:
     """The (key, id)-ordered top k of the rows ``ids`` (every row when None).
 
-    Rows are scored one ``row_blocks`` block at a time, sliced for a full scan
-    and gathered by id with ``take`` otherwise, with keys bit-identical to one
-    ``ordering_keys`` call over all of them. Under cosine each block's
-    divisors are the block's ``Corpus.cosine_divisors``; a zero query, or any
-    zero row in the corpus, raises ``ValueError``. Every row whose key ties
+    The rows are keyed by :func:`scan_keys`. Every row whose key ties
     the k-th key is ranked, by ``rank_by_key_then_id``, before the cut, so
     ties go to the smaller id whatever order ``ids`` is in: with m = min(k,
     rows), at most max(2m, 512) keyed rows are all ranked in one call, and
@@ -83,41 +81,60 @@ def exact_scan(
     counts the scanned rows, ``distance_evaluations`` the keys computed.
     """
     full = ids is None
-    ids = None if full else np.asarray(ids, dtype=np.int64)
-    n = corpus.n if full else len(ids)
+    ids = np.arange(corpus.n) if full else np.asarray(ids, dtype=np.int64)
+    n = len(ids)
     m = min(k, n)
     if m < 1:
         return SearchResult(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     query = np.asarray(query, dtype=np.float64)
-    scored = n
     if corpus.metric is Metric.L2 and n >= 4 * m + _NARROW_MIN_ROWS:
-        near = _l2_candidates(corpus, query, m, ids)
+        near = _l2_candidates(corpus, query, m, None if full else ids)
         if near is not None:
-            ids, full, scored = (near if full else ids[near]), False, len(near)
-    keys = np.empty(scored)
-    for block in row_blocks(scored):
-        block_ids = block if full else ids[block]
-        rows = corpus.vectors[block] if full else corpus.vectors.take(block_ids, axis=0)
-        divisors = corpus.cosine_divisors(query, block_ids)
-        keys[block] = ordering_keys(query, rows, corpus.metric, divisors)
-    if scored <= max(2 * m, _RANK_ALL_ROWS):
-        if full:
-            # ids gathered below, so that the result holds m ids, not a view
-            # of all the rows' ranking
-            ids, full = np.arange(scored), False
+            ids, full = ids[near], False
+    keys = scan_keys(corpus, query, None if full else ids)
+    if len(ids) <= max(2 * m, _RANK_ALL_ROWS):
         ranked = rank_by_key_then_id(keys, ids)
     else:
         kth = keys[np.argpartition(keys, m - 1)[m - 1]]
         pick = np.flatnonzero(~(keys > kth))  # with every NaN key, to be refused below
-        ranked = pick[rank_by_key_then_id(keys[pick], pick if full else ids[pick])]
+        ranked = pick[rank_by_key_then_id(keys[pick], ids[pick])]
     order = ranked[:m]
     top = keys[order]
     # both rankings put NaN last, so only the ends of the ranking and the
     # m-th key need reading
     if not (-math.inf < top[0] and top[-1] < math.inf) or math.isnan(keys[ranked[-1]]):
         raise ValueError(NONFINITE_KEYS)
-    telemetry = SearchTelemetry(distance_evaluations=scored, nodes_visited=n)
-    return SearchResult(order if full else ids[order], top, telemetry)
+    telemetry = SearchTelemetry(distance_evaluations=len(ids), nodes_visited=n)
+    return SearchResult(ids[order], top, telemetry)
+
+
+def scan_keys(
+    corpus: Corpus, query: np.ndarray, ids: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The ordering keys from ``query`` to the rows ``ids`` (every row when
+    None), in that order: the one keyed pass of every exact row set, the
+    exact scan's and ``gls.distance_correlation``'s.
+
+    The rows are keyed one ``row_blocks`` block at a time, so a set of any
+    size costs a few megabytes of temporaries beside its keys: sliced from
+    ``Corpus.vectors`` for a full pass, gathered by id with ``take``
+    otherwise, and keyed by one ``ordering_keys`` call, under cosine with
+    the block's ``Corpus.cosine_divisors`` (−|q|·|r|, so each key is one GEMV
+    and one divide). An L2 key depends on its pair of rows alone; an
+    inner-product or cosine key comes from the block's GEMV, whose last bit
+    depends on the row's place in its block, so those keys are reproduced
+    only by keying the same ids in the same order. A zero query, or a zero
+    row anywhere in the corpus, raises ``ValueError`` under cosine.
+    """
+    full = ids is None
+    query = np.asarray(query, dtype=np.float64)
+    keys = np.empty(corpus.n if full else len(ids))
+    for block in row_blocks(len(keys)):
+        block_ids = block if full else ids[block]
+        rows = corpus.vectors[block] if full else corpus.vectors.take(block_ids, axis=0)
+        divisors = corpus.cosine_divisors(query, block_ids)
+        keys[block] = ordering_keys(query, rows, corpus.metric, divisors)
+    return keys
 
 
 def _gamma(count: int, unit: float) -> float:

@@ -17,13 +17,11 @@ class SearchTelemetry:
     row passed through ``ordering_keys``; ``nodes_visited`` counts the rows
     the search reached: every row an exact scan bounded (an L2 scan keys only
     the rows its float32 bound keeps, so it can count fewer evaluations than
-    visits), every node an HNSW search read a key for. A lazily keyed HNSW
-    search counts each visited node once in both. One whose effective
-    layer-0 width (ef for a beam, ef * n / popcount for the dual pool) is at
-    least ``hnsw.table_budget(n, d)`` keys every row first and counts n
-    evaluations; a narrower one that has keyed the budget's rows lazily
-    then keys every row once and counts its lazy rows plus n, more than its
-    visits. Centroid keys are counted apart, in ``centroid_evaluations``.
+    visits), every node an HNSW search read a key for. An HNSW search counts
+    as evaluations each row its scorer keyed lazily, plus n if it keyed
+    every row (when it does is planned in :mod:`fanns.hnsw`), so it can
+    count more evaluations than visits. Centroid keys are counted apart, in
+    ``centroid_evaluations``.
     """
 
     distance_evaluations: int = 0
@@ -33,14 +31,14 @@ class SearchTelemetry:
     fallback_used: bool = False
 
 
-def argsort_distinct(keys: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``np.argsort(keys)`` and the keys in that order, when the sorted keys
-    are strictly increasing; None on a tie: two keys equal by ``==`` (so
-    -0.0 ties 0.0), or a NaN among them. Without a tie the ascending order
-    is unique, so it is the same whatever sort numpy uses."""
+def argsort_distinct(keys: np.ndarray) -> Optional[np.ndarray]:
+    """``np.argsort(keys)``, when the sorted keys are strictly increasing;
+    None on a tie: two keys equal by ``==`` (so -0.0 ties 0.0), or a NaN
+    among them. Without a tie the ascending order is unique, so it is the
+    same whatever sort numpy uses."""
     order = np.argsort(keys)
     ranked = keys[order]
-    return (order, ranked) if np.all(ranked[1:] > ranked[:-1]) else None
+    return order if np.all(ranked[1:] > ranked[:-1]) else None
 
 
 def rank_by_key_then_id(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -52,10 +50,8 @@ def rank_by_key_then_id(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
     Distinct ids matter only where two keys tie, so on a tie the ranking
     falls back to ``np.lexsort``.
     """
-    distinct = argsort_distinct(keys)
-    if distinct is not None:
-        return distinct[0]
-    return np.lexsort((ids, keys))
+    order = argsort_distinct(keys)
+    return np.lexsort((ids, keys)) if order is None else order
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanns import gls as gls_mod
+from fanns import oracle as oracle_mod
 from fanns.corpus import (
     ROW_BLOCK,
     Corpus,
@@ -221,7 +221,8 @@ class TestReportAndCsv:
 def _reference_distance_correlation(corpus, queries_with_masks, trials, seed, keys=ordering_keys):
     """distance_correlation with rows gathered by fancy indexing and every key
     from an uncached ``keys`` call (by default ``ordering_keys``, which
-    computes its own cosine norms)."""
+    computes its own cosine norms); a full mask's C_q is 0, its subsets drawn
+    all the same."""
     rng = np.random.default_rng(seed)
     per_query = np.empty(len(queries_with_masks))
     for i, (query, mask) in enumerate(queries_with_masks):
@@ -231,7 +232,7 @@ def _reference_distance_correlation(corpus, queries_with_masks, trials, seed, ke
         for _ in range(trials):
             sample = rng.choice(corpus.n, size=len(valid), replace=False)
             g_random += float(np.min(keys(query, corpus.vectors[sample], corpus.metric)))
-        per_query[i] = g_random / trials - g_filtered
+        per_query[i] = 0.0 if len(valid) == corpus.n else g_random / trials - g_filtered
     return float(per_query.mean()), per_query
 
 
@@ -282,13 +283,13 @@ class TestDistanceCorrelation:
         vectors = rng.standard_normal((n, 6)) * rng.uniform(0.5, 2, size=(n, 1))
         corpus = Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), metric)
         pairs = [(rng.standard_normal(6), build_mask(corpus, 0.3)) for _ in range(2)]
-        original, rows_seen = gls_mod.ordering_keys, []
+        original, rows_seen = oracle_mod.ordering_keys, []
 
         def counting(query, rows, *args):
             rows_seen.append(len(rows))
             return original(query, rows, *args)
 
-        monkeypatch.setattr(gls_mod, "ordering_keys", counting)
+        monkeypatch.setattr(oracle_mod, "ordering_keys", counting)
         value, per_query = distance_correlation(corpus, pairs, trials=3, seed=6)
         valid = pairs[0][1].valid_count
         assert valid > ROW_BLOCK + 1 and max(rows_seen) == ROW_BLOCK
@@ -311,13 +312,27 @@ class TestDistanceCorrelation:
         with pytest.raises(ValueError, match="finite"):
             distance_correlation(corpus2k, [(query, build_mask(corpus2k, -np.inf))])
 
-    def test_full_mask_is_exactly_zero(self, corpus2k):
-        full = build_mask(corpus2k, -np.inf)
-        value, per_query = distance_correlation(
-            corpus2k, [(corpus2k.vectors[0], full), (corpus2k.vectors[1], full)], trials=2
-        )
-        assert value == 0.0
-        assert np.all(per_query == 0.0)
+    @pytest.mark.parametrize("trials", [3, 5])
+    @pytest.mark.parametrize("n, d", [(40, 3), (300, 8), (2 * ROW_BLOCK + 30, 5)])
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_full_mask_is_exactly_zero(self, metric, n, d, trials):
+        # a subset of all n rows is a permutation, whose GEMV could key a row
+        # an ulp from the valid set's; the full mask's draws are still made,
+        # so the partial mask after them sees the subsets it would alone
+        rng = np.random.default_rng(n + d + trials)
+        vectors = rng.standard_normal((n, d)) * rng.uniform(0.5, 2, size=(n, 1))
+        corpus = Corpus(vectors.astype(np.float32), rng.uniform(0, 1, n), metric)
+        full = build_mask(corpus, -np.inf)
+        pairs = [(query, full) for query in rng.standard_normal((5, d))]
+        pairs.append((pairs[0][0], build_mask(corpus, 0.5)))
+        value, per_query = distance_correlation(corpus, pairs, trials, seed=8)
+        assert np.all(per_query[:-1] == 0.0)
+        assert per_query[-1] == _reference_distance_correlation(corpus, pairs, trials, 8)[1][-1]
+        assert value == per_query[-1] / len(per_query)
+
+    def test_rejects_no_pairs(self, corpus2k):
+        with pytest.raises(ValueError, match="at least one"):
+            distance_correlation(corpus2k, [])
 
     def test_positive_on_correlated_corpus(self):
         corpus = generate_synthetic(

@@ -280,6 +280,21 @@ class TestSearchModes:
         with pytest.raises(ValueError):
             hnsw_search(hnsw2k, corpus2k, query, 5, 0)
 
+    def test_unfiltered_and_raw_modes_refuse_a_mask(self):
+        # both modes ignored the mask they were given: every id they
+        # returned here fails it
+        corpus = generate_synthetic(300, 8, 1, "cluster_correlated")
+        index = hnsw_build(corpus, 8, 40, seed=0)
+        mask = FilterMask(np.arange(corpus.n) < 30)
+        query = corpus.vectors[200]
+        with pytest.raises(ValueError, match="'unfiltered' takes no mask"):
+            hnsw_search(index, corpus, query, 5, 20, mask=mask)
+        with pytest.raises(ValueError, match="'raw' takes no mask"):
+            hnsw_search(index, corpus, query, 5, 20, mode="raw", mask=mask, pool_size=5)
+        for mode in ("prefilter", "dualpool"):
+            result = hnsw_search(index, corpus, query, 5, 20, mode=mode, mask=mask)
+            assert mask.bits[result.ids].all()
+
 
 def _varied_norm_corpus(metric, n=300, d=12, seed=0):
     """Gaussian rows scaled by norms spread over 0.01..100."""
@@ -328,7 +343,8 @@ class TestCachedKeys:
         # a width under the key-table budget, the dual pool's too (10 * 2000 /
         # 1400 < 17): lazy calls, then the every-row pass
         assert 10 * corpus2k.n < hnsw_mod.table_budget(corpus2k.n, corpus2k.dim) * mask.valid_count
-        result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 10, mode=mode, mask=mask)
+        result = hnsw_search(hnsw2k, corpus2k, corpus2k.vectors[5], 10, 10, mode=mode,
+                             mask=_mask_for(mode, mask))
         assert len(rows_seen) > 2 and rows_seen[-1] == corpus2k.n
         assert sum(rows_seen) == result.telemetry.distance_evaluations
 
@@ -424,6 +440,12 @@ EFS = (10, 100)  # and the corpus size
 MODES = ("unfiltered", "prefilter", "dualpool")
 
 
+def _mask_for(mode, mask):
+    """The mask a search in ``mode`` takes: ``mask`` in the filtered modes,
+    None in ``unfiltered`` and ``raw``, which refuse one."""
+    return mask if mode in ("prefilter", "dualpool") else None
+
+
 def _search_answers(corpus, index, efs=EFS, whole_pool=False, n_queries=50, modes=MODES):
     """Ids, keys and all four counters of ``n_queries`` searches x efs + (n,)
     x ``modes``, at k=10 or, with ``whole_pool``, at k = ef, so that every
@@ -435,7 +457,8 @@ def _search_answers(corpus, index, efs=EFS, whole_pool=False, n_queries=50, mode
         for ef in efs + (corpus.n,):
             for mode in modes:
                 k = ef if whole_pool else 10
-                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=ef)
+                r = hnsw_search(index, corpus, query, k, ef, mode=mode,
+                                mask=_mask_for(mode, mask), pool_size=ef)
                 t = r.telemetry
                 out.append((r.ids.tolist(), r.distances.tolist(),
                             t.distance_evaluations, t.nodes_visited,
@@ -558,8 +581,8 @@ class TestRankedResult:
         for query in queries:
             # at ef > n the pool never fills, so it is never heapified
             for ef in (10, 100, corpus.n + 5):
-                result = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
-                                     pool_size=ef)
+                result = hnsw_search(index, corpus, query, ef, ef, mode=mode,
+                                     mask=_mask_for(mode, mask), pool_size=ef)
                 assert len(result) > 0
                 self._assert_ranked(result)
 
@@ -808,8 +831,8 @@ class TestSinglePassRule:
         admits = mask.valid_count if mode == "dualpool" else corpus.n
         width = -(-hnsw_mod.table_budget(corpus.n, corpus.dim) * admits // corpus.n) - 1
         rows_seen = _counting_keys(monkeypatch)
-        result = hnsw_search(index, corpus, corpus.vectors[3], 10, width, mode=mode, mask=mask,
-                             pool_size=width)
+        result = hnsw_search(index, corpus, corpus.vectors[3], 10, width, mode=mode,
+                             mask=_mask_for(mode, mask), pool_size=width)
         self._assert_switched_at_the_budget(corpus, index, rows_seen, result.telemetry)
 
     def test_the_dual_pool_switches_mid_walk(self, monkeypatch, budget_graph):
@@ -867,7 +890,7 @@ class TestSinglePassRule:
             # 20 * 150 >= 601), and a rank-space dual pool
             for ef, mode in ((10, "unfiltered"), (150, "unfiltered"), (150, "dualpool")):
                 result = hnsw_search(index, corpus, corpus.vectors[3], 10, ef, mode=mode,
-                                     mask=mask)
+                                     mask=_mask_for(mode, mask))
             del result
             found = gc.collect()
         finally:
@@ -962,8 +985,8 @@ class TestSinglePassEqualsLazy:
             out = []
             for query in queries:
                 for ef in (3, 10, 20, 60, 150, 300, corpus.n):  # the budget is 39
-                    r = hnsw_search(index, corpus, query, ef, ef, mode=mode, mask=mask,
-                                    pool_size=ef)
+                    r = hnsw_search(index, corpus, query, ef, ef, mode=mode,
+                                    mask=_mask_for(mode, mask), pool_size=ef)
                     t = r.telemetry
                     out.append((query, r.ids, r.distances,
                                 (t.nodes_visited, t.predicate_invocations)))
@@ -1057,8 +1080,8 @@ class TestFullBudgetDifferential:
         landed = self._landing(monkeypatch, index, space)
         rng = np.random.default_rng(75)
         for query in rng.standard_normal((20, corpus.dim)):
-            result = hnsw_search(index, corpus, query, k, corpus.n, mode=mode, mask=mask,
-                                 pool_size=corpus.n)
+            result = hnsw_search(index, corpus, query, k, corpus.n, mode=mode,
+                                 mask=_mask_for(mode, mask), pool_size=corpus.n)
             ranked = exact_knn(corpus, query, corpus.n)
             reached = np.zeros(corpus.n, bool)
             reached[list(self._reached(index, landed[-1]))] = True
@@ -1103,7 +1126,8 @@ class TestRankSpace:
         for query in queries:
             for ef, mode, mask in searches:
                 k = 10 if mode == "dualpool" else ef
-                r = hnsw_search(index, corpus, query, k, ef, mode=mode, mask=mask, pool_size=ef)
+                r = hnsw_search(index, corpus, query, k, ef, mode=mode,
+                                mask=_mask_for(mode, mask), pool_size=ef)
                 t = r.telemetry
                 out.append((r.ids.tolist(), r.distances.tolist(),
                             t.distance_evaluations, t.nodes_visited,
@@ -1302,7 +1326,8 @@ class TestNonFiniteKeys:
                 exact_knn(corpus, query, 10)
             for ef, mode in searches:
                 with pytest.raises(ValueError, match="keys from this query are not finite"):
-                    hnsw_search(index, corpus, query, 10, ef, mode=mode, mask=mask)
+                    hnsw_search(index, corpus, query, 10, ef, mode=mode,
+                                mask=_mask_for(mode, mask))
         assert walks == [0]  # each raised before its layer-0 walk
 
     def test_only_a_query_that_could_overflow_is_checked(self, overflow_graph):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from fanns import oracle
 from fanns.corpus import (
     ROW_BLOCK,
     Corpus,
@@ -15,6 +16,7 @@ from fanns.corpus import (
     ordering_keys,
     row_blocks,
 )
+from fanns.gls import distance_correlation, gls_exact
 from fanns.ivfflat import ivf_build, ivf_search
 from fanns.oracle import exact_knn, exact_scan, l2_scores
 from fanns.telemetry import SearchTelemetry, rank_by_key_then_id
@@ -178,6 +180,38 @@ def test_blocked_scan_equals_one_key_call(metric, n):
             assert np.array_equal(result.distances, keys[order])
             assert np.array_equal(result.ids, rows[order])
             assert result.telemetry.distance_evaluations == len(rows)
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_every_exact_row_set_is_keyed_through_scan_keys(monkeypatch, metric):
+    # one keyed pass serves the exact scans and the min-distance baseline:
+    # each call's keys are every key its caller computes
+    corpus = _varied_corpus(900, 6, metric, seed=41)
+    query, mask = np.random.default_rng(42).standard_normal(6), build_mask(corpus, 0.5)
+    index = ivf_build(corpus, 4, seed=1)
+    original, keyed = oracle.scan_keys, []
+
+    def recording(corpus, query, ids=None):
+        keys = original(corpus, query, ids)
+        keyed.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(oracle, "scan_keys", recording)
+    for search in (
+        lambda: exact_knn(corpus, query, 10),
+        lambda: exact_knn(corpus, query, 10, mask),
+        lambda: ivf_search(index, corpus, query, 10, 2, mask),
+        lambda: ivf_search(index, corpus, query, 10, 4),
+    ):
+        keyed.clear()
+        result = search()
+        assert len(keyed) == 1 and keyed[0] == result.telemetry.distance_evaluations > 0
+    keyed.clear()
+    gls_exact(corpus, query, mask, k_neighborhood=50)
+    assert len(keyed) == 1 and 0 < keyed[0] <= corpus.n
+    keyed.clear()
+    distance_correlation(corpus, [(query, mask)], trials=3)
+    assert keyed == [mask.valid_count] * 4
 
 
 def test_cosine_row_norms_are_blockwise_exact_and_skip_the_float64_copy():
